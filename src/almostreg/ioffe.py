@@ -23,6 +23,7 @@ from .regularity import (
     SampledMap,
     check_openness,
     graph_max_metric,
+    _estimate_violations,
     _gamma_array,
 )
 from .spaces import Point, PointCloud, as_point
@@ -68,22 +69,10 @@ class PairRegion:
         }
 
     def x_points(self) -> tuple[Point, ...]:
-        seen: list[Point] = []
-        have = set()
-        for x, _ in self.pairs:
-            if x not in have:
-                have.add(x)
-                seen.append(x)
-        return tuple(seen)
+        return tuple(dict.fromkeys(x for x, _ in self.pairs))
 
     def y_points(self) -> tuple[Point, ...]:
-        seen: list[Point] = []
-        have = set()
-        for _, y in self.pairs:
-            if y not in have:
-                have.add(y)
-                seen.append(y)
-        return tuple(seen)
+        return tuple(dict.fromkeys(y for _, y in self.pairs))
 
     def fiber(self, y: Point) -> tuple[Point, ...]:
         q = as_point(y)
@@ -119,8 +108,7 @@ def _default_epsilons(residuals: np.ndarray, c: float, step: float) -> tuple[flo
 
 def check_criterion(mapping: SampledMap, region: PairRegion, c: float,
                     gamma: object, epsilons: Sequence[float] | None = None,
-                    lam: Callable[[float], float] = default_lambda,
-                    geom: MapGeometry | None = None) -> CriterionReport:
+                    lam: Callable[[float], float] = default_lambda) -> CriterionReport:
     """Existence-of-improvement criterion at rate c over a pair region.
 
     A domain point u is active for probe level eps and target y when some
@@ -132,7 +120,7 @@ def check_criterion(mapping: SampledMap, region: PairRegion, c: float,
         raise ValueError("rate c must be positive")
     if not mapping.is_single_valued():
         raise ValueError("criterion check needs a single-valued sampled map")
-    g = geom or MapGeometry(mapping)
+    g = mapping.geometry
     gam = _gamma_array(gamma, mapping.domain)
     y_targets = []
     for y in region.y_points():
@@ -210,8 +198,8 @@ def conclude_openness(mapping: SampledMap, region: PairRegion, c: float,
     within distance rho(g(x), y) / c of x. For product regions the graded
     ball-inclusion check runs as well and the two verdicts must agree.
     """
-    geom = MapGeometry(mapping)
-    crit = check_criterion(mapping, region, c, gamma, epsilons, lam, geom)
+    geom = mapping.geometry
+    crit = check_criterion(mapping, region, c, gamma, epsilons, lam)
     tol = closure_tol if closure_tol is not None else 2.0 * geom.step_x
     fiber = _fiber_conclusion(geom, region, c, gamma, tol)
     openness: CheckReport | None = None
@@ -225,7 +213,7 @@ def conclude_openness(mapping: SampledMap, region: PairRegion, c: float,
             constant=c,
             closure_tol=closure_tol,
         )
-        openness = check_openness(inst, geom)
+        openness = check_openness(inst)
         agree = openness.passed == fiber.passed
     concluded = bool(crit.passed and fiber.passed and (agree is None or agree))
     return ConclusionReport(
@@ -239,7 +227,7 @@ def conclude_openness(mapping: SampledMap, region: PairRegion, c: float,
 
 def _fiber_conclusion(geom: MapGeometry, region: PairRegion, c: float,
                       gamma: object, tol: float) -> CheckReport:
-    gam = _gamma_array(gamma, geom.mapping.domain)
+    gam = _gamma_array(gamma, geom.domain)
     checked = 0
     witnesses: list[tuple] = []
     vacuous = True
@@ -446,30 +434,24 @@ def check_unconditional_estimate(mapping: SampledMap, ref: tuple, mu: float,
                                  beta: float, eps_schedule: tuple[float, ...] = (),
                                  closure_tol: float | None = None) -> CheckReport:
     """Distance estimate on beta-balls with no proviso on dist(y, G(x))."""
-    geom = MapGeometry(mapping)
+    geom = mapping.geometry
     rx = geom.x_index[as_point(ref[0])]
     ry = geom.y_index[as_point(ref[1])]
     tol = closure_tol if closure_tol is not None else 2.0 * geom.step_x
     eps = eps_schedule or (2.0 * geom.step_y, geom.step_y, 0.5 * geom.step_y)
     surrogate = geom.preimage_distance(eps[-1])
-    x_ball = geom.DX[rx] < beta
-    y_ball = geom.DY[ry] < beta
-    cond = x_ball[:, None] & y_ball[None, :] & np.isfinite(geom.DYG)
-    bound = mu * geom.DYG + tol
-    with np.errstate(invalid="ignore"):
-        bad = cond & ~(surrogate <= bound)
-    witnesses = []
-    for xi, vi in np.argwhere(bad)[:20]:
-        witnesses.append((mapping.domain.points[int(xi)],
-                          mapping.codomain.points[int(vi)],
-                          float(surrogate[xi, vi]), float(bound[xi, vi])))
+    # An infinite reach drops the proviso: only dist(y, G(x)) = inf is left
+    # out. A reach of -inf leaves out the rows outside the beta-ball.
+    reach = np.where(geom.DX[rx] < beta, math.inf, -math.inf)
+    scan = _estimate_violations(geom.DYG, surrogate, geom.DY[ry] < beta, reach, mu, tol)
     return CheckReport(
         name="unconditional-estimate",
-        passed=not bool(bad.any()),
-        checked=int(cond.sum()),
-        violation_count=int(bad.sum()),
-        witnesses=tuple(witnesses),
-        vacuous=not bool(cond.any()),
+        passed=scan.count == 0,
+        checked=scan.window,
+        violation_count=scan.count,
+        witnesses=tuple((mapping.domain.points[xi], mapping.codomain.points[vi], value, bound)
+                        for xi, vi, value, bound in scan.hits),
+        vacuous=scan.window == 0,
     )
 
 
@@ -515,17 +497,19 @@ def setvalued_criterion(mapping: SampledMap, region: PairRegion, c: float,
     """Criterion for set-valued maps, run through two independent routes.
 
     The direct route scans graph pairs with explicit loops, measuring moves
-    by max(d(u, x), alpha * rho(v, z)). The projected route rebuilds the map
-    over its graph cloud and reuses the single-valued criterion. Verdicts
-    must agree.
+    by max(d(u, x), alpha * rho(v, z)) in the map's own metrics. The
+    projected route rebuilds the map over its graph cloud and reuses the
+    single-valued criterion. Verdicts must agree.
     """
     if not 0.0 < alpha < 1.0 / c:
         raise ValueError("alpha must lie in (0, 1 / rate)")
-    geom = MapGeometry(mapping)
+    geom = mapping.geometry
     gam = _gamma_array(gamma, mapping.domain)
 
-    # Direct route: explicit loops over graph pairs.
+    # Direct route: explicit loops over graph pairs, by index into the tables.
     pairs = mapping.pairs
+    index = list(zip(geom.pair_xi.tolist(), geom.pair_yi.tolist()))
+    DX, DY = geom.DX.tolist(), geom.DY.tolist()
     if epsilons is None:
         cols = [geom.y_index[y] for y in region.y_points()]
         eps_list = _default_epsilons(geom.DYG[:, cols], c, geom.step_x)
@@ -537,18 +521,16 @@ def setvalued_criterion(mapping: SampledMap, region: PairRegion, c: float,
     for y in region.y_points():
         yi = geom.y_index[y]
         fiber = set(region.fiber(y))
-        trig = [(x, z) for (x, z) in pairs
-                if x in fiber
-                and geom.DY[geom.y_index[z], yi] < c * gam[geom.x_index[x]]]
+        trig = [(xi, zi) for (x, _), (xi, zi) in zip(pairs, index)
+                if x in fiber and DY[zi][yi] < c * gam[xi]]
         if not trig:
             continue
-        for (u, v) in pairs:
-            r_uv = float(geom.DY[geom.y_index[v], yi])
+        for (u, v), (ui, vi) in zip(pairs, index):
+            r_uv = DY[vi][yi]
             reachable = False
-            for (x, z) in trig:
-                r_xz = float(geom.DY[geom.y_index[z], yi])
-                move = max(_dist(u, x), alpha * _dist(v, z))
-                if r_uv <= r_xz - c * move:
+            for (xi, zi) in trig:
+                move = max(DX[ui][xi], alpha * DY[vi][zi])
+                if r_uv <= DY[zi][yi] - c * move:
                     reachable = True
                     break
             if not reachable:
@@ -560,10 +542,9 @@ def setvalued_criterion(mapping: SampledMap, region: PairRegion, c: float,
                 checked += 1
                 required = lam(eps)
                 best = -math.inf
-                for (u2, v2) in pairs:
-                    r2 = float(geom.DY[geom.y_index[v2], yi])
-                    move = max(_dist(u, u2), alpha * _dist(v, v2))
-                    best = max(best, r_uv - r2 - c * move)
+                for (ui2, vi2) in index:
+                    move = max(DX[ui][ui2], alpha * DY[vi][vi2])
+                    best = max(best, r_uv - DY[vi2][yi] - c * move)
                 if not best >= required:
                     witnesses.append((eps, y, (u, v), best, required))
     direct = CriterionReport(

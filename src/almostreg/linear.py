@@ -238,9 +238,9 @@ def _refine_until_stable(m: DenseMatrix, nx: NormSpec, ny: NormSpec,
     values: list[float] = []
     count = 0
     for count in _mesh_counts():
-        if count > 360 * 2 ** 7:
-            break
         values.append(evaluate(m, nx, ny, count))
+        if count >= 360 * 2 ** 7:
+            break
         if len(values) >= 3:
             tail = values[-3:]
             if max(tail) - min(tail) <= _MESH_STABLE_TOL:

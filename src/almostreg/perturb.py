@@ -23,6 +23,9 @@ from .regularity import (
     ModulusSearchConfig,
     RegularityInstance,
     SampledMap,
+    TGrid,
+    _image_cloud,
+    _openness_violations,
     check_openness,
     estimate_modulus,
 )
@@ -123,7 +126,7 @@ def estimate_lip(h, center, radius: float, cloud: PointCloud | None = None,
 
 def _aubin_estimate(H: SampledMap, center: Point, anchor: Point,
                     radius: float) -> LipschitzEstimate:
-    geom = MapGeometry(H)
+    geom = H.geometry
     xi_all = [i for i, p in enumerate(H.domain.points)
               if math.dist(p, center) <= radius]
     if len(xi_all) < 2:
@@ -155,20 +158,14 @@ def _aubin_estimate(H: SampledMap, center: Point, anchor: Point,
 def perturbed_map(F: SampledMap, h: Callable[[Point], Point]) -> SampledMap:
     """Graph of F + h: each pair (x, y) becomes (x, y + h(x))."""
     pairs = []
-    image: list[Point] = []
-    seen = set()
     for x, y in F.pairs:
         shift = as_point(h(x))
         if len(shift) != len(y):
             raise ValueError("perturbation value dimension mismatch")
-        v = tuple(a + b for a, b in zip(y, shift))
-        pairs.append((x, v))
-        if v not in seen:
-            seen.add(v)
-            image.append(v)
+        pairs.append((x, tuple(a + b for a, b in zip(y, shift))))
     return SampledMap(
         domain=F.domain,
-        codomain=PointCloud(tuple(image)),
+        codomain=_image_cloud(pairs),
         pairs=tuple(pairs),
         metric_x=F.metric_x,
         metric_y=F.metric_y,
@@ -181,8 +178,6 @@ def minkowski_sum_map(F: SampledMap, H: SampledMap,
     if F.domain.points != H.domain.points:
         raise ValueError("summands must share the same domain cloud")
     pairs: list[tuple[Point, Point]] = []
-    image: list[Point] = []
-    image_seen = set()
     for x in F.domain.points:
         kept: list[Point] = []
         for z in F.image_of(x):
@@ -194,14 +189,10 @@ def minkowski_sum_map(F: SampledMap, H: SampledMap,
                 elif v in kept:
                     continue
                 kept.append(v)
-        for v in kept:
-            pairs.append((x, v))
-            if v not in image_seen:
-                image_seen.add(v)
-                image.append(v)
+        pairs.extend((x, v) for v in kept)
     return SampledMap(
         domain=F.domain,
-        codomain=PointCloud(tuple(image)),
+        codomain=_image_cloud(pairs),
         pairs=tuple(pairs),
         metric_x=F.metric_x,
         metric_y=F.metric_y,
@@ -236,7 +227,7 @@ def lg_single_check(inst: PerturbationInstance,
     if inst.h is None:
         raise ValueError("instance has no single-valued perturbation")
     F = inst.F
-    geom = MapGeometry(F)
+    geom = F.geometry
     radius = lip_radius if lip_radius is not None else 0.5 * geom.diam_x
     sur_f = estimate_modulus(F, (inst.x_bar, inst.z_bar), "sur", cfg)
     lip = estimate_lip(inst.h, inst.x_bar, radius, F.domain)
@@ -300,7 +291,7 @@ def graves_check(f: Callable[[Point], Point], g: Callable[[Point], Point],
     g_map = SampledMap.from_function(cloud, g)
     sur_f = estimate_modulus(f_map, (c, as_point(f(c))), "sur", cfg)
     sur_g = estimate_modulus(g_map, (c, as_point(g(c))), "sur", cfg)
-    step = MapGeometry(f_map).step_x
+    step = f_map.geometry.step_x
     tol = lips[-1] + _tol_lg(step, sur_f.lower, sur_g.lower)
     passed = abs(sur_f.lower - sur_g.lower) <= tol
     return GravesReport("applied", lips, threshold, sur_f.lower, sur_g.lower,
@@ -356,7 +347,7 @@ def lg_setvalued_check(inst: PerturbationInstance,
 
     F, H = inst.F, inst.H
     x_bar, z_bar, w_bar = inst.x_bar, inst.z_bar, inst.w_bar
-    geom_f = MapGeometry(F)
+    geom_f = F.geometry
     tol = closure_tol if closure_tol is not None else 2.0 * geom_f.step_x
 
     premise_a, sensitive = _premise_a(geom_f, x_bar, z_bar, c, c_prime,
@@ -398,55 +389,38 @@ def lg_setvalued_check(inst: PerturbationInstance,
 def _premise_a(geom: MapGeometry, x_bar: Point, z_bar: Point, c: float,
                c_prime: float, a: float, b: float, r: float, delta: float,
                tol: float) -> tuple[CheckReport, bool]:
-    from .regularity import TGrid
-
     rx = geom.x_index[x_bar]
     rz = geom.y_index[z_bar]
     z_window = c * (a + r) + b + delta
     v_window = c * (a + 2.0 * r) + b + delta
+    rows = np.flatnonzero((geom.DX[rx, geom.pair_xi] < a + r)
+                          & (geom.DY[rz, geom.pair_yi] < z_window))
+    x, y = geom.pair_xi[rows], geom.pair_yi[rows]
+    cover = geom.cover_radius(tol).T[x]
+    targets = geom.DY[rz] < v_window
+    reach = np.full(len(rows), r)
     tgrid = TGrid(geom.step_x)
-    cover = geom.cover_radius(tol)
-    verdicts = {}
-    witnesses_closed: list[tuple] = []
-    checked = 0
-    for closed in (True, False):
-        witnesses: list[tuple] = []
-        count = 0
-        for xi, yi in zip(geom.pair_xi, geom.pair_yi):
-            if not geom.DX[rx, xi] < a + r:
-                continue
-            if not geom.DY[rz, yi] < z_window:
-                continue
-            count += 1
-            t_star = tgrid.first_reaching(geom.DY[yi], c_prime, closed=closed)
-            in_window = geom.DY[rz] < v_window
-            if closed:
-                viol = in_window & (t_star < r) & (t_star < cover[:, xi])
-            else:
-                viol = in_window & (t_star < r) & (t_star <= cover[:, xi])
-            for v in np.nonzero(viol)[0]:
-                witnesses.append((geom.mapping.domain.points[xi],
-                                  geom.mapping.codomain.points[yi],
-                                  float(t_star[v]),
-                                  geom.mapping.codomain.points[int(v)]))
-        verdicts[closed] = not witnesses
-        if closed:
-            witnesses_closed = witnesses
-            checked = count
+    closed_scan, open_scan = (
+        _openness_violations(tgrid.first_reaching(geom.DY[y], c_prime, closed=closed),
+                             cover, targets, reach, closed)
+        for closed in (True, False))
     report = CheckReport(
         name="setvalued-premise-A",
-        passed=verdicts[True],
-        checked=checked,
-        violation_count=len(witnesses_closed),
-        witnesses=tuple(witnesses_closed[:20]),
-        vacuous=checked == 0,
+        passed=closed_scan.count == 0,
+        checked=len(rows),
+        violation_count=closed_scan.count,
+        witnesses=tuple((geom.domain.points[x[i]],
+                         geom.codomain.points[y[i]], t,
+                         geom.codomain.points[v])
+                        for i, v, t in closed_scan.hits),
+        vacuous=len(rows) == 0,
     )
-    return report, verdicts[True] != verdicts[False]
+    return report, (closed_scan.count == 0) != (open_scan.count == 0)
 
 
 def _premise_b(H: SampledMap, x_bar: Point, w_bar: Point, ell: float,
                a: float, r: float, delta: float, tol: float) -> CheckReport:
-    geom = MapGeometry(H)
+    geom = H.geometry
     rx = geom.x_index[x_bar]
     rw = geom.y_index[w_bar]
     ball = geom.DX[rx] < a + 2.0 * r
@@ -572,7 +546,7 @@ def sum_stability_check(F: SampledMap, H: SampledMap, ref: tuple,
     if w_bar not in H.image_of(x_bar):
         raise ValueError("w_bar must belong to H(x_bar)")
     sum_map = minkowski_sum_map(F, H)
-    geom = MapGeometry(sum_map)
+    geom = sum_map.geometry
     v_bar = tuple(p + q for p, q in zip(z_bar, w_bar))
     radii = sorted({float(math.dist(p, x_bar)) for p in sum_map.domain.points}
                    | {float(math.dist(v, v_bar)) for v in sum_map.codomain.points})
@@ -620,7 +594,7 @@ def lg_sumstable_check(F: SampledMap, H: SampledMap, ref: tuple,
     if not stability.verdict:
         raise ValueError("instance is not sum-stable on the sampled schedule")
     x_bar, z_bar, w_bar = (as_point(ref[0]), as_point(ref[1]), as_point(ref[2]))
-    geom = MapGeometry(F)
+    geom = F.geometry
     radius = lip_radius if lip_radius is not None else 0.5 * geom.diam_x
     sur_f = estimate_modulus(F, (x_bar, z_bar), "sur", cfg)
     lip = estimate_lip(H, x_bar, radius, anchor=w_bar)

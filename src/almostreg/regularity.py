@@ -10,8 +10,9 @@ verdict must repeat once before it is trusted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Callable, Mapping, Sequence
+from dataclasses import dataclass, replace
+from functools import cached_property
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -66,6 +67,12 @@ def graph_max_metric(split: int, alpha: float,
     return Metric(f"graph-max(alpha={alpha!r})", pairwise)
 
 
+def _image_cloud(pairs: Sequence[tuple[Point, Point]],
+                extra: Sequence[Point] = ()) -> PointCloud:
+    """Distinct values of the pairs, then of extra, in first-seen order."""
+    return PointCloud(tuple(dict.fromkeys([y for _, y in pairs] + list(extra))))
+
+
 @dataclass(frozen=True)
 class SampledMap:
     """A finite set-valued map: pairs (x, y) over explicit clouds."""
@@ -96,38 +103,22 @@ class SampledMap:
                       extra_codomain: Sequence[Point] = ()) -> "SampledMap":
         """Sample a single-valued function; the codomain cloud is its image."""
         pairs = tuple((x, as_point(fn(x))) for x in domain.points)
-        image = []
-        seen = set()
-        for _, y in pairs:
-            if y not in seen:
-                seen.add(y)
-                image.append(y)
-        for y in extra_codomain:
-            yp = as_point(y)
-            if yp not in seen:
-                seen.add(yp)
-                image.append(yp)
-        return cls(domain, PointCloud(tuple(image)), pairs, metric_x, metric_y)
+        codomain = _image_cloud(pairs, [as_point(y) for y in extra_codomain])
+        return cls(domain, codomain, pairs, metric_x, metric_y)
 
     @classmethod
     def from_branches(cls, domain: PointCloud,
                       fns: Sequence[Callable[[Point], float | Sequence[float]]],
                       metric_x: Metric = EUCLIDEAN,
                       metric_y: Metric = EUCLIDEAN) -> "SampledMap":
-        pairs = []
-        image: list[Point] = []
-        seen = set()
-        pair_seen = set()
-        for fn in fns:
-            for x in domain.points:
-                y = as_point(fn(x))
-                if (x, y) not in pair_seen:
-                    pair_seen.add((x, y))
-                    pairs.append((x, y))
-                if y not in seen:
-                    seen.add(y)
-                    image.append(y)
-        return cls(domain, PointCloud(tuple(image)), tuple(pairs), metric_x, metric_y)
+        pairs = tuple(dict.fromkeys((x, as_point(fn(x)))
+                                    for fn in fns for x in domain.points))
+        return cls(domain, _image_cloud(pairs), pairs, metric_x, metric_y)
+
+    @cached_property
+    def geometry(self) -> "MapGeometry":
+        """Distance tables of this map, built on first use and then shared."""
+        return MapGeometry(self)
 
     def image_of(self, x: float | Sequence[float]) -> tuple[Point, ...]:
         p = as_point(x)
@@ -151,10 +142,15 @@ class SampledMap:
 
 
 class MapGeometry:
-    """Distance tables shared by every check on one sampled map."""
+    """Distance tables shared by every check on one sampled map.
+
+    It keeps the map's two clouds rather than the map, so the copy memoized
+    on SampledMap.geometry forms no reference cycle and is freed with it.
+    """
 
     def __init__(self, mapping: SampledMap):
-        self.mapping = mapping
+        self.domain = mapping.domain
+        self.codomain = mapping.codomain
         self.X = np.asarray(mapping.domain.points, dtype=float)
         self.Y = np.asarray(mapping.codomain.points, dtype=float)
         self.DX = mapping.metric_x.pairwise(self.X, self.X)
@@ -374,13 +370,9 @@ class _Prepared:
     tgrid: TGrid
     eps_schedule: tuple[float, ...]
 
-    @property
-    def mapping(self) -> SampledMap:
-        return self.geom.mapping
 
-
-def _prepare(inst: RegularityInstance, geom: MapGeometry | None = None) -> _Prepared:
-    g = geom or MapGeometry(inst.mapping)
+def _prepare(inst: RegularityInstance) -> _Prepared:
+    g = inst.mapping.geometry
     tol = inst.closure_tol if inst.closure_tol is not None else 2.0 * g.step_x
     eps = inst.eps_schedule or _default_eps_schedule(g)
     gam = _gamma_array(inst.gamma, inst.mapping.domain)
@@ -405,34 +397,54 @@ def _default_eps_schedule(geom: MapGeometry) -> tuple[float, ...]:
     return (4.0 * base, 2.0 * base, base)
 
 
-def _openness_scan(prep: _Prepared, constant: float, closed: bool = False
-                   ) -> tuple[int, list[OpennessWitness], bool]:
-    """Shared core of the ball-inclusion scans over (x, y, t, target)."""
-    geom = prep.geom
-    cover = geom.cover_radius(prep.tol)
-    checked = 0
-    nonvacuous = False
-    witnesses: list[OpennessWitness] = []
-    for xi, yi in zip(geom.pair_xi, geom.pair_yi):
-        if not prep.u_mask[xi]:
-            continue
-        checked += 1
-        gamma_x = prep.gam[xi]
-        if not gamma_x > 0.0:
-            continue
-        t_star = prep.tgrid.first_reaching(geom.DY[yi], constant, closed=closed)
-        in_range = t_star < gamma_x
-        window = in_range & prep.v_mask
-        if window.any():
-            nonvacuous = True
-        if closed:
-            viol = window & (t_star < cover[:, xi])
-        else:
-            viol = window & (t_star <= cover[:, xi])
-        for v in np.nonzero(viol)[0]:
-            witnesses.append(_openness_witness(geom, xi, yi, int(v),
-                                               float(t_star[v]), closed))
-    return checked, witnesses, not nonvacuous
+# --- the two scan kernels ----------------------------------------------------
+#
+# Every check runs on a block of source rows (graph pairs or domain points)
+# against target columns (codomain points). An entry takes part only where
+# its column mask is set and its radius t (openness) or constant * rho
+# (estimate) is below the row's gamma, so a gamma of 0 drops the row.
+
+
+class _Scan(NamedTuple):
+    window: int   # (row, column) entries inside the quantifier window
+    count: int    # violations among them
+    hits: tuple   # first _WITNESS_CAP violations, row-major: (row, col, *values)
+
+
+def _scan(window: np.ndarray, viol: np.ndarray, *values: np.ndarray) -> _Scan:
+    per_row = viol.sum(axis=1)
+    count = int(per_row.sum())
+    # Only the rows holding the first _WITNESS_CAP violations are searched.
+    last = int(np.searchsorted(np.cumsum(per_row), _WITNESS_CAP))
+    hits = tuple((int(r), int(c), *(float(v[r, c]) for v in values))
+                 for r, c in np.argwhere(viol[:last + 1])[:_WITNESS_CAP])
+    return _Scan(int(window.sum()), count, hits)
+
+
+def _openness_violations(t: np.ndarray, cover: np.ndarray, cols: np.ndarray,
+                         gam: np.ndarray, closed: bool) -> _Scan:
+    """Ball-inclusion scan; hits carry the radius t.
+
+    t[i, v] is the least grid radius with rho[i, v] < constant * t (<= when
+    closed), cover[i, v] the least radius whose domain ball around row i's
+    point covers v. The inclusion fails at the first radius below gamma that
+    reaches v while the open (closed) ball still misses it.
+    """
+    window = cols & (t < gam[:, None])
+    viol = window & ((t < cover) if closed else (t <= cover))
+    return _scan(window, viol, t)
+
+
+def _estimate_violations(rho: np.ndarray, surrogate: np.ndarray, cols: np.ndarray,
+                         gam: np.ndarray, constant: float, tol: float) -> _Scan:
+    """Distance-estimate scan surrogate <= constant * rho + tol where
+    constant * rho < gamma; hits carry (surrogate, bound)."""
+    scaled = constant * rho
+    window = cols & (scaled < gam[:, None])
+    bound = scaled + tol
+    with np.errstate(invalid="ignore"):
+        viol = window & ~(surrogate <= bound)
+    return _scan(window, viol, surrogate, bound)
 
 
 def _openness_witness(geom: MapGeometry, xi: int, yi: int, v: int,
@@ -443,15 +455,34 @@ def _openness_witness(geom: MapGeometry, xi: int, yi: int, v: int,
         ball = geom.DX[:, xi] < t
     gap = float(geom.DYG[ball, v].min()) if ball.any() else math.inf
     return OpennessWitness(
-        x=geom.mapping.domain.points[xi],
-        y=geom.mapping.codomain.points[yi],
+        x=geom.domain.points[xi],
+        y=geom.codomain.points[yi],
         t=t,
-        target=geom.mapping.codomain.points[v],
+        target=geom.codomain.points[v],
         gap=gap,
     )
 
 
-def check_openness(inst: RegularityInstance, geom: MapGeometry | None = None) -> CheckReport:
+def _openness_check(inst: RegularityInstance, closed: bool, name: str) -> CheckReport:
+    prep = _prepare(inst)
+    geom = prep.geom
+    rows = np.flatnonzero(prep.u_mask[geom.pair_xi])
+    x, y = geom.pair_xi[rows], geom.pair_yi[rows]
+    t = prep.tgrid.first_reaching(geom.DY[y], inst.constant, closed=closed)
+    scan = _openness_violations(t, geom.cover_radius(prep.tol).T[x], prep.v_mask,
+                                prep.gam[x], closed)
+    return CheckReport(
+        name=name,
+        passed=scan.count == 0,
+        checked=len(rows),
+        violation_count=scan.count,
+        witnesses=tuple(_openness_witness(geom, x[r], y[r], v, t_hit, closed).as_tuple()
+                        for r, v, t_hit in scan.hits),
+        vacuous=scan.window == 0,
+    )
+
+
+def check_openness(inst: RegularityInstance) -> CheckReport:
     """Ball-inclusion openness on the sampled regions.
 
     For every graph pair (x, y) with x in the domain region and every radius
@@ -459,30 +490,12 @@ def check_openness(inst: RegularityInstance, geom: MapGeometry | None = None) ->
     constant * t of y must lie within closure_tol of the image of the open
     domain ball around x of radius t.
     """
-    prep = _prepare(inst, geom)
-    checked, witnesses, vacuous = _openness_scan(prep, inst.constant, closed=False)
-    return CheckReport(
-        name="openness",
-        passed=not witnesses,
-        checked=checked,
-        violation_count=len(witnesses),
-        witnesses=tuple(w.as_tuple() for w in witnesses[:_WITNESS_CAP]),
-        vacuous=vacuous,
-    )
+    return _openness_check(inst, False, "openness")
 
 
-def closed_ball_openness(inst: RegularityInstance, geom: MapGeometry | None = None) -> CheckReport:
+def closed_ball_openness(inst: RegularityInstance) -> CheckReport:
     """Openness variant with closed target and closed source balls."""
-    prep = _prepare(inst, geom)
-    checked, witnesses, vacuous = _openness_scan(prep, inst.constant, closed=True)
-    return CheckReport(
-        name="openness-closed",
-        passed=not witnesses,
-        checked=checked,
-        violation_count=len(witnesses),
-        witnesses=tuple(w.as_tuple() for w in witnesses[:_WITNESS_CAP]),
-        vacuous=vacuous,
-    )
+    return _openness_check(inst, True, "openness-closed")
 
 
 def _limit_surrogate(prep: _Prepared) -> tuple[np.ndarray, bool]:
@@ -498,89 +511,52 @@ def _limit_surrogate(prep: _Prepared) -> tuple[np.ndarray, bool]:
     return last, stabilized
 
 
-def check_regularity_estimate(inst: RegularityInstance,
-                              geom: MapGeometry | None = None) -> CheckReport:
+def _estimate_check(inst: RegularityInstance, from_pairs: bool, name: str) -> CheckReport:
+    prep = _prepare(inst)
+    geom = prep.geom
+    surrogate, stabilized = _limit_surrogate(prep)
+    if from_pairs:
+        rows = np.flatnonzero(prep.u_mask[geom.pair_xi])
+        x = geom.pair_xi[rows]
+        rho = geom.DY[geom.pair_yi[rows]]
+    else:
+        x = np.flatnonzero(prep.u_mask)
+        rho = geom.DYG[x]
+    scan = _estimate_violations(rho, surrogate[x], prep.v_mask, prep.gam[x],
+                                inst.constant, prep.tol)
+    return CheckReport(
+        name=name,
+        passed=scan.count == 0,
+        checked=scan.window,
+        violation_count=scan.count,
+        witnesses=tuple(EstimateWitness(
+            x=geom.domain.points[x[r]],
+            y=geom.codomain.points[v],
+            value=value,
+            bound=bound,
+        ).as_tuple() for r, v, value, bound in scan.hits),
+        vacuous=scan.window == 0,
+        stabilized=stabilized,
+    )
+
+
+def check_regularity_estimate(inst: RegularityInstance) -> CheckReport:
     """Distance estimate dist(x, G^{-1}(ball(y, eps))) <= mu * dist(y, G(x)).
 
     Evaluated on region pairs with mu * dist(y, G(x)) < gamma(x); the limit
     over eps is the last value of the decreasing schedule, compared within
     closure_tol.
     """
-    prep = _prepare(inst, geom)
-    mu = inst.constant
-    surrogate, stabilized = _limit_surrogate(prep)
-    dyg = prep.geom.DYG
-    cond = (prep.u_mask[:, None] & prep.v_mask[None, :]
-            & (mu * dyg < prep.gam[:, None]))
-    bound = mu * dyg + prep.tol
-    with np.errstate(invalid="ignore"):
-        bad = cond & ~(surrogate <= bound)
-    witnesses = _estimate_witnesses(prep, np.argwhere(bad), surrogate, bound)
-    return CheckReport(
-        name="regularity-estimate",
-        passed=not witnesses,
-        checked=int(cond.sum()),
-        violation_count=len(witnesses),
-        witnesses=tuple(w.as_tuple() for w in witnesses[:_WITNESS_CAP]),
-        vacuous=not bool(cond.any()),
-        stabilized=stabilized,
-    )
+    return _estimate_check(inst, False, "regularity-estimate")
 
 
-def _estimate_witnesses(prep: _Prepared, idx: np.ndarray, value: np.ndarray,
-                        bound: np.ndarray) -> list[EstimateWitness]:
-    out = []
-    for xi, vi in idx:
-        out.append(EstimateWitness(
-            x=prep.mapping.domain.points[int(xi)],
-            y=prep.mapping.codomain.points[int(vi)],
-            value=float(value[xi, vi]),
-            bound=float(bound[xi, vi]),
-        ))
-    return out
-
-
-def check_inverse_lipschitz(inst: RegularityInstance,
-                            geom: MapGeometry | None = None) -> CheckReport:
+def check_inverse_lipschitz(inst: RegularityInstance) -> CheckReport:
     """Graph-to-nearby-target estimate dist(x, G^{-1}(ball(y', eps))) <= mu * rho(y, y').
 
     Quantified over graph pairs (x, y) with x in the domain region and
     codomain-region points y' with mu * rho(y, y') < gamma(x).
     """
-    prep = _prepare(inst, geom)
-    mu = inst.constant
-    surrogate, stabilized = _limit_surrogate(prep)
-    geom_ = prep.geom
-    checked = 0
-    witnesses: list[EstimateWitness] = []
-    vacuous = True
-    for xi, yi in zip(geom_.pair_xi, geom_.pair_yi):
-        if not prep.u_mask[xi]:
-            continue
-        rho = geom_.DY[yi]
-        cond = prep.v_mask & (mu * rho < prep.gam[xi])
-        if cond.any():
-            vacuous = False
-        checked += int(cond.sum())
-        bound = mu * rho + prep.tol
-        with np.errstate(invalid="ignore"):
-            bad = cond & ~(surrogate[xi] <= bound)
-        for vi in np.nonzero(bad)[0]:
-            witnesses.append(EstimateWitness(
-                x=geom_.mapping.domain.points[int(xi)],
-                y=geom_.mapping.codomain.points[int(vi)],
-                value=float(surrogate[xi, vi]),
-                bound=float(bound[vi]),
-            ))
-    return CheckReport(
-        name="inverse-lipschitz",
-        passed=not witnesses,
-        checked=checked,
-        violation_count=len(witnesses),
-        witnesses=tuple(w.as_tuple() for w in witnesses[:_WITNESS_CAP]),
-        vacuous=vacuous,
-        stabilized=stabilized,
-    )
+    return _estimate_check(inst, True, "inverse-lipschitz")
 
 
 @dataclass(frozen=True)
@@ -594,15 +570,14 @@ class EquivalenceReport:
 
 def equivalence_suite(inst: RegularityInstance) -> EquivalenceReport:
     """Run the three properties in the loop openness(c) / estimates(1/c)."""
-    geom = MapGeometry(inst.mapping)
     gam = _gamma_array(inst.gamma, inst.mapping.domain)
     region = _region_mask(inst.region_x, inst.mapping.domain)
     if not (gam[region] > 0.0).all():
         raise ValueError("equivalence loop requires gamma > 0 on the domain region")
-    o = check_openness(inst, geom)
+    o = check_openness(inst)
     dual = replace(inst, constant=1.0 / inst.constant)
-    r = check_regularity_estimate(dual, geom)
-    l = check_inverse_lipschitz(dual, geom)
+    r = check_regularity_estimate(dual)
+    l = check_inverse_lipschitz(dual)
     verdicts = {o.passed, r.passed, l.passed}
     return EquivalenceReport(o, r, l, agree=len(verdicts) == 1, constant=inst.constant)
 
@@ -638,42 +613,83 @@ class ModulusReport:
             raise ValueError("modulus bracket must satisfy lower <= upper")
 
 
+# Each kind is one scan over a static block: (scan, source rows, rows near
+# the reference point or at it, target columns a ball around the reference
+# value or that value alone). Pair rows read rho = DY[y] and domain rows
+# rho = DYG[x].
+_KIND_SCANS = {
+    "sur": ("open", "pairs", "near", "ball"),
+    "lopen": ("open", "pairs", "at", "ball"),
+    "popen": ("open", "domain", "near", "ref"),
+    "reg": ("estimate", "domain", "near", "ball"),
+    "subreg": ("estimate", "domain", "near", "ref"),
+    "semireg": ("estimate", "domain", "at", "ball"),
+    "lip_inv": ("estimate", "pairs", "near", "ball"),
+    "calm": ("estimate", "pairs", "near", "ref"),
+    "incalm": ("estimate", "pairs", "at", "ball"),
+}
+
+
+@dataclass(frozen=True)
+class _KindBlock:
+    open_scan: bool
+    x: np.ndarray         # domain index of each row
+    y: np.ndarray         # codomain index of each row, for witnesses
+    cols: np.ndarray      # codomain index of each column
+    rho: np.ndarray       # rows x cols
+    fixed: np.ndarray     # cover radius (open) or surrogate (estimate), rows x cols
+    row_dist: np.ndarray  # distance of each row's x from the reference point
+    col_dist: np.ndarray  # distance of each column from the reference value
+
+
 class _ModulusEngine:
     """Property evaluation for the nine moduli at a fixed reference pair."""
 
     def __init__(self, mapping: SampledMap, ref: tuple, cfg: ModulusSearchConfig):
-        self.mapping = mapping
-        self.geom = MapGeometry(mapping)
+        self.geom = mapping.geometry
         rx, ry = as_point(ref[0]), as_point(ref[1])
         if (rx, ry) not in set(mapping.pairs):
             raise ValueError(f"reference pair ({rx}, {ry}) must lie on the graph")
         self.rx = self.geom.x_index[rx]
         self.ry = self.geom.y_index[ry]
-        self.cfg = cfg
         self.tol = cfg.closure_tol if cfg.closure_tol is not None else 2.0 * self.geom.step_x
         self.tgrid = TGrid(self.geom.step_x, cfg.t_per_decade)
-        self.cover = self.geom.cover_radius(self.tol)
-        eps = cfg.eps_schedule or _default_eps_schedule(self.geom)
-        self.surrogate = self.geom.preimage_distance(eps[-1])
+        self.eps = cfg.eps_schedule or _default_eps_schedule(self.geom)
         self.gamma0 = cfg.gamma0 if cfg.gamma0 is not None else self.geom.diam_x
         self.gamma_floor = cfg.gamma_floor_steps * self.geom.step_x
-        self._tstar_cache: dict[tuple[str, float], np.ndarray] = {}
+        self._blocks: dict[str, _KindBlock] = {}
+        self._tstar: tuple[str, float, np.ndarray] | None = None
 
-    def _tstar_pairs(self, constant: float) -> np.ndarray:
-        """Per graph pair, smallest grid t with DY[y] < constant * t."""
-        key = ("pairs", constant)
-        if key not in self._tstar_cache:
-            rows = [self.tgrid.first_reaching(self.geom.DY[yi], constant)
-                    for yi in self.geom.pair_yi]
-            self._tstar_cache[key] = np.vstack(rows)
-        return self._tstar_cache[key]
+    def block(self, kind: str) -> _KindBlock:
+        if kind not in self._blocks:
+            scan, source, rows, targets = _KIND_SCANS[kind]
+            geom = self.geom
+            if source == "pairs":
+                x, y = geom.pair_xi, geom.pair_yi
+            else:
+                x = np.arange(len(geom.X))
+                y = np.full(len(x), self.ry)
+            if rows == "at":
+                at = x == self.rx
+                x, y = x[at], y[at]
+            cols = np.arange(len(geom.Y)) if targets == "ball" else np.array([self.ry])
+            rho = (geom.DY[y] if source == "pairs" else geom.DYG[x])[:, cols]
+            if scan == "open":
+                fixed = geom.cover_radius(self.tol).T[x][:, cols]
+            else:
+                fixed = geom.preimage_distance(self.eps[-1])[x][:, cols]
+            self._blocks[kind] = _KindBlock(
+                open_scan=scan == "open", x=x, y=y, cols=cols, rho=rho, fixed=fixed,
+                row_dist=geom.DX[self.rx, x] if rows == "near" else np.zeros(len(x)),
+                col_dist=geom.DY[self.ry, cols] if targets == "ball" else np.zeros(1))
+        return self._blocks[kind]
 
-    def _tstar_popen(self, constant: float) -> np.ndarray:
-        key = ("popen", constant)
-        if key not in self._tstar_cache:
-            self._tstar_cache[key] = self.tgrid.first_reaching(
-                self.geom.DYG[:, self.ry], constant)
-        return self._tstar_cache[key]
+    def tstar(self, kind: str, constant: float) -> np.ndarray:
+        """Least grid radius reaching each block entry, cached for one constant."""
+        if self._tstar is None or self._tstar[:2] != (kind, constant):
+            t = self.tgrid.first_reaching(self.block(kind).rho, constant)
+            self._tstar = (kind, constant, t)
+        return self._tstar[2]
 
     def gamma_schedule(self) -> list[float]:
         out = []
@@ -684,104 +700,22 @@ class _ModulusEngine:
         return out or [self.gamma0]
 
     def holds_at(self, kind: str, constant: float, gamma: float) -> tuple[bool, tuple | None]:
-        geom = self.geom
-        if kind == "sur":
-            tstar = self._tstar_pairs(constant)
-            near_ref = geom.DY[self.ry] < gamma
-            for pi, (xi, yi) in enumerate(zip(geom.pair_xi, geom.pair_yi)):
-                if not geom.DX[self.rx, xi] < gamma:
-                    continue
-                t_star = tstar[pi]
-                viol = near_ref & (t_star < gamma) & (t_star <= self.cover[:, xi])
-                if viol.any():
-                    v = int(np.nonzero(viol)[0][0])
-                    return False, _openness_witness(geom, xi, yi, v, float(t_star[v]), False).as_tuple()
+        b = self.block(kind)
+        gam = np.where(b.row_dist < gamma, gamma, 0.0)
+        cols = b.col_dist < gamma
+        if b.open_scan:
+            scan = _openness_violations(self.tstar(kind, constant), b.fixed, cols, gam,
+                                        closed=False)
+        else:
+            scan = _estimate_violations(b.rho, b.fixed, cols, gam, constant, self.tol)
+        if not scan.hits:
             return True, None
-        if kind == "popen":
-            t_all = self._tstar_popen(constant)
-            xs = np.nonzero(geom.DX[self.rx] < gamma)[0]
-            t_star = t_all[xs]
-            viol = (t_star < gamma) & (t_star <= self.cover[self.ry, xs])
-            if viol.any():
-                i = int(np.nonzero(viol)[0][0])
-                xi = int(xs[i])
-                return False, _openness_witness(geom, xi, self.ry, self.ry, float(t_star[i]), False).as_tuple()
-            return True, None
-        if kind == "lopen":
-            for yi in self.geom.images[self.rx]:
-                t_star = self.tgrid.first_reaching(geom.DY[yi], constant)
-                viol = (geom.DY[self.ry] < gamma) & (t_star < gamma) & (t_star <= self.cover[:, self.rx])
-                if viol.any():
-                    v = int(np.nonzero(viol)[0][0])
-                    return False, _openness_witness(geom, self.rx, int(yi), v, float(t_star[v]), False).as_tuple()
-            return True, None
-        if kind in ("reg", "subreg"):
-            mu = constant
-            x_near = geom.DX[self.rx] < gamma
-            if kind == "reg":
-                y_near = geom.DY[self.ry] < gamma
-            else:
-                y_near = np.zeros(len(geom.Y), dtype=bool)
-                y_near[self.ry] = True
-            cond = x_near[:, None] & y_near[None, :] & (mu * geom.DYG < gamma)
-            bound = mu * geom.DYG + self.tol
-            with np.errstate(invalid="ignore"):
-                bad = cond & ~(self.surrogate <= bound)
-            if bad.any():
-                xi, vi = map(int, np.argwhere(bad)[0])
-                return False, (self.mapping.domain.points[xi],
-                               self.mapping.codomain.points[vi],
-                               float(self.surrogate[xi, vi]), float(bound[xi, vi]))
-            return True, None
-        if kind == "semireg":
-            mu = constant
-            row = geom.DYG[self.rx]
-            cond = (geom.DY[self.ry] < gamma) & (mu * row < gamma)
-            bound = mu * row + self.tol
-            with np.errstate(invalid="ignore"):
-                bad = cond & ~(self.surrogate[self.rx] <= bound)
-            if bad.any():
-                vi = int(np.nonzero(bad)[0][0])
-                return False, (self.mapping.domain.points[self.rx],
-                               self.mapping.codomain.points[vi],
-                               float(self.surrogate[self.rx, vi]), float(bound[vi]))
-            return True, None
-        if kind in ("lip_inv", "calm"):
-            ell = constant
-            for xi, yi in zip(geom.pair_xi, geom.pair_yi):
-                if not geom.DX[self.rx, xi] < gamma:
-                    continue
-                rho = geom.DY[yi]
-                if kind == "lip_inv":
-                    targets = geom.DY[self.ry] < gamma
-                else:
-                    targets = np.zeros(len(geom.Y), dtype=bool)
-                    targets[self.ry] = True
-                cond = targets & (ell * rho < gamma)
-                bound = ell * rho + self.tol
-                with np.errstate(invalid="ignore"):
-                    bad = cond & ~(self.surrogate[xi] <= bound)
-                if bad.any():
-                    vi = int(np.nonzero(bad)[0][0])
-                    return False, (self.mapping.domain.points[int(xi)],
-                                   self.mapping.codomain.points[vi],
-                                   float(self.surrogate[xi, vi]), float(bound[vi]))
-            return True, None
-        if kind == "incalm":
-            ell = constant
-            for yi in self.geom.images[self.rx]:
-                rho = geom.DY[int(yi)]
-                cond = (geom.DY[self.ry] < gamma) & (ell * rho < gamma)
-                bound = ell * rho + self.tol
-                with np.errstate(invalid="ignore"):
-                    bad = cond & ~(self.surrogate[self.rx] <= bound)
-                if bad.any():
-                    vi = int(np.nonzero(bad)[0][0])
-                    return False, (self.mapping.domain.points[self.rx],
-                                   self.mapping.codomain.points[vi],
-                                   float(self.surrogate[self.rx, vi]), float(bound[vi]))
-            return True, None
-        raise ValueError(f"unknown modulus kind {kind!r}")
+        r, c, *values = scan.hits[0]
+        xi, v = int(b.x[r]), int(b.cols[c])
+        if b.open_scan:
+            return False, _openness_witness(self.geom, xi, int(b.y[r]), v, values[0],
+                                            False).as_tuple()
+        return False, (self.geom.domain.points[xi], self.geom.codomain.points[v], *values)
 
     def verdict(self, kind: str, constant: float) -> tuple[bool, float | None, bool, tuple | None]:
         """Scan the gamma schedule; trust the first repeated verdict.
@@ -840,12 +774,8 @@ def estimate_modulus(mapping: SampledMap, ref: tuple, kind: str,
     if not 0.0 < lo < hi:
         raise ValueError("bracket must satisfy 0 < lo < hi")
     sup_kind = kind in SUP_KINDS
-
-    def probe(c: float):
-        return engine.verdict(kind, c)
-
-    ok_lo, g_lo, rl_lo, w_lo = probe(lo)
-    ok_hi, g_hi, rl_hi, w_hi = probe(hi)
+    ok_lo, g_lo, rl_lo, w_lo = engine.verdict(kind, lo)
+    ok_hi, g_hi, rl_hi, w_hi = engine.verdict(kind, hi)
     resolution_limited = rl_lo or rl_hi
     stabilized_gamma = g_lo
     witness_ok: tuple | None = None
@@ -876,7 +806,7 @@ def estimate_modulus(mapping: SampledMap, ref: tuple, kind: str,
         mid = 0.5 * (c_pass + c_fail)
         if mid == c_pass or mid == c_fail:
             break
-        ok, g_mid, rl_mid, w_mid = probe(mid)
+        ok, g_mid, rl_mid, w_mid = engine.verdict(kind, mid)
         resolution_limited = resolution_limited or rl_mid
         if ok:
             c_pass, witness_ok = mid, (mid, g_mid)
@@ -1005,7 +935,7 @@ def sequence_characterization(mapping: SampledMap, x: float | Sequence[float],
     """
     if kappa <= 0.0 or eps <= 0.0:
         raise ValueError("kappa and eps must be positive")
-    geom = MapGeometry(mapping)
+    geom = mapping.geometry
     xi = geom.x_index[as_point(x)]
     yi = geom.y_index[as_point(y)]
     tol = closure_tol if closure_tol is not None else 2.0 * geom.step_x

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from almostreg.ioffe import (
@@ -27,7 +28,7 @@ from almostreg.ioffe import (
     setvalued_criterion,
     shrink_beta,
 )
-from almostreg.regularity import SampledMap
+from almostreg.regularity import Metric, SampledMap
 from almostreg.spaces import PointCloud
 
 DOM = PointCloud.from_grid(-1.0, 1.0, 0.05)
@@ -273,6 +274,26 @@ def test_setvalued_routes_agree_both_verdicts():
     assert not bad.direct.passed and not bad.projected.passed
     assert bad.direct.violation_count == 20
     assert bad.projected.violation_count == 20
+
+
+def test_setvalued_routes_agree_under_scaled_metric():
+    # With d(u, x) = 3|u - x| a Euclidean direct route would see moves three
+    # times too cheap and pass at c = 0.3 where the projected route fails.
+    def three_abs(a, b):
+        diff = a[:, None, :] - b[None, :, :]
+        return 3.0 * np.sqrt((diff * diff).sum(axis=-1))
+
+    dom = PointCloud.from_grid(-1.0, 1.0, 0.1)
+    m = SampledMap.from_branches(
+        dom, [lambda p: (round(2.0 * p[0], 12),),
+              lambda p: (round(2.0 * p[0] + 0.5, 12),)],
+        metric_x=Metric("3|.|", three_abs))
+    region = PairRegion.product(m.domain.points, m.codomain.points)
+    for c in (0.3, 0.5, 1.0):
+        rep = setvalued_criterion(m, region, c, 0.5, 0.1)
+        assert rep.agree, c
+        assert rep.direct.checked == rep.projected.checked
+        assert rep.direct.violation_count == rep.projected.violation_count
 
 
 def test_setvalued_alpha_guard():

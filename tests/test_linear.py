@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from almostreg.linear import (
     DenseMatrix,
     NormSpec,
+    _refine_until_stable,
     euclidean_space,
     harte_check,
     injectivity_bound,
@@ -82,6 +83,21 @@ def test_sur_method_guards():
         sur_modulus(DIAG31, method="qr")
     with pytest.raises(ValueError, match="euclidean norms only"):
         sur_modulus(DIAG31, SUP2, SUP2, method="svd")
+
+
+def test_mesh_refinement_reports_last_evaluated_count():
+    # A value that never settles runs the doubling meshes to the cap; the
+    # count returned must be the last mesh evaluated, 360 * 2**7.
+    counts = []
+
+    def never_settles(m, nx, ny, count):
+        counts.append(count)
+        return float(len(counts))
+
+    value, spread, count = _refine_until_stable(DIAG31, SUP2, SUP2, never_settles)
+    assert counts == [360 * 2 ** k for k in range(8)]
+    assert count == 46080 == counts[-1]
+    assert value == 8.0 and spread == 2.0
 
 
 def test_opnorm_pins():

@@ -184,6 +184,23 @@ def test_lg_setvalued_full_pass():
             rep.premise_c.checked, rep.conclusion.checked) == (45, 3481, 13, 30)
 
 
+def test_lg_setvalued_premise_a_failure_frozen():
+    # c_prime = 2.5 exceeds the rate 2 of F, so closed-ball openness fails;
+    # the open reading fails too, so the verdict is not reading-sensitive.
+    inst = PerturbationInstance(
+        F=F_2X, ref=REF3, H=H_SIN,
+        constants=dict(c=1.2, c_prime=2.5, ell=0.4, a=0.3, b=0.3, r=0.15,
+                       delta=0.05))
+    rep = lg_setvalued_check(inst)
+    premise = rep.premise_a
+    assert not rep.passed and rep.conclusion is None
+    assert (premise.passed, premise.checked, premise.violation_count) == (False, 45, 677)
+    assert premise.witnesses[0] == ((-0.43999999999999995,), (-0.8799999999999999,),
+                                    0.07096267784671431, (-1.04,))
+    assert len(premise.witnesses) == 20
+    assert not rep.reading_sensitive
+
+
 def test_lg_setvalued_validation():
     good = dict(c=1.2, c_prime=1.5, ell=0.4, a=0.3, b=0.3, r=0.15, delta=0.05)
     with pytest.raises(ValueError, match="no set-valued"):

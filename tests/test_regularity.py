@@ -7,12 +7,14 @@ cross-checked against it and against closed forms for affine maps.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from almostreg.regularity import (
     MODULUS_KINDS,
+    SUP_KINDS,
     MapGeometry,
     ModulusSearchConfig,
     RegularityInstance,
@@ -35,6 +37,8 @@ DOM = PointCloud.from_grid(-1.0, 1.0, 0.02)
 TWO_X = SampledMap.from_function(DOM, lambda p: (2.0 * p[0],))
 TWO_X_COARSE = SampledMap.from_function(DOM_COARSE, lambda p: (2.0 * p[0],))
 REF0 = ((0.0,), (0.0,))
+FAR = SampledMap.from_branches(
+    DOM, [lambda p: (1.5 * p[0],), lambda p: (1.5 * p[0] + 10.0,)])
 
 
 def oracle_openness(mapping, gamma, constant, tol=None):
@@ -242,6 +246,68 @@ def test_modulus_two_branch_relation_frozen():
     law = verify_product_laws(sur, reg)
     assert law.relation == "product"
     assert law.verdict
+
+
+def test_modulus_property_failing_witnesses_frozen():
+    # First violation of each kind at gamma 1.0 and 0.5; rate kinds probed
+    # above sur = 1.5, bound kinds below reg = 1/1.5.
+    expected = {
+        "sur": (((-0.98,), (-1.47,), 0.2517850823588304, (-0.9899999999999999,), 0.12),
+                ((-0.48,), (-0.72,), 0.1261914688960372, (-0.4799999999999999,),
+                 0.06000000000000011)),
+        "popen": (((-0.98,), (0.0,), 0.7962143411069843, (0.0,), 0.29999999999999993),
+                  ((-0.48,), (0.0,), 0.39905246299377095, (0.0,), 0.14999999999999997)),
+        "lopen": (((0.0,), (0.0,), 0.5023772863019097, (-0.9899999999999999,),
+                   0.23999999999999988),
+                  ((0.0,), (0.0,), 0.2517850823588304, (-0.4799999999999999,),
+                   0.11999999999999994)),
+        "reg": (((-0.98,), (-0.9899999999999999,), 0.32000000000000006, 0.1839999999999996),
+                ((-0.48,), (-0.4799999999999999,), 0.16000000000000003, 0.1119999999999996)),
+        "lip_inv": (((-0.98,), (-0.9899999999999999,), 0.32000000000000006,
+                     0.1839999999999996),
+                    ((-0.48,), (-0.4799999999999999,), 0.16000000000000003,
+                     0.1119999999999996)),
+        "subreg": (((-0.98,), (0.0,), 0.98, 0.4809999999999996),
+                   ((-0.48,), (0.0,), 0.48, 0.25599999999999956)),
+        "calm": (((-0.98,), (0.0,), 0.98, 0.4809999999999996),
+                 ((-0.48,), (0.0,), 0.48, 0.25599999999999956)),
+        "semireg": (((0.0,), (-0.9899999999999999,), 0.6599999999999999, 0.3369999999999995),
+                    ((0.0,), (-0.4799999999999999,), 0.31999999999999995,
+                     0.18399999999999955)),
+        "incalm": (((0.0,), (-0.9899999999999999,), 0.6599999999999999, 0.3369999999999995),
+                   ((0.0,), (-0.4799999999999999,), 0.31999999999999995,
+                    0.18399999999999955)),
+    }
+    assert set(expected) == set(MODULUS_KINDS)
+    for kind, witnesses in expected.items():
+        constant = 2.0 if kind in SUP_KINDS else 0.3
+        for gamma, witness in zip((1.0, 0.5), witnesses):
+            rep = check_modulus_property(FAR, REF0, kind, constant, gamma)
+            assert not rep.passed, (kind, gamma)
+            assert rep.witnesses == (witness,), (kind, gamma)
+
+
+def test_check_scans_frozen_witnesses():
+    rate = RegularityInstance(mapping=TWO_X, region_x=DOM.points,
+                              region_y=TWO_X.codomain.points, gamma=0.5,
+                              constant=2.5)
+    first_open = ((-1.0,), (-2.0,), 0.019999999999999796, (-1.96,),
+                  0.040000000000000036)
+    last_open = ((-1.0,), (-2.0,), 0.35565588200778014, (-1.2,),
+                 0.11999999999999988)
+    for check in (check_openness, closed_ball_openness):
+        rep = check(rate)
+        assert (rep.passed, rep.checked, rep.violation_count) == (False, 101, 4644)
+        assert rep.witnesses[0] == first_open and rep.witnesses[-1] == last_open
+        assert len(rep.witnesses) == 20
+    bound = replace(rate, constant=1.0 / 2.5)
+    first_est = ((-1.0,), (-1.6,), 0.19999999999999996, 0.19999999999999957)
+    last_est = ((-1.0,), (-0.8400000000000001,), 0.58, 0.5039999999999996)
+    for check in (check_inverse_lipschitz, check_regularity_estimate):
+        rep = check(bound)
+        assert (rep.passed, rep.checked, rep.violation_count) == (False, 5371, 3542)
+        assert rep.stabilized and not rep.vacuous
+        assert rep.witnesses[0] == first_est and rep.witnesses[-1] == last_est
 
 
 def test_modulus_engine_guards():

@@ -240,6 +240,15 @@ def test_cli_machine_format(capsysbinary):
     assert doc["reports"][0]["id"] == "linear_diag_svd"
 
 
+def test_machine_report_matches_golden(capsysbinary):
+    # The golden file freezes the byte-exact machine report of the bundled
+    # suite; any change to a verdict, bracket or witness shows up here.
+    paths = [str(p) for p in sorted(DEMO.glob("*.json"))]
+    assert main(["run", "--jobs", "1", "--format", "machine", *paths]) == 0
+    golden = (FIXTURES / "suite_machine.golden").read_bytes()
+    assert capsysbinary.readouterr().out == golden
+
+
 def test_cli_argument_errors():
     with pytest.raises(SystemExit) as exc:
         main(["run", "--jobs", "0", str(DEMO / "linear_diag_svd.json")])
