@@ -19,6 +19,7 @@ from .extreal import as_ext
 from .regularity import (
     CheckReport,
     MapGeometry,
+    Metric,
     ModulusReport,
     ModulusSearchConfig,
     RegularityInstance,
@@ -361,10 +362,10 @@ def lg_setvalued_check(inst: PerturbationInstance,
     all_premises = premise_a.passed and premise_b.passed and premise_c.passed
     if all_premises:
         v_bar = tuple(p + q for p, q in zip(z_bar, w_bar))
-        region_x = tuple(p for p in sum_map.domain.points
-                         if math.dist(p, x_bar) < a)
-        region_y = tuple(q for q in sum_map.codomain.points
-                         if math.dist(q, v_bar) < b)
+        region_x = tuple(p for p, near in zip(
+            sum_map.domain.points, _ball(sum_map.metric_x, x_bar, sum_map.domain, a)) if near)
+        region_y = tuple(q for q, near in zip(
+            sum_map.codomain.points, _ball(sum_map.metric_y, v_bar, sum_map.codomain, b)) if near)
         conclusion = check_openness(RegularityInstance(
             mapping=sum_map,
             region_x=region_x,
@@ -384,6 +385,12 @@ def lg_setvalued_check(inst: PerturbationInstance,
         reading_sensitive=sensitive,
         passed=passed,
     )
+
+
+def _ball(metric: Metric, center: Point, cloud: PointCloud, radius: float) -> np.ndarray:
+    """Mask of the cloud's points p with metric(center, p) < radius."""
+    return metric.pairwise(np.array([center], dtype=float),
+                           np.asarray(cloud.points, dtype=float))[0] < radius
 
 
 def _premise_a(geom: MapGeometry, x_bar: Point, z_bar: Point, c: float,
@@ -454,22 +461,27 @@ def _premise_c(F: SampledMap, H: SampledMap, sum_map: SampledMap,
                x_bar: Point, z_bar: Point, w_bar: Point, c: float, ell: float,
                a: float, b: float, r: float, delta: float) -> CheckReport:
     v_bar = tuple(p + q for p, q in zip(z_bar, w_bar))
-    z_window = c * (a + r) + b + delta
-    w_window = (a + r) * ell + delta
+    # The windows are balls of each map's own metrics.
+    near_u = dict(zip(sum_map.domain.points,
+                      _ball(sum_map.metric_x, x_bar, sum_map.domain, a + 2.0 * r)))
+    near_v = dict(zip(sum_map.codomain.points,
+                      _ball(sum_map.metric_y, v_bar, sum_map.codomain, b)))
+    near_z = dict(zip(F.codomain.points,
+                      _ball(F.metric_y, z_bar, F.codomain, c * (a + r) + b + delta)))
+    near_w = dict(zip(H.codomain.points,
+                      _ball(H.metric_y, w_bar, H.codomain, (a + r) * ell + delta)))
     checked = 0
     witnesses: list[tuple] = []
     for u, v in sum_map.pairs:
-        if not math.dist(u, x_bar) < a + 2.0 * r:
-            continue
-        if not math.dist(v, v_bar) < b:
+        if not (near_u[u] and near_v[v]):
             continue
         checked += 1
         found = False
         for z in F.image_of(u):
-            if not math.dist(z, z_bar) < z_window:
+            if not near_z[z]:
                 continue
             for w in H.image_of(u):
-                if not math.dist(w, w_bar) < w_window:
+                if not near_w[w]:
                     continue
                 s = tuple(p + q for p, q in zip(z, w))
                 if math.dist(s, v) <= 1e-12:

@@ -175,31 +175,43 @@ class MapGeometry:
         self.step_y = _min_positive(self.DY)
         self.diam_x = _max_finite(self.DX)
         self.diam_y = _max_finite(self.DY)
+        self._cover: dict[float, np.ndarray] = {}
+        self._preimage: dict[float, np.ndarray] = {}
 
     def cover_radius(self, tol: float) -> np.ndarray:
         """S[v, x] = least radius whose open domain ball covers v within tol.
 
         Precisely min{DX[u, x] : dist(v, image(u)) <= tol}; +inf when no
         sampled image approaches v. An open ball of radius t covers v exactly
-        when t > S[v, x]; a closed ball when t >= S[v, x].
+        when t > S[v, x]; a closed ball when t >= S[v, x]. Built once per tol
+        and returned read-only.
         """
-        n_x, n_y = self.DYG.shape
-        out = np.full((n_y, n_x), np.inf)
-        for v in range(n_y):
-            mask = self.DYG[:, v] <= tol
-            if mask.any():
-                out[v] = self.DX[mask].min(axis=0)
-        return out
+        if tol not in self._cover:
+            n_x, n_y = self.DYG.shape
+            out = np.full((n_y, n_x), np.inf)
+            for v in range(n_y):
+                mask = self.DYG[:, v] <= tol
+                if mask.any():
+                    out[v] = self.DX[mask].min(axis=0)
+            out.flags.writeable = False
+            self._cover[tol] = out
+        return self._cover[tol]
 
     def preimage_distance(self, eps: float) -> np.ndarray:
-        """P[x, v] = dist(x, {u : image(u) meets the open ball B(v, eps)})."""
-        n_x, n_y = self.DYG.shape
-        out = np.full((n_x, n_y), np.inf)
-        for v in range(n_y):
-            mask = self.DYG[:, v] < eps
-            if mask.any():
-                out[:, v] = self.DX[:, mask].min(axis=1)
-        return out
+        """P[x, v] = dist(x, {u : image(u) meets the open ball B(v, eps)}).
+
+        Built once per eps and returned read-only.
+        """
+        if eps not in self._preimage:
+            n_x, n_y = self.DYG.shape
+            out = np.full((n_x, n_y), np.inf)
+            for v in range(n_y):
+                mask = self.DYG[:, v] < eps
+                if mask.any():
+                    out[:, v] = self.DX[:, mask].min(axis=1)
+            out.flags.writeable = False
+            self._preimage[eps] = out
+        return self._preimage[eps]
 
     def exact_preimage_distance(self) -> np.ndarray:
         """P0[x, v] = dist(x, G^{-1}(v)) with exact membership."""
@@ -231,6 +243,23 @@ class TGrid:
     def ratio(self) -> float:
         return 10.0 ** (1.0 / self.per_decade)
 
+    def radius(self, k: np.ndarray) -> np.ndarray:
+        """Grid radii t_k; every grid radius in the package comes from here."""
+        return self.t_min * np.power(self.ratio, np.asarray(k, dtype=float))
+
+    def floor_radius(self, bound: np.ndarray, strict: bool = False) -> np.ndarray:
+        """Largest grid radius <= bound (< when strict), per entry.
+
+        0 when even t_0 misses the bound, inf for an infinite bound. The
+        radii come from radius(), so they are the ones first_reaching returns.
+        """
+        bound = np.asarray(bound, dtype=float)
+        top = np.max(bound, where=np.isfinite(bound), initial=self.t_min)
+        radii = self.radius(np.arange(math.ceil(math.log(top / self.t_min)
+                                                / math.log(self.ratio)) + 2))
+        k = np.searchsorted(radii, bound, side="left" if strict else "right")
+        return np.where(np.isinf(bound), np.inf, np.concatenate(([0.0], radii))[k])
+
     def first_reaching(self, rho: np.ndarray, constant: float,
                        closed: bool = False) -> np.ndarray:
         """Smallest grid t with rho < constant * t (<= when closed), per entry.
@@ -244,33 +273,29 @@ class TGrid:
         if not finite.any():
             return out
         rf = np.maximum(rho[finite], 0.0)
-        ratio = self.ratio
-        log_ratio = math.log(ratio)
         with np.errstate(divide="ignore"):
-            guess = np.log(np.maximum(rf / (constant * self.t_min), 1e-300)) / log_ratio
+            guess = (np.log(np.maximum(rf / (constant * self.t_min), 1e-300))
+                     / math.log(self.ratio))
         k = np.maximum(np.floor(guess).astype(np.int64), 0)
-
-        def grid(kk: np.ndarray) -> np.ndarray:
-            return self.t_min * np.power(ratio, kk.astype(float))
 
         def hit(tt: np.ndarray) -> np.ndarray:
             lhs = constant * tt
             return rf <= lhs if closed else rf < lhs
 
-        t = grid(k)
+        t = self.radius(k)
         for _ in range(6):
             bad = ~hit(t)
             if not bad.any():
                 break
             k = k + bad.astype(np.int64)
-            t = grid(k)
+            t = self.radius(k)
         for _ in range(6):
-            prev = grid(np.maximum(k - 1, 0))
+            prev = self.radius(np.maximum(k - 1, 0))
             down = (k > 0) & hit(prev)
             if not down.any():
                 break
             k = k - down.astype(np.int64)
-            t = grid(k)
+            t = self.radius(k)
         out[finite] = t
         return out
 
@@ -637,13 +662,39 @@ class _KindBlock:
     y: np.ndarray         # codomain index of each row, for witnesses
     cols: np.ndarray      # codomain index of each column
     rho: np.ndarray       # rows x cols
-    fixed: np.ndarray     # cover radius (open) or surrogate (estimate), rows x cols
+    # Open scans: the largest grid radius <= the cover radius (0 when there
+    # is none). A grid radius t is <= the cover radius exactly when it is <=
+    # this, so the kernel reads it in place of the cover radius.
+    # Estimate scans: the surrogate. Both rows x cols.
+    fixed: np.ndarray
     row_dist: np.ndarray  # distance of each row's x from the reference point
     col_dist: np.ndarray  # distance of each column from the reference value
+    # Open scans: the distinct rho values and each entry's index into them.
+    rho_values: np.ndarray | None = None
+    rho_index: np.ndarray | None = None
+
+
+# Relative rounding slack of a rate threshold min rho / t, and the slack of a
+# bound threshold min(gamma, surrogate - tol) / rho in units of
+# (gamma + tol) / rho. Both exceed the few ulps by which the kernel's float
+# comparisons can differ from the threshold's; constants inside the slack
+# are left to the kernel.
+_RATE_SLACK = 1e-9
+_BOUND_SLACK = 2e-9
 
 
 class _ModulusEngine:
-    """Property evaluation for the nine moduli at a fixed reference pair."""
+    """Property evaluation for the nine moduli at a fixed reference pair.
+
+    At a fixed gamma each property is monotone in the constant: a rate kind
+    holds exactly for constants up to a threshold, a bound kind exactly from
+    one on. band() computes that threshold in one vectorized pass over the
+    kind's block and widens it by the rounding slack of its float operations;
+    verdict() answers a probe outside the band by comparing the constant with
+    it. The scan kernel (holds_at) runs only for a probe inside the band and
+    in endpoint(), which re-evaluates a bracket endpoint and yields its
+    witness.
+    """
 
     def __init__(self, mapping: SampledMap, ref: tuple, cfg: ModulusSearchConfig):
         self.geom = mapping.geometry
@@ -658,6 +709,7 @@ class _ModulusEngine:
         self.gamma0 = cfg.gamma0 if cfg.gamma0 is not None else self.geom.diam_x
         self.gamma_floor = cfg.gamma_floor_steps * self.geom.step_x
         self._blocks: dict[str, _KindBlock] = {}
+        self._bands: dict[tuple[str, float], tuple[float, float]] = {}
         self._tstar: tuple[str, float, np.ndarray] | None = None
 
     def block(self, kind: str) -> _KindBlock:
@@ -674,20 +726,25 @@ class _ModulusEngine:
                 x, y = x[at], y[at]
             cols = np.arange(len(geom.Y)) if targets == "ball" else np.array([self.ry])
             rho = (geom.DY[y] if source == "pairs" else geom.DYG[x])[:, cols]
+            extra = {}
             if scan == "open":
-                fixed = geom.cover_radius(self.tol).T[x][:, cols]
+                fixed = self.tgrid.floor_radius(geom.cover_radius(self.tol).T[x][:, cols])
+                values, index = np.unique(rho, return_inverse=True)
+                extra = dict(rho_values=values, rho_index=index.reshape(rho.shape))
             else:
                 fixed = geom.preimage_distance(self.eps[-1])[x][:, cols]
             self._blocks[kind] = _KindBlock(
                 open_scan=scan == "open", x=x, y=y, cols=cols, rho=rho, fixed=fixed,
                 row_dist=geom.DX[self.rx, x] if rows == "near" else np.zeros(len(x)),
-                col_dist=geom.DY[self.ry, cols] if targets == "ball" else np.zeros(1))
+                col_dist=geom.DY[self.ry, cols] if targets == "ball" else np.zeros(1),
+                **extra)
         return self._blocks[kind]
 
     def tstar(self, kind: str, constant: float) -> np.ndarray:
         """Least grid radius reaching each block entry, cached for one constant."""
         if self._tstar is None or self._tstar[:2] != (kind, constant):
-            t = self.tgrid.first_reaching(self.block(kind).rho, constant)
+            b = self.block(kind)
+            t = self.tgrid.first_reaching(b.rho_values, constant)[b.rho_index]
             self._tstar = (kind, constant, t)
         return self._tstar[2]
 
@@ -717,23 +774,86 @@ class _ModulusEngine:
                                             False).as_tuple()
         return False, (self.geom.domain.points[xi], self.geom.codomain.points[v], *values)
 
-    def verdict(self, kind: str, constant: float) -> tuple[bool, float | None, bool, tuple | None]:
+    def band(self, kind: str, gamma: float) -> tuple[float, float]:
+        """(below, above) around the threshold constant at gamma.
+
+        A rate kind holds below `below` and fails above `above`; a bound kind
+        fails below `below` and holds above `above`.
+        """
+        key = (kind, gamma)
+        if key not in self._bands:
+            b = self.block(kind)
+            window = (b.row_dist < gamma)[:, None] & (b.col_dist < gamma)
+            if b.open_scan:
+                self._bands[key] = self._rate_band(b, window, gamma)
+            else:
+                self._bands[key] = self._bound_band(b, window, gamma)
+        return self._bands[key]
+
+    def _rate_band(self, b: _KindBlock, window: np.ndarray,
+                   gamma: float) -> tuple[float, float]:
+        # An entry violates iff its t* is <= T, the largest grid radius that
+        # is <= its cover radius and < gamma, that is iff rho < c * T. So the
+        # kind holds iff c <= min rho / T. T = 0 (no such radius) and an
+        # infinite rho never violate: rho / T is inf or nan, which fmin skips.
+        ratio = np.minimum(b.fixed, self.tgrid.floor_radius(gamma, strict=True))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(b.rho, ratio, out=ratio)
+        c = float(np.fmin.reduce(ratio, axis=None, where=window, initial=math.inf))
+        return c * (1.0 - _RATE_SLACK), c * (1.0 + _RATE_SLACK)
+
+    def _bound_band(self, b: _KindBlock, window: np.ndarray,
+                    gamma: float) -> tuple[float, float]:
+        # An entry violates iff c * rho < gamma and c * rho + tol < surrogate.
+        # A surrogate <= tol or an infinite rho never violates; rho = 0 with a
+        # larger surrogate violates at every constant. Otherwise the entry
+        # violates iff c < min(gamma, surrogate - tol) / rho, so the kind
+        # holds iff c is at least the largest of these.
+        live = window & (b.fixed > self.tol)
+        if (live & (b.rho == 0.0)).any():
+            return math.inf, math.inf
+        live &= np.isfinite(b.rho)
+        num = np.minimum(b.fixed - self.tol, gamma)
+        slack = _BOUND_SLACK * (gamma + self.tol)
+        out = []
+        for edge in (num - slack, num + slack):
+            np.divide(edge, b.rho, out=edge, where=live)
+            out.append(float(np.max(edge, where=live, initial=-math.inf)))
+        return out[0], out[1]
+
+    def sure_verdict(self, kind: str, constant: float, gamma: float) -> bool | None:
+        """holds_at's verdict when the constant lies outside the band, else None."""
+        below, above = self.band(kind, gamma)
+        if constant < below:
+            return kind in SUP_KINDS
+        if constant > above:
+            return kind not in SUP_KINDS
+        return None
+
+    def verdict(self, kind: str, constant: float) -> tuple[bool, float | None, bool]:
         """Scan the gamma schedule; trust the first repeated verdict.
 
-        Returns (holds, stabilized_gamma, resolution_limited, witness).
+        Returns (holds, stabilized_gamma, resolution_limited).
         """
-        schedule = self.gamma_schedule()
         prev: bool | None = None
         prev_gamma = None
-        last = None
-        last_witness = None
-        for g in schedule:
-            ok, witness = self.holds_at(kind, constant, g)
+        for g in self.gamma_schedule():
+            ok = self.sure_verdict(kind, constant, g)
+            if ok is None:
+                ok = self.holds_at(kind, constant, g)[0]
             if prev is not None and ok == prev:
-                return ok, g, False, witness if not ok else None
+                return ok, g, False
             prev, prev_gamma = ok, g
-            last, last_witness = ok, witness
-        return bool(last), prev_gamma, True, last_witness if not last else None
+        return bool(prev), prev_gamma, True
+
+    def endpoint(self, kind: str, constant: float, gamma: float, holds: bool) -> tuple:
+        """Re-evaluate a verdict with the kernel: (constant, gamma) when it
+        holds, (constant, gamma, first violation) when it fails."""
+        ok, witness = self.holds_at(kind, constant, gamma)
+        if ok != holds:
+            raise RuntimeError(f"{kind} threshold verdict {holds} at constant {constant!r}, "
+                               f"gamma {gamma!r} contradicts the scan kernel")
+        return (constant, gamma) if ok else (constant, gamma, witness)
 
 
 def check_modulus_property(mapping: SampledMap, ref: tuple, kind: str, constant: float,
@@ -759,8 +879,13 @@ def estimate_modulus(mapping: SampledMap, ref: tuple, kind: str,
     """Bracket one of the nine moduli by bisection over the constant.
 
     For rate-type kinds (sur, popen, lopen) the modulus is the supremum of
-    passing constants; for bound-type kinds it is the infimum. The bracket
-    endpoints always carry verdicts actually evaluated on the sample.
+    passing constants; for bound-type kinds it is the infimum. Each probe
+    walks the gamma schedule until a verdict repeats. At each gamma the
+    verdict comes from the kind's threshold constant, computed once per
+    gamma, unless the probe lies within rounding slack of it; then, and at
+    the bracket endpoints, the scan kernel evaluates the sample. So the
+    endpoints always carry verdicts actually evaluated on the sample, and
+    witness_fail is the kernel's first violation.
     """
     if kind not in MODULUS_KINDS:
         raise ValueError(f"unknown modulus kind {kind!r}")
@@ -774,54 +899,39 @@ def estimate_modulus(mapping: SampledMap, ref: tuple, kind: str,
     if not 0.0 < lo < hi:
         raise ValueError("bracket must satisfy 0 < lo < hi")
     sup_kind = kind in SUP_KINDS
-    ok_lo, g_lo, rl_lo, w_lo = engine.verdict(kind, lo)
-    ok_hi, g_hi, rl_hi, w_hi = engine.verdict(kind, hi)
+    ok_lo, g_lo, rl_lo = engine.verdict(kind, lo)
+    ok_hi, g_hi, rl_hi = engine.verdict(kind, hi)
     resolution_limited = rl_lo or rl_hi
+
+    # The search ends at lo when a rate kind fails there or a bound kind
+    # holds, and at hi when a rate kind holds there or a bound kind fails.
+    for c, ok, g, lower, upper, ends_here in (
+            (lo, ok_lo, g_lo, 0.0, as_ext(lo), ok_lo != sup_kind),
+            (hi, ok_hi, g_hi, hi, INF, ok_hi == sup_kind)):
+        if ends_here:
+            end = engine.endpoint(kind, c, g, ok)
+            return _report(kind, lower, upper, engine, g, resolution_limited,
+                           *((end, None) if ok else (None, end)))
+
+    passing, failing = ((lo, g_lo), (hi, g_hi)) if sup_kind else ((hi, g_hi), (lo, g_lo))
     stabilized_gamma = g_lo
-    witness_ok: tuple | None = None
-    witness_fail: tuple | None = None
-
-    if sup_kind:
-        if not ok_lo:
-            return _report(kind, 0.0, as_ext(lo), engine, g_lo, resolution_limited,
-                           None, (lo, g_lo, w_lo))
-        if ok_hi:
-            return _report(kind, hi, INF, engine, g_hi, resolution_limited,
-                           (hi, g_hi), None)
-        c_pass, c_fail = lo, hi
-        witness_ok = (lo, g_lo)
-        witness_fail = (hi, g_hi, w_hi)
-    else:
-        if ok_lo:
-            return _report(kind, 0.0, as_ext(lo), engine, g_lo, resolution_limited,
-                           (lo, g_lo), None)
-        if not ok_hi:
-            return _report(kind, hi, INF, engine, g_hi, resolution_limited,
-                           None, (hi, g_hi, w_hi))
-        c_fail, c_pass = lo, hi
-        witness_ok = (hi, g_hi)
-        witness_fail = (lo, g_lo, w_lo)
-
     for _ in range(cfg.bisect_iters):
-        mid = 0.5 * (c_pass + c_fail)
-        if mid == c_pass or mid == c_fail:
+        mid = 0.5 * (passing[0] + failing[0])
+        if mid == passing[0] or mid == failing[0]:
             break
-        ok, g_mid, rl_mid, w_mid = engine.verdict(kind, mid)
+        ok, g_mid, rl_mid = engine.verdict(kind, mid)
         resolution_limited = resolution_limited or rl_mid
         if ok:
-            c_pass, witness_ok = mid, (mid, g_mid)
+            passing = (mid, g_mid)
         else:
-            c_fail, witness_fail = mid, (mid, g_mid, w_mid)
+            failing = (mid, g_mid)
         stabilized_gamma = g_mid
 
-    if sup_kind:
-        lower, upper = c_pass, as_ext(c_fail)
-        estimate = c_pass
-    else:
-        lower, upper = c_fail, as_ext(c_pass)
-        estimate = c_pass
-    return _report(kind, lower, upper, engine, stabilized_gamma,
-                   resolution_limited, witness_ok, witness_fail, estimate)
+    c_pass, c_fail = passing[0], failing[0]
+    lower, upper = (c_pass, c_fail) if sup_kind else (c_fail, c_pass)
+    return _report(kind, lower, as_ext(upper), engine, stabilized_gamma, resolution_limited,
+                   engine.endpoint(kind, *passing, True), engine.endpoint(kind, *failing, False),
+                   c_pass)
 
 
 def _report(kind: str, lower: float, upper: ExtReal, engine: _ModulusEngine,

@@ -24,6 +24,9 @@ _KNOWN_AXIOMS = frozenset({A1, A2, A3, A4})
 _TRIANGLE_SLACK = 1e-12
 _COLLINEARITY_TOL = 1e-9
 _UNIT_NORM_TOL = 1e-12
+# Lookup tolerance of PointCloud.index_of, per coordinate: relative above 1,
+# absolute below. It absorbs the round-off of grids built as start + k * step.
+_INDEX_TOL = 1e-9
 
 
 def as_point(value: float | Sequence[float]) -> Point:
@@ -73,11 +76,22 @@ class PointCloud:
         return iter(self.points)
 
     def index_of(self, point: float | Sequence[float]) -> int:
+        """Index of an exactly equal point, else of the one point whose every
+        coordinate lies within _INDEX_TOL of the target's (math.isclose with
+        that relative and absolute tolerance). KeyError on no match or several."""
         target = as_point(point)
         try:
             return self.points.index(target)
         except ValueError:
-            raise KeyError(f"point {target} not in cloud") from None
+            pass
+        near = [i for i, p in enumerate(self.points) if len(p) == len(target)
+                and all(math.isclose(a, b, rel_tol=_INDEX_TOL, abs_tol=_INDEX_TOL)
+                        for a, b in zip(p, target))]
+        if len(near) == 1:
+            return near[0]
+        if near:
+            raise KeyError(f"point {target} matches {len(near)} cloud points")
+        raise KeyError(f"point {target} not in cloud")
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -20,7 +21,7 @@ from almostreg.perturb import (
     perturbed_map,
     sum_stability_check,
 )
-from almostreg.regularity import SampledMap
+from almostreg.regularity import Metric, SampledMap
 from almostreg.spaces import PointCloud
 
 DOM = PointCloud.from_grid(-1.0, 1.0, 0.02)
@@ -199,6 +200,28 @@ def test_lg_setvalued_premise_a_failure_frozen():
                                     0.07096267784671431, (-1.04,))
     assert len(premise.witnesses) == 20
     assert not rep.reading_sensitive
+
+
+def test_lg_setvalued_windows_use_map_metrics():
+    # Premise C and the conclusion's region windows must be balls of the
+    # maps' metrics, as premises A and B are. With both metrics scaled by 3
+    # the Euclidean windows would admit 13 premise-C rows and 30 conclusion
+    # rows.
+    scaled = Metric("3|.|", lambda a, b: 3.0 * np.abs(a[:, None, 0] - b[None, :, 0]))
+    consts = dict(c=1.2, c_prime=1.5, ell=0.4, a=0.3, b=0.3, r=0.15, delta=0.05)
+    xs = np.array([p[0] for p in DOM.points])
+    sums = 2.0 * xs + 0.3 * np.sin(xs)
+    for metrics in (dict(metric_x=scaled), dict(metric_x=scaled, metric_y=scaled)):
+        F = SampledMap.from_function(DOM, lambda p: (2.0 * p[0],), **metrics)
+        H = SampledMap.from_function(DOM, h_sin, **metrics)
+        rep = lg_setvalued_check(PerturbationInstance(F=F, ref=REF3, H=H, constants=consts))
+        y_scale = 3.0 if "metric_y" in metrics else 1.0
+        expected_c = int(np.sum((3.0 * np.abs(xs) < 0.3 + 2.0 * 0.15)
+                                & (y_scale * np.abs(sums) < 0.3)))
+        assert rep.premise_c.checked == expected_c
+        if rep.conclusion is not None:
+            assert rep.conclusion.checked == int(np.sum(3.0 * np.abs(xs) < 0.3))
+    assert (rep.premise_c.checked, rep.conclusion.checked) == (5, 10)
 
 
 def test_lg_setvalued_validation():

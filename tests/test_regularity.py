@@ -6,12 +6,14 @@ cross-checked against it and against closed forms for affine maps.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from almostreg import regularity
 from almostreg.regularity import (
     MODULUS_KINDS,
     SUP_KINDS,
@@ -20,6 +22,7 @@ from almostreg.regularity import (
     RegularityInstance,
     SampledMap,
     TGrid,
+    _ModulusEngine,
     check_inverse_lipschitz,
     check_modulus_property,
     check_openness,
@@ -351,3 +354,80 @@ def test_product_law_rejects_unrelated_pair():
     calm = estimate_modulus(TWO_X, REF0, "calm", cfg)
     with pytest.raises(ValueError, match="neither paired nor coincident"):
         verify_product_laws(sur, calm)
+
+
+def test_tgrid_floor_radius_matches_radius():
+    grid = TGrid(0.02)
+    radii = grid.radius(np.arange(60))
+    bounds = np.concatenate([radii, np.nextafter(radii, 0.0), np.nextafter(radii, 1.0),
+                             [0.0, 0.019, math.inf]])
+    for strict in (False, True):
+        floor = grid.floor_radius(bounds, strict=strict)
+        expected = [max((t for t in radii if (t < b if strict else t <= b)), default=0.0)
+                    for b in bounds[:-1]]
+        assert floor[:-1].tolist() == expected
+        assert math.isinf(floor[-1])
+
+
+THRESHOLD_MAPS = [
+    SampledMap.from_function(PointCloud.from_grid(-1.0, 1.0, step), fn)
+    for step in (0.05, 0.02)
+    for fn in (lambda p: (0.5 * p[0],), lambda p: (1.7 * p[0],),
+               lambda p: (-2.3 * p[0],), lambda p: (3.0 * p[0],),
+               lambda p: (p[0] + 0.3 * math.sin(p[0]),), lambda p: (p[0] ** 3,),
+               lambda p: (abs(p[0]),))
+] + [
+    SampledMap.from_branches(PointCloud.from_grid(-1.0, 1.0, step),
+                             [lambda p: (1.5 * p[0],), lambda p: (1.5 * p[0] + 10.0,)])
+    for step in (0.05, 0.02)
+]
+
+
+def test_threshold_verdicts_agree_with_kernel():
+    # Wherever the per-gamma threshold decides a probe, the scan kernel must
+    # return the same verdict: at both band edges, one ulp either side of
+    # them, and at random constants between the default bracket's ends. The
+    # extra configurations make surrogates equal to the closure tolerance
+    # and put one gamma of the schedule on the radius grid.
+    rng = np.random.default_rng(4)
+    decided = probed = 0
+    for mapping in THRESHOLD_MAPS:
+        on_grid = 16 * float(TGrid(mapping.geometry.step_x).radius(20))
+        for cfg in (ModulusSearchConfig(), ModulusSearchConfig(closure_tol=0.0),
+                    ModulusSearchConfig(gamma0=on_grid)):
+            engine = _ModulusEngine(mapping, REF0, cfg)
+            for kind, gamma in itertools.product(MODULUS_KINDS, engine.gamma_schedule()):
+                edges = [e for e in engine.band(kind, gamma) if 0.0 < e < math.inf]
+                constants = [c for e in edges for c in (np.nextafter(e, 0.0), e,
+                                                        np.nextafter(e, math.inf))]
+                constants += (10.0 ** rng.uniform(-2.0, 2.5, 4)).tolist()
+                for c in constants:
+                    sure = engine.sure_verdict(kind, c, gamma)
+                    probed += 1
+                    if sure is not None:
+                        decided += 1
+                        assert sure == engine.holds_at(kind, c, gamma)[0], (kind, c, gamma)
+    assert decided > probed // 2
+
+
+def test_modulus_search_runs_kernel_only_near_threshold(monkeypatch):
+    counts = {"first_reaching": 0, "_openness_violations": 0, "_estimate_violations": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(TGrid, "first_reaching",
+                        counting("first_reaching", TGrid.first_reaching))
+    for name in ("_openness_violations", "_estimate_violations"):
+        monkeypatch.setattr(regularity, name, counting(name, getattr(regularity, name)))
+    mapping = SampledMap.from_function(PointCloud.from_grid(-1.0, 1.0, 0.005),
+                                       lambda p: (2.0 * p[0],))
+    sur = estimate_modulus(mapping, REF0, "sur")
+    assert counts["first_reaching"] <= 8 and counts["_openness_violations"] <= 12, counts
+    reg = estimate_modulus(mapping, REF0, "reg")
+    assert counts["_estimate_violations"] <= 8, counts
+    assert sur.lower <= 2.0 <= float(sur.upper)
+    assert verify_product_laws(sur, reg).verdict

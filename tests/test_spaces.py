@@ -55,6 +55,19 @@ def test_point_cloud_grid_and_lookup():
         cloud.index_of(0.3)
 
 
+def test_point_cloud_index_of_tolerates_grid_roundoff():
+    cloud = PointCloud.from_grid(-1.0, 1.0, 0.02)
+    assert cloud.points[65] == (0.30000000000000004,)  # stored as built
+    assert cloud.index_of(0.3) == 65
+    assert [cloud.index_of(round(-1.0 + 0.02 * k, 10)) for k in range(101)] == list(range(101))
+    with pytest.raises(KeyError, match="not in cloud"):
+        cloud.index_of(0.31)
+    close = PointCloud.from_points([0.0, 1e-12])
+    assert close.index_of(1e-12) == 1  # an exact hit wins
+    with pytest.raises(KeyError, match="matches 2"):
+        close.index_of(5e-13)
+
+
 def test_point_cloud_validation():
     with pytest.raises(ValueError, match="nonempty"):
         PointCloud(())
