@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .extreal import INF, ExtReal, as_ext
 from .spaces import A2, Point, PointCloud, QuasiPremetric, as_point
 
@@ -112,9 +114,9 @@ class TwoConstantResult:
     certificate: EkelandCertificate
 
 
-def _matrix(space: QuasiPremetric, cloud: PointCloud) -> list[list[float]]:
-    pts = cloud.points
-    return [[float(space(a, b)) for b in pts] for a in pts]
+def _matrix(space: QuasiPremetric, cloud: PointCloud) -> np.ndarray:
+    coords = np.asarray(cloud.points, dtype=float)
+    return space.pairwise(coords, coords)
 
 
 def _values(objective: Objective, cloud: PointCloud) -> list[float]:
@@ -140,6 +142,7 @@ def generate_trace(cloud: PointCloud, space: QuasiPremetric, objective: Objectiv
     i0 = cloud.index_of(start)
     eta = _matrix(space, cloud)
     vals = _values(objective, cloud)
+    value_arr = np.array(vals)
     if not 0.0 < vals[i0] < math.inf:
         raise ValueError(f"start value must be finite positive, got {vals[i0]}")
     if budget is None:
@@ -147,25 +150,25 @@ def generate_trace(cloud: PointCloud, space: QuasiPremetric, objective: Objectiv
     if budget < 1:
         raise ValueError("budget must allow at least one point")
 
-    n = len(cloud)
     idx = [i0]
     infima: list[ExtReal] = []
     slack: list[float] = []
     termination = BUDGET_EXHAUSTED
     while True:
         cur = idx[-1]
-        candidates = [i for i in range(n) if vals[i] + eta[i][cur] < vals[cur]]
-        if not candidates:
+        candidates = np.flatnonzero(value_arr + eta[:, cur] < vals[cur])
+        if not candidates.size:
             infima.append(INF)
             termination = ALPHA_INFINITE
             break
-        alpha = min(vals[i] for i in candidates)
+        cand_vals = value_arr[candidates]
+        alpha = float(cand_vals.min())
         infima.append(as_ext(alpha))
         if len(idx) >= budget:
             termination = BUDGET_EXHAUSTED
             break
         slack.append(1.0 / len(idx))
-        idx.append(next(i for i in candidates if vals[i] == alpha))
+        idx.append(int(candidates[np.argmax(cand_vals == alpha)]))
 
     return EkelandTrace(
         points=tuple(cloud.points[i] for i in idx),
@@ -189,19 +192,18 @@ def verify_trace(trace: EkelandTrace, cloud: PointCloud, space: QuasiPremetric,
         raise ValueError("epsilon must be positive")
     eta = _matrix(space, cloud)
     vals = _values(objective, cloud)
+    value_arr = np.array(vals)
     trace_idx = [cloud.index_of(p) for p in trace.points]
 
     violations = []
     for a, k in enumerate(trace_idx):
-        for j in trace_idx[a + 1:]:
-            if not vals[j] + eta[j][k] < vals[k]:
-                violations.append((cloud.points[j], cloud.points[k]))
+        later = trace_idx[a + 1:]
+        chained = value_arr[later] + eta[later, k] < vals[k]
+        violations += [(cloud.points[j], cloud.points[k])
+                       for j, ok in zip(later, chained.tolist()) if not ok]
 
-    n_cloud = len(cloud)
-    point_ok = tuple(
-        all(vals[i] + eta[i][k] > vals[k] - epsilon for i in range(n_cloud))
-        for k in trace_idx
-    )
+    point_ok = tuple(bool((value_arr + eta[:, k] > vals[k] - epsilon).all())
+                     for k in trace_idx)
     stationary: int | None = None
     for pos in range(len(trace_idx) - 1, -1, -1):
         if not point_ok[pos]:
@@ -220,20 +222,16 @@ def _certificate(cloud: PointCloud, space: QuasiPremetric, objective: Objective,
                  start: Point, u: Point, epsilon: float) -> EkelandCertificate:
     vals = _values(objective, cloud)
     iu = cloud.index_of(u)
-    lhs = vals[iu] + float(space(u, start))
-    rhs = float(objective(start)) + float(space(start, start))
+    to_start = space.pairwise(np.array([u, start]), np.array([start]))[:, 0]
+    lhs = vals[iu] + float(to_start[0])
+    rhs = float(objective(start)) + float(to_start[1])
     descent_ok = lhs <= rhs
 
-    witness = None
-    for i, p in enumerate(cloud.points):
-        level = vals[i] + float(space(p, u))
-        if epsilon > 0.0:
-            stationary_here = level > vals[iu] - epsilon
-        else:
-            stationary_here = level >= vals[iu]
-        if not stationary_here:
-            witness = p
-            break
+    level = np.array(vals) + space.pairwise(np.asarray(cloud.points, dtype=float),
+                                            np.array([u]))[:, 0]
+    stationary = level > vals[iu] - epsilon if epsilon > 0.0 else level >= vals[iu]
+    unstable = np.flatnonzero(~stationary)
+    witness = cloud.points[unstable[0]] if unstable.size else None
 
     return EkelandCertificate(
         point=u,

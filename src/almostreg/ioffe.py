@@ -18,15 +18,14 @@ import numpy as np
 from .regularity import (
     CheckReport,
     MapGeometry,
-    Metric,
     RegularityInstance,
     SampledMap,
     check_openness,
-    graph_max_metric,
     _estimate_violations,
     _gamma_array,
+    _graph_map,
 )
-from .spaces import Point, PointCloud, as_point
+from .spaces import EUCLIDEAN, Point, PointCloud, QuasiPremetric, as_point
 
 RESIDUAL_BELOW_EPS = "residual-below-eps"
 ORACLE_EXHAUSTED = "oracle-exhausted"
@@ -398,29 +397,23 @@ def descent_solve(g: Callable[[Point], Point], start, target, c: float,
 
 
 def milyutin_gamma(domain: PointCloud, region: Sequence,
-                   metric: Metric | None = None) -> dict[Point, float]:
+                   metric: QuasiPremetric | None = None) -> dict[Point, float]:
     """Reach function gamma(x) = dist(x, complement of the region).
 
-    Computed inside the sampled domain cloud; +inf when the region covers the
-    whole cloud.
+    Computed inside the sampled domain cloud under the given metric
+    (Euclidean by default); +inf when the region covers the whole cloud.
     """
     region_set = {as_point(p) for p in region}
+    domain_set = set(domain.points)
     for p in region_set:
-        if p not in set(domain.points):
+        if p not in domain_set:
             raise KeyError(f"region point {p} not in domain cloud")
     outside = [p for p in domain.points if p not in region_set]
-    table: dict[Point, float] = {}
     if not outside:
         return {p: math.inf for p in domain.points}
-    pts = np.asarray(domain.points, dtype=float)
-    out = np.asarray(outside, dtype=float)
-    pw = (metric.pairwise if metric is not None else
-          Metric("euclidean", lambda a, b: np.sqrt(
-              ((a[:, None, :] - b[None, :, :]) ** 2).sum(-1))).pairwise)
-    dmat = pw(pts, out)
-    for i, p in enumerate(domain.points):
-        table[p] = float(dmat[i].min())
-    return table
+    dmat = (metric if metric is not None else EUCLIDEAN).pairwise(
+        np.asarray(domain.points, dtype=float), np.asarray(outside, dtype=float))
+    return dict(zip(domain.points, dmat.min(axis=1).tolist()))
 
 
 def shrink_beta(a: float, b: float, rate_c: float, reach_r: float) -> float:
@@ -557,23 +550,11 @@ def setvalued_criterion(mapping: SampledMap, region: PairRegion, c: float,
     )
 
     # Projected route: single-valued criterion on the graph cloud.
-    dim_x = mapping.domain.dimension
-    graph_points = tuple(x + y for (x, y) in pairs)
-    graph_cloud = PointCloud(graph_points)
-    projected_map = SampledMap(
-        domain=graph_cloud,
-        codomain=mapping.codomain,
-        pairs=tuple((x + y, y) for (x, y) in pairs),
-        metric_x=graph_max_metric(dim_x, alpha, mapping.metric_x, mapping.metric_y),
-        metric_y=mapping.metric_y,
-    )
-    gamma_table = {}
-    for gp, (x, _) in zip(graph_points, pairs):
-        gamma_table[gp] = float(gam[geom.x_index[x]])
+    projected_map, gamma_table = _graph_map(mapping, alpha, gam)
     region_pairs = []
     for y in region.y_points():
         fiber = set(region.fiber(y))
-        for gp, (x, _) in zip(graph_points, pairs):
+        for gp, (x, _) in zip(projected_map.domain.points, pairs):
             if x in fiber:
                 region_pairs.append((gp, y))
     projected_region = PairRegion.from_pairs(region_pairs)

@@ -19,18 +19,18 @@ from .extreal import as_ext
 from .regularity import (
     CheckReport,
     MapGeometry,
-    Metric,
     ModulusReport,
     ModulusSearchConfig,
     RegularityInstance,
     SampledMap,
     TGrid,
+    _estimate_violations,
     _image_cloud,
     _openness_violations,
     check_openness,
     estimate_modulus,
 )
-from .spaces import Point, PointCloud, as_point
+from .spaces import Point, PointCloud, QuasiPremetric, as_point
 
 
 @dataclass(frozen=True)
@@ -128,8 +128,7 @@ def estimate_lip(h, center, radius: float, cloud: PointCloud | None = None,
 def _aubin_estimate(H: SampledMap, center: Point, anchor: Point,
                     radius: float) -> LipschitzEstimate:
     geom = H.geometry
-    xi_all = [i for i, p in enumerate(H.domain.points)
-              if math.dist(p, center) <= radius]
+    xi_all = np.flatnonzero(_distances(H.metric_x, center, H.domain) <= radius).tolist()
     if len(xi_all) < 2:
         raise ValueError("degenerate cloud: need at least two points in the ball")
     anchor_idx = geom.y_index.get(anchor)
@@ -215,6 +214,19 @@ def _tol_lg(step: float, *constants: float) -> float:
     return 3.0 * step * (1.0 + sum(constants))
 
 
+def _rate_inequality(name: str, step: float, base: ModulusReport, lip: float,
+                     result: ModulusReport, details: tuple) -> InequalityReport:
+    """result.lower >= base.lower - lip - tol; a failure is inconclusive
+    while result's bracket still reaches the bound."""
+    tol = _tol_lg(step, base.lower, lip)
+    threshold = base.lower - lip - tol
+    passed = result.lower >= threshold
+    return InequalityReport(name=name, lower=result.lower, bound=threshold, tol=tol,
+                            passed=passed,
+                            inconclusive=(not passed) and (float(result.upper) >= threshold),
+                            details=details)
+
+
 def lg_single_check(inst: PerturbationInstance,
                     cfg: ModulusSearchConfig | None = None,
                     lip_radius: float | None = None) -> InequalityReport:
@@ -236,25 +248,13 @@ def lg_single_check(inst: PerturbationInstance,
     shift = as_point(inst.h(inst.x_bar))
     z_shifted = tuple(a + b for a, b in zip(inst.z_bar, shift))
     sur_p = estimate_modulus(perturbed, (inst.x_bar, z_shifted), "sur", cfg)
-    tol = _tol_lg(geom.step_x, sur_f.lower, lip.value)
-    threshold = sur_f.lower - lip.value - tol
-    passed = sur_p.lower >= threshold
-    inconclusive = (not passed) and (float(sur_p.upper) >= threshold)
-    return InequalityReport(
-        name="rate-stability-single",
-        lower=sur_p.lower,
-        bound=threshold,
-        tol=tol,
-        passed=passed,
-        inconclusive=inconclusive,
-        details=(
-            ("sur_base_lower", sur_f.lower),
-            ("sur_base_upper", float(sur_f.upper)),
-            ("lip", lip.value),
-            ("sur_perturbed_lower", sur_p.lower),
-            ("sur_perturbed_upper", float(sur_p.upper)),
-        ),
-    )
+    return _rate_inequality("rate-stability-single", geom.step_x, sur_f, lip.value, sur_p, (
+        ("sur_base_lower", sur_f.lower),
+        ("sur_base_upper", float(sur_f.upper)),
+        ("lip", lip.value),
+        ("sur_perturbed_lower", sur_p.lower),
+        ("sur_perturbed_upper", float(sur_p.upper)),
+    ))
 
 
 @dataclass(frozen=True)
@@ -362,10 +362,10 @@ def lg_setvalued_check(inst: PerturbationInstance,
     all_premises = premise_a.passed and premise_b.passed and premise_c.passed
     if all_premises:
         v_bar = tuple(p + q for p, q in zip(z_bar, w_bar))
-        region_x = tuple(p for p, near in zip(
-            sum_map.domain.points, _ball(sum_map.metric_x, x_bar, sum_map.domain, a)) if near)
-        region_y = tuple(q for q, near in zip(
-            sum_map.codomain.points, _ball(sum_map.metric_y, v_bar, sum_map.codomain, b)) if near)
+        near_x = _distances(sum_map.metric_x, x_bar, sum_map.domain) < a
+        near_y = _distances(sum_map.metric_y, v_bar, sum_map.codomain) < b
+        region_x = tuple(p for p, near in zip(sum_map.domain.points, near_x) if near)
+        region_y = tuple(q for q, near in zip(sum_map.codomain.points, near_y) if near)
         conclusion = check_openness(RegularityInstance(
             mapping=sum_map,
             region_x=region_x,
@@ -387,10 +387,10 @@ def lg_setvalued_check(inst: PerturbationInstance,
     )
 
 
-def _ball(metric: Metric, center: Point, cloud: PointCloud, radius: float) -> np.ndarray:
-    """Mask of the cloud's points p with metric(center, p) < radius."""
+def _distances(metric: QuasiPremetric, center: Point, cloud: PointCloud) -> np.ndarray:
+    """metric(center, p) for every point p of the cloud."""
     return metric.pairwise(np.array([center], dtype=float),
-                           np.asarray(cloud.points, dtype=float))[0] < radius
+                           np.asarray(cloud.points, dtype=float))[0]
 
 
 def _premise_a(geom: MapGeometry, x_bar: Point, z_bar: Point, c: float,
@@ -430,30 +430,26 @@ def _premise_b(H: SampledMap, x_bar: Point, w_bar: Point, ell: float,
     geom = H.geometry
     rx = geom.x_index[x_bar]
     rw = geom.y_index[w_bar]
-    ball = geom.DX[rx] < a + 2.0 * r
-    w_window = (a + r) * ell + delta
-    checked = 0
-    witnesses: list[tuple] = []
-    for ui, wi in zip(geom.pair_xi, geom.pair_yi):
-        if not ball[ui]:
-            continue
-        if not geom.DY[rw, wi] < w_window:
-            continue
-        for xi in np.nonzero(ball)[0]:
-            checked += 1
-            excess = float(geom.DYG[int(xi), wi])
-            bound = ell * float(geom.DX[ui, int(xi)]) + tol
-            if not excess <= bound:
-                witnesses.append((H.domain.points[ui],
-                                  H.domain.points[int(xi)],
-                                  H.codomain.points[wi], excess, bound))
+    near = geom.DX[rx] < a + 2.0 * r
+    ball = np.flatnonzero(near)
+    # Rows: the pairs (u, w) of H with u in the ball and w near w_bar;
+    # columns: the points x of the ball. Each entry asks
+    # dist(w, H(x)) <= ell * d(u, x) + tol.
+    rows = np.flatnonzero(near[geom.pair_xi]
+                          & (geom.DY[rw, geom.pair_yi] < (a + r) * ell + delta))
+    u, w = geom.pair_xi[rows], geom.pair_yi[rows]
+    scan = _estimate_violations(geom.DX[u][:, ball], geom.DYG[ball][:, w].T,
+                                np.ones(len(ball), dtype=bool), np.full(len(rows), math.inf),
+                                ell, tol)
     return CheckReport(
         name="setvalued-premise-B",
-        passed=not witnesses,
-        checked=checked,
-        violation_count=len(witnesses),
-        witnesses=tuple(witnesses[:20]),
-        vacuous=checked == 0,
+        passed=scan.count == 0,
+        checked=scan.window,
+        violation_count=scan.count,
+        witnesses=tuple((H.domain.points[u[i]], H.domain.points[ball[j]],
+                         H.codomain.points[w[i]], excess, bound)
+                        for i, j, excess, bound in scan.hits),
+        vacuous=scan.window == 0,
     )
 
 
@@ -463,34 +459,20 @@ def _premise_c(F: SampledMap, H: SampledMap, sum_map: SampledMap,
     v_bar = tuple(p + q for p, q in zip(z_bar, w_bar))
     # The windows are balls of each map's own metrics.
     near_u = dict(zip(sum_map.domain.points,
-                      _ball(sum_map.metric_x, x_bar, sum_map.domain, a + 2.0 * r)))
+                      _distances(sum_map.metric_x, x_bar, sum_map.domain) < a + 2.0 * r))
     near_v = dict(zip(sum_map.codomain.points,
-                      _ball(sum_map.metric_y, v_bar, sum_map.codomain, b)))
+                      _distances(sum_map.metric_y, v_bar, sum_map.codomain) < b))
     near_z = dict(zip(F.codomain.points,
-                      _ball(F.metric_y, z_bar, F.codomain, c * (a + r) + b + delta)))
+                      _distances(F.metric_y, z_bar, F.codomain) < c * (a + r) + b + delta))
     near_w = dict(zip(H.codomain.points,
-                      _ball(H.metric_y, w_bar, H.codomain, (a + r) * ell + delta)))
+                      _distances(H.metric_y, w_bar, H.codomain) < (a + r) * ell + delta))
     checked = 0
     witnesses: list[tuple] = []
-    for u, v in sum_map.pairs:
-        if not (near_u[u] and near_v[v]):
-            continue
-        checked += 1
-        found = False
-        for z in F.image_of(u):
-            if not near_z[z]:
-                continue
-            for w in H.image_of(u):
-                if not near_w[w]:
-                    continue
-                s = tuple(p + q for p, q in zip(z, w))
-                if math.dist(s, v) <= 1e-12:
-                    found = True
-                    break
-            if found:
-                break
-        if not found:
-            witnesses.append((u, v))
+    for (u, v), pieces in zip(sum_map.pairs, _splits(F, H, sum_map)):
+        if near_u[u] and near_v[v]:
+            checked += 1
+            if not any(near_z[z] and near_w[w] for z, w in pieces):
+                witnesses.append((u, v))
     return CheckReport(
         name="setvalued-premise-C",
         passed=not witnesses,
@@ -499,6 +481,15 @@ def _premise_c(F: SampledMap, H: SampledMap, sum_map: SampledMap,
         witnesses=tuple(witnesses[:20]),
         vacuous=checked == 0,
     )
+
+
+def _splits(F: SampledMap, H: SampledMap,
+            sum_map: SampledMap) -> list[list[tuple[Point, Point]]]:
+    """For each pair (u, v) of the sum map, the (z, w) in F(u) x H(u) with
+    z + w = v up to 1e-12."""
+    return [[(z, w) for z in F.image_of(u) for w in H.image_of(u)
+             if math.dist(tuple(p + q for p, q in zip(z, w)), v) <= 1e-12]
+            for u, v in sum_map.pairs]
 
 
 @dataclass(frozen=True)
@@ -560,37 +551,26 @@ def sum_stability_check(F: SampledMap, H: SampledMap, ref: tuple,
     sum_map = minkowski_sum_map(F, H)
     geom = sum_map.geometry
     v_bar = tuple(p + q for p, q in zip(z_bar, w_bar))
-    radii = sorted({float(math.dist(p, x_bar)) for p in sum_map.domain.points}
-                   | {float(math.dist(v, v_bar)) for v in sum_map.codomain.points})
-    radii = [r for r in radii if r > 0.0]
-    candidates = sorted(radii, reverse=True)
+    # Distances are measured from the reference points in each map's metrics.
+    du = dict(zip(sum_map.domain.points, _distances(sum_map.metric_x, x_bar, sum_map.domain)))
+    dv = dict(zip(sum_map.codomain.points,
+                  _distances(sum_map.metric_y, v_bar, sum_map.codomain)))
+    dz = dict(zip(F.codomain.points, _distances(F.metric_y, z_bar, F.codomain)))
+    dw = dict(zip(H.codomain.points, _distances(H.metric_y, w_bar, H.codomain)))
+    candidates = sorted({float(d) for d in (*du.values(), *dv.values()) if d > 0.0},
+                        reverse=True)
 
-    def splits(u: Point, v: Point, xi: float) -> bool:
-        for z in F.image_of(u):
-            if not math.dist(z, z_bar) < xi:
-                continue
-            for w in H.image_of(u):
-                if not math.dist(w, w_bar) < xi:
-                    continue
-                s = tuple(p + q for p, q in zip(z, w))
-                if math.dist(s, v) <= 1e-12:
-                    return True
-        return False
-
-    def holds(beta: float, xi: float) -> bool:
-        for u, v in sum_map.pairs:
-            if math.dist(u, x_bar) < beta and math.dist(v, v_bar) < beta:
-                if not splits(u, v, xi):
-                    return False
-        return True
+    # A sum pair (u, v) splits at xi iff one of its splits z + w has
+    # max(dz, dw) < xi; need is the least such max (inf if none). A beta-ball
+    # holds iff no pair failing at xi has max(du, dv) < beta.
+    reach_arr = np.array([max(du[u], dv[v]) for u, v in sum_map.pairs])
+    need_arr = np.array([min((max(dz[z], dw[w]) for z, w in pieces), default=math.inf)
+                         for pieces in _splits(F, H, sum_map)])
 
     entries = []
     for xi in xi_schedule:
-        best = 0.0
-        for beta in candidates:
-            if holds(beta, float(xi)):
-                best = beta
-                break
+        limit = float(np.min(reach_arr, where=~(need_arr < xi), initial=math.inf))
+        best = next((beta for beta in candidates if beta <= limit), 0.0)
         entries.append((float(xi), best, best > geom.step_x))
     verdict = all(ok for _, _, ok in entries)
     return SumStabilityReport(entries=tuple(entries), verdict=verdict,
@@ -613,24 +593,12 @@ def lg_sumstable_check(F: SampledMap, H: SampledMap, ref: tuple,
     sum_map = minkowski_sum_map(F, H)
     v_bar = tuple(p + q for p, q in zip(z_bar, w_bar))
     sur_s = estimate_modulus(sum_map, (x_bar, v_bar), "sur", cfg)
-    tol = _tol_lg(geom.step_x, sur_f.lower, lip.value)
-    threshold = sur_f.lower - lip.value - tol
-    passed = sur_s.lower >= threshold
-    inconclusive = (not passed) and (float(sur_s.upper) >= threshold)
-    return InequalityReport(
-        name="rate-stability-sum",
-        lower=sur_s.lower,
-        bound=threshold,
-        tol=tol,
-        passed=passed,
-        inconclusive=inconclusive,
-        details=(
-            ("sur_base_lower", sur_f.lower),
-            ("lip", lip.value),
-            ("sur_sum_lower", sur_s.lower),
-            ("sur_sum_upper", float(sur_s.upper)),
-        ),
-    )
+    return _rate_inequality("rate-stability-sum", geom.step_x, sur_f, lip.value, sur_s, (
+        ("sur_base_lower", sur_f.lower),
+        ("lip", lip.value),
+        ("sur_sum_lower", sur_s.lower),
+        ("sur_sum_upper", float(sur_s.upper)),
+    ))
 
 
 def global_rate_view(kappa: float, ell: float) -> float:

@@ -17,7 +17,7 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .extreal import INF, ExtReal, as_ext
-from .spaces import Point, PointCloud, as_point
+from .spaces import EUCLIDEAN, Point, PointCloud, QuasiPremetric, as_point
 
 SUP_KINDS = ("sur", "popen", "lopen")
 INF_KINDS = ("reg", "lip_inv", "subreg", "calm", "semireg", "incalm")
@@ -37,25 +37,15 @@ _COINCIDENT_PAIRS = (
 _WITNESS_CAP = 20
 
 
-@dataclass(frozen=True)
-class Metric:
-    """Vectorized distance: pairwise(A, B) -> matrix of d(A_i, B_j)."""
-
-    name: str
-    pairwise: Callable[[np.ndarray, np.ndarray], np.ndarray]
-
-
-def _euclidean_pairwise(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    diff = a[:, None, :] - b[None, :, :]
-    return np.sqrt((diff * diff).sum(axis=-1))
-
-
-EUCLIDEAN = Metric("euclidean", _euclidean_pairwise)
+def Metric(name: str, pairwise: Callable[[np.ndarray, np.ndarray], np.ndarray]
+           ) -> QuasiPremetric:
+    """A distance given by its table form pairwise(A, B) -> d(A_i, B_j)."""
+    return QuasiPremetric(table=pairwise, name=name)
 
 
 def graph_max_metric(split: int, alpha: float,
-                     metric_x: Metric = EUCLIDEAN,
-                     metric_y: Metric = EUCLIDEAN) -> Metric:
+                     metric_x: QuasiPremetric = EUCLIDEAN,
+                     metric_y: QuasiPremetric = EUCLIDEAN) -> QuasiPremetric:
     """max(d(u, x), alpha * rho(v, y)) on concatenated (x, y) coordinates."""
 
     def pairwise(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -80,8 +70,8 @@ class SampledMap:
     domain: PointCloud
     codomain: PointCloud
     pairs: tuple[tuple[Point, Point], ...]
-    metric_x: Metric = EUCLIDEAN
-    metric_y: Metric = EUCLIDEAN
+    metric_x: QuasiPremetric = EUCLIDEAN
+    metric_y: QuasiPremetric = EUCLIDEAN
 
     def __post_init__(self) -> None:
         if not self.pairs:
@@ -99,7 +89,8 @@ class SampledMap:
 
     @classmethod
     def from_function(cls, domain: PointCloud, fn: Callable[[Point], float | Sequence[float]],
-                      metric_x: Metric = EUCLIDEAN, metric_y: Metric = EUCLIDEAN,
+                      metric_x: QuasiPremetric = EUCLIDEAN,
+                      metric_y: QuasiPremetric = EUCLIDEAN,
                       extra_codomain: Sequence[Point] = ()) -> "SampledMap":
         """Sample a single-valued function; the codomain cloud is its image."""
         pairs = tuple((x, as_point(fn(x))) for x in domain.points)
@@ -109,8 +100,8 @@ class SampledMap:
     @classmethod
     def from_branches(cls, domain: PointCloud,
                       fns: Sequence[Callable[[Point], float | Sequence[float]]],
-                      metric_x: Metric = EUCLIDEAN,
-                      metric_y: Metric = EUCLIDEAN) -> "SampledMap":
+                      metric_x: QuasiPremetric = EUCLIDEAN,
+                      metric_y: QuasiPremetric = EUCLIDEAN) -> "SampledMap":
         pairs = tuple(dict.fromkeys((x, as_point(fn(x)))
                                     for fn in fns for x in domain.points))
         return cls(domain, _image_cloud(pairs), pairs, metric_x, metric_y)
@@ -155,10 +146,8 @@ class MapGeometry:
         self.Y = np.asarray(mapping.codomain.points, dtype=float)
         self.DX = mapping.metric_x.pairwise(self.X, self.X)
         self.DY = mapping.metric_y.pairwise(self.Y, self.Y)
-        x_index = {p: i for i, p in enumerate(mapping.domain.points)}
-        y_index = {p: i for i, p in enumerate(mapping.codomain.points)}
-        self.x_index = x_index
-        self.y_index = y_index
+        self.x_index = x_index = {p: i for i, p in enumerate(mapping.domain.points)}
+        self.y_index = y_index = {p: i for i, p in enumerate(mapping.codomain.points)}
         self.pair_xi = np.array([x_index[x] for x, _ in mapping.pairs], dtype=int)
         self.pair_yi = np.array([y_index[y] for _, y in mapping.pairs], dtype=int)
         n_x, n_y = len(self.X), len(self.Y)
@@ -215,12 +204,9 @@ class MapGeometry:
 
     def exact_preimage_distance(self) -> np.ndarray:
         """P0[x, v] = dist(x, G^{-1}(v)) with exact membership."""
-        n_x, n_y = self.DYG.shape
-        out = np.full((n_x, n_y), np.inf)
-        for xi, yi in zip(self.pair_xi, self.pair_yi):
-            col = self.DX[:, xi]
-            np.minimum(out[:, yi], col, out=out[:, yi])
-        return out
+        out = np.full(self.DYG.T.shape, np.inf)
+        np.minimum.at(out, self.pair_yi, self.DX[:, self.pair_xi].T)
+        return out.T
 
 
 def _min_positive(d: np.ndarray) -> float:
@@ -375,13 +361,12 @@ def _gamma_array(gamma: object, domain: PointCloud) -> np.ndarray:
 
 
 def _region_mask(points: Sequence[Point], cloud: PointCloud) -> np.ndarray:
-    index = {p: i for i, p in enumerate(cloud.points)}
     mask = np.zeros(len(cloud), dtype=bool)
     for p in points:
-        q = as_point(p)
-        if q not in index:
-            raise KeyError(f"region point {q} not in cloud")
-        mask[index[q]] = True
+        try:
+            mask[cloud.index_of(p)] = True
+        except KeyError:
+            raise KeyError(f"region point {as_point(p)} not in cloud") from None
     return mask
 
 
@@ -401,12 +386,13 @@ def _prepare(inst: RegularityInstance) -> _Prepared:
     tol = inst.closure_tol if inst.closure_tol is not None else 2.0 * g.step_x
     eps = inst.eps_schedule or _default_eps_schedule(g)
     gam = _gamma_array(inst.gamma, inst.mapping.domain)
-    if not (gam[_region_mask(inst.region_x, inst.mapping.domain)] > 0.0).any():
+    u_mask = _region_mask(inst.region_x, g.domain)
+    if not (gam[u_mask] > 0.0).any():
         raise ValueError("gamma vanishes identically on the domain region")
     return _Prepared(
         geom=g,
-        u_mask=_region_mask(inst.region_x, inst.mapping.domain),
-        v_mask=_region_mask(inst.region_y, inst.mapping.codomain),
+        u_mask=u_mask,
+        v_mask=_region_mask(inst.region_y, g.codomain),
         gam=gam,
         tol=tol,
         tgrid=TGrid(g.step_x, inst.t_per_decade),
@@ -697,12 +683,15 @@ class _ModulusEngine:
     """
 
     def __init__(self, mapping: SampledMap, ref: tuple, cfg: ModulusSearchConfig):
-        self.geom = mapping.geometry
-        rx, ry = as_point(ref[0]), as_point(ref[1])
-        if (rx, ry) not in set(mapping.pairs):
-            raise ValueError(f"reference pair ({rx}, {ry}) must lie on the graph")
-        self.rx = self.geom.x_index[rx]
-        self.ry = self.geom.y_index[ry]
+        self.geom = geom = mapping.geometry
+        try:
+            self.rx, self.ry = geom.domain.index_of(ref[0]), geom.codomain.index_of(ref[1])
+            on_graph = ((geom.pair_xi == self.rx) & (geom.pair_yi == self.ry)).any()
+        except KeyError:
+            on_graph = False
+        if not on_graph:
+            raise ValueError(f"reference pair ({as_point(ref[0])}, {as_point(ref[1])}) "
+                             "must lie on the graph")
         self.tol = cfg.closure_tol if cfg.closure_tol is not None else 2.0 * self.geom.step_x
         self.tgrid = TGrid(self.geom.step_x, cfg.t_per_decade)
         self.eps = cfg.eps_schedule or _default_eps_schedule(self.geom)
@@ -983,6 +972,25 @@ def verify_product_laws(r1: ModulusReport, r2: ModulusReport,
     raise ValueError(f"kinds {sorted(kinds)} are neither paired nor coincident")
 
 
+def _graph_map(mapping: SampledMap, alpha: float,
+               gam: np.ndarray) -> tuple[SampledMap, dict[Point, float]]:
+    """The map (x, y) -> y over the graph cloud, whose metric is
+    max(d, alpha * rho), with each graph point's gamma taken from its x."""
+    graph_points = tuple(x + y for (x, y) in mapping.pairs)
+    if len(set(graph_points)) != len(graph_points):
+        raise ValueError("graph points must be distinct after concatenation")
+    projected = SampledMap(
+        domain=PointCloud(graph_points),
+        codomain=mapping.codomain,
+        pairs=tuple((g, y) for g, (_, y) in zip(graph_points, mapping.pairs)),
+        metric_x=graph_max_metric(mapping.domain.dimension, alpha,
+                                  mapping.metric_x, mapping.metric_y),
+        metric_y=mapping.metric_y,
+    )
+    return projected, {g: float(gam[mapping.domain.index_of(x)])
+                       for g, (x, _) in zip(graph_points, mapping.pairs)}
+
+
 def project_graph(inst: RegularityInstance, alpha: float) -> RegularityInstance:
     """Rebuild the instance over the graph cloud with the max-product metric.
 
@@ -993,24 +1001,11 @@ def project_graph(inst: RegularityInstance, alpha: float) -> RegularityInstance:
     if not 0.0 < alpha < 1.0 / inst.constant:
         raise ValueError("alpha must lie in (0, 1 / constant)")
     mapping = inst.mapping
-    dim_x = mapping.domain.dimension
-    graph_points = tuple(x + y for (x, y) in mapping.pairs)
-    if len(set(graph_points)) != len(graph_points):
-        raise ValueError("graph points must be distinct after concatenation")
-    graph_cloud = PointCloud(graph_points)
-    projected = SampledMap(
-        domain=graph_cloud,
-        codomain=mapping.codomain,
-        pairs=tuple((x + y, y) for (x, y) in mapping.pairs),
-        metric_x=graph_max_metric(dim_x, alpha, mapping.metric_x, mapping.metric_y),
-        metric_y=mapping.metric_y,
-    )
+    projected, gamma_table = _graph_map(mapping, alpha,
+                                        _gamma_array(inst.gamma, mapping.domain))
     region = set(as_point(p) for p in inst.region_x)
-    region_graph = tuple(g for g, (x, _) in zip(graph_points, mapping.pairs)
+    region_graph = tuple(g for g, (x, _) in zip(projected.domain.points, mapping.pairs)
                          if x in region)
-    gam = _gamma_array(inst.gamma, mapping.domain)
-    x_index = {p: i for i, p in enumerate(mapping.domain.points)}
-    gamma_table = {g: gam[x_index[x]] for g, (x, _) in zip(graph_points, mapping.pairs)}
     return RegularityInstance(
         mapping=projected,
         region_x=region_graph,

@@ -15,7 +15,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from time import perf_counter
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from . import __version__
 from .ekeland import Objective, approx_point, generate_trace, two_constant_point, verify_trace, weak_point
@@ -48,6 +48,7 @@ from .regularity import (
     ModulusSearchConfig,
     RegularityInstance,
     SampledMap,
+    _image_cloud,
     check_inverse_lipschitz,
     check_openness,
     check_regularity_estimate,
@@ -83,6 +84,8 @@ class Scenario:
     payload: dict
     expectations: tuple[dict, ...]
     source: str
+    # The built instance, run(seed) -> quantities; load_scenario fills it in.
+    run: Callable[[int], dict] | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -139,10 +142,11 @@ def load_scenario(path: str | Path) -> Scenario:
         if "value" in e and "tol" not in e:
             raise _fail(epath, "value expectations need a tol")
         expectations.append(dict(e))
-    scenario = Scenario(scenario_id, kind, dict(payload), tuple(expectations), str(p))
+    payload = dict(payload)
     # Validate eagerly: building the instance surfaces schema errors at load.
-    _build_instance(scenario)
-    return scenario
+    # The built instance is kept, so running the scenario does not build it again.
+    return Scenario(scenario_id, kind, payload, tuple(expectations), str(p),
+                    _build_instance(kind, payload))
 
 
 # --- payload builders -------------------------------------------------------
@@ -273,13 +277,7 @@ def _build_map(spec, path: str) -> SampledMap:
         if "codomain" in spec:
             codomain = _build_cloud(spec["codomain"], f"{path}.codomain")
         else:
-            seen: list = []
-            have = set()
-            for _, y in pairs:
-                if y not in have:
-                    have.add(y)
-                    seen.append(y)
-            codomain = PointCloud(tuple(seen))
+            codomain = _image_cloud(pairs)
         return SampledMap(domain, codomain, pairs)
     raise _fail(path, "map spec needs 'graph_expr', 'graph_exprs', or 'pairs'")
 
@@ -312,9 +310,8 @@ def _gamma_spec(value, path: str):
 # --- execution ---------------------------------------------------------------
 
 
-def _build_instance(scenario: Scenario):
+def _build_instance(kind: str, payload: dict) -> Callable[[int], dict]:
     """Validate and build the executable pieces of a scenario; returns a thunk."""
-    kind, payload = scenario.kind, scenario.payload
     builder = {
         "axioms": _prep_axioms,
         "ekeland": _prep_ekeland,
@@ -418,7 +415,7 @@ def _regularity_instance(payload: dict, mapping: SampledMap) -> RegularityInstan
     gamma = _gamma_spec(_require(payload, "gamma", "payload"), "payload.gamma")
     if isinstance(gamma, tuple):
         region = [as_point(q) for q in gamma[1]]
-        gamma = milyutin_gamma(mapping.domain, region)
+        gamma = milyutin_gamma(mapping.domain, region, mapping.metric_x)
     constant = _require(payload, "constant", "payload")
     if not constant > 0:
         raise _fail("payload.constant", "must be positive")
@@ -593,7 +590,8 @@ def _prep_ioffe(payload: dict):
         raise _fail("payload.c", "must be positive")
     gamma = _gamma_spec(_require(payload, "gamma", "payload"), "payload.gamma")
     if isinstance(gamma, tuple):
-        gamma = milyutin_gamma(mapping.domain, [as_point(q) for q in gamma[1]])
+        gamma = milyutin_gamma(mapping.domain, [as_point(q) for q in gamma[1]],
+                               mapping.metric_x)
     epsilons = payload.get("epsilons")
 
     if check == "criterion":
@@ -845,7 +843,7 @@ def _prep_linear(payload: dict):
 def _execute(scenario: Scenario, seed: int, tolerance_scale: float) -> RunReport:
     start = perf_counter()
     try:
-        run = _build_instance(scenario)
+        run = scenario.run or _build_instance(scenario.kind, scenario.payload)
         quantities = run(seed)
         error = None
     except Exception as exc:  # captured per scenario, never aborts the suite
@@ -899,8 +897,7 @@ def _check_expectation(exp: dict, quantities: dict, scale: float) -> dict:
 
 def _execute_by_path(args: tuple) -> RunReport:
     path, seed, tolerance_scale = args
-    scenario = load_scenario(path)
-    return _execute(scenario, seed, tolerance_scale)
+    return _execute(load_scenario(path), seed, tolerance_scale)
 
 
 def run_suite(scenarios: Sequence[Scenario | str | Path], seed: int = 0,

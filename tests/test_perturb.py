@@ -160,6 +160,40 @@ def test_sum_stability_detects_far_branch_leak():
         lg_sumstable_check(f, g, REF3)
 
 
+def test_sum_stability_and_aubin_follow_map_metrics():
+    # Under d = 3|.| on both sides a map is isometric to the same map on
+    # coordinates tripled, under the Euclidean metric. So the decomposition
+    # radii and the Aubin rate, both measured in the maps' metrics, must
+    # match the tripled maps'. Euclidean balls would match the plain maps'.
+    scaled = Metric("3|.|", lambda a, b: 3.0 * np.abs(a[:, None, 0] - b[None, :, 0]))
+    dom = PointCloud.from_grid(-1.0, 1.0, 0.05)
+    dom3 = PointCloud(tuple((3.0 * p[0],) for p in dom.points))
+    back = dict(zip(dom3.points, dom.points))
+
+    def pair(fn):
+        plain = SampledMap.from_function(dom, fn, metric_x=scaled, metric_y=scaled)
+        tripled = SampledMap.from_function(dom3, lambda p: (3.0 * fn(back[p])[0],))
+        return plain, tripled
+
+    (F, F3), (H, H3) = pair(lambda p: (2.0 * p[0],)), pair(h_sin)
+    rep, rep3 = sum_stability_check(F, H, REF3), sum_stability_check(F3, H3, REF3)
+    assert rep.grid_step == pytest.approx(rep3.grid_step, rel=1e-12)
+    for (xi, beta, ok), (xi3, beta3, ok3) in zip(rep.entries, rep3.entries):
+        assert (xi, ok) == (xi3, ok3)
+        assert beta == pytest.approx(beta3, rel=1e-12)
+    assert [beta for _, beta, _ in rep.entries] != [
+        beta for _, beta, _ in sum_stability_check(F_2X, H_SIN, REF3).entries]
+
+    (C, C3) = pair(lambda p: (p[0] ** 3,))
+    for radius in (0.5, 1.5):
+        est = estimate_lip(C, (0.0,), radius, anchor=(0.0,))
+        est3 = estimate_lip(C3, (0.0,), radius, anchor=(0.0,))
+        assert est.value == pytest.approx(est3.value, rel=1e-12)
+        assert est.value != pytest.approx(estimate_lip(
+            SampledMap.from_function(dom, lambda p: (p[0] ** 3,)), (0.0,), radius,
+            anchor=(0.0,)).value, rel=1e-6)
+
+
 def test_lg_sumstable_frozen():
     rep = lg_sumstable_check(F_2X, H_SIN, REF3)
     assert rep.passed and not rep.inconclusive
@@ -200,6 +234,38 @@ def test_lg_setvalued_premise_a_failure_frozen():
                                     0.07096267784671431, (-1.04,))
     assert len(premise.witnesses) == 20
     assert not rep.reading_sensitive
+
+
+def test_lg_setvalued_premise_b_failure_frozen():
+    # H = 1.5 sin(3x) has slope 4.5 at 0, far above ell = 0.4, so the
+    # truncated Lipschitz inclusion fails inside the a + 2r ball; with
+    # H = 0.3 sin(x), ell = 0.2 and a = inf the ball is the whole cloud and
+    # the far rows fail. Values recorded before premise B ran on the
+    # estimate kernel; witnesses are (u, x, w, dist(w, H(x)), bound).
+    dom = PointCloud.from_grid(-1.0, 1.0, 0.05)
+    F = SampledMap.from_function(dom, lambda p: (2.0 * p[0],))
+    cases = (
+        (lambda p: (1.5 * math.sin(3.0 * p[0]),), 0.4, 0.3, 69, 66,
+         ((-0.04999999999999993,), (-0.55,), (-0.22415719871039852,),
+          1.2711403439704798, 0.2999999999999997),
+         ((-0.04999999999999993,), (0.4500000000000002,), (-0.22415719871039852,),
+          1.6877422354503873, 0.2999999999999997)),
+        (h_sin, 0.2, math.inf, 1681, 184,
+         ((-1.0,), (0.6000000000000001,), (-0.25244129544236893,),
+          0.42183403746087955, 0.4199999999999997),
+         ((-0.9,), (0.55,), (-0.234998072888245,), 0.39180424156744276,
+          0.3899999999999997)),
+    )
+    for h, ell, a, checked, count, first, last in cases:
+        inst = PerturbationInstance(
+            F=F, ref=REF3, H=SampledMap.from_function(dom, h),
+            constants=dict(c=1.2, c_prime=1.5, ell=ell, a=a, b=0.3, r=0.15, delta=0.05))
+        premise = lg_setvalued_check(inst).premise_b
+        assert (premise.passed, premise.checked, premise.violation_count) == (
+            False, checked, count)
+        assert len(premise.witnesses) == 20
+        assert premise.witnesses[0] == first and premise.witnesses[-1] == last
+        assert not premise.vacuous
 
 
 def test_lg_setvalued_windows_use_map_metrics():

@@ -320,6 +320,26 @@ def test_modulus_engine_guards():
         estimate_modulus(TWO_X, ((0.5,), (0.5,)), "sur", ModulusSearchConfig())
 
 
+def test_region_and_reference_lookups_tolerate_grid_roundoff():
+    # The 0.02 grid stores 0.3 as 0.30000000000000004 and 2 * 0.3 as
+    # 0.6000000000000001. A region or reference point given as 0.3 must
+    # resolve to the stored point and give the stored point's report.
+    x_stored, y_stored = (0.30000000000000004,), (0.6000000000000001,)
+    assert x_stored in DOM.points and y_stored in TWO_X.codomain.points
+    inst = RegularityInstance(mapping=TWO_X, region_x=((0.3,),),
+                              region_y=((0.6,), (0.64,)), gamma=0.5, constant=1.5)
+    stored = replace(inst, region_x=(x_stored,),
+                     region_y=(y_stored, TWO_X.codomain.points[
+                         TWO_X.codomain.index_of((0.64,))]))
+    for check in (check_openness, check_regularity_estimate):
+        assert check(inst) == check(stored)
+    for kind in ("sur", "reg", "calm"):
+        assert (estimate_modulus(TWO_X, ((0.3,), (0.6,)), kind)
+                == estimate_modulus(TWO_X, (x_stored, y_stored), kind))
+    with pytest.raises(ValueError, match="must lie on the graph"):
+        estimate_modulus(TWO_X, ((0.3,), (0.64,)), "sur")
+
+
 def test_check_modulus_property_bisection_consistency():
     # check at explicit constants brackets the reported threshold
     holds = check_modulus_property(TWO_X, REF0, "sur", 1.8, 1.0)

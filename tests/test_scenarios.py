@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from almostreg import scenarios
 from almostreg.cli import _build_parser, main
 from almostreg.scenarios import (
     ScenarioError,
@@ -93,6 +94,23 @@ def test_demo_suite_all_pass():
     assert all_expectations_met(reports)
     ids = [r.scenario_id for r in reports]
     assert ids == sorted(ids)
+
+
+def test_scenarios_are_built_once_at_load(monkeypatch):
+    # load_scenario builds the instance to validate it and keeps it; running
+    # the scenario, again and again, reuses that instance.
+    paths = sorted(DEMO.glob("*.json"))
+    loaded = [load_scenario(p) for p in paths]
+    expected = emit_report(run_suite(loaded, seed=0), format="machine")
+
+    def no_rebuild(kind, payload):
+        raise AssertionError(f"{kind} scenario built again")
+
+    monkeypatch.setattr(scenarios, "_build_instance", no_rebuild)
+    for _ in range(2):
+        reports = run_suite(loaded, seed=0)
+        assert all(r.error is None for r in reports)
+        assert emit_report(reports, format="machine") == expected
 
 
 def test_run_suite_orders_by_id(tmp_path):

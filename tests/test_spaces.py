@@ -3,10 +3,13 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from almostreg.expressions import compile_expression
+from almostreg.regularity import EUCLIDEAN, Metric, graph_max_metric
 from almostreg.spaces import (
     DirectionSet,
     PartialMetric,
@@ -115,6 +118,68 @@ def test_premetric_rejects_invalid_outputs():
         QuasiPremetric(fn=lambda x, u: 0.0, axioms_claimed=frozenset({"A9"}))
     with pytest.raises(ValueError, match="dimension mismatch"):
         euclidean_premetric()((0.0,), (0.0, 1.0))
+
+
+def _builtin_premetrics(a: np.ndarray, b: np.ndarray) -> dict:
+    """One of each premetric the package builds, for clouds a and b."""
+    dim = a.shape[1]
+    cloud = PointCloud(tuple(map(tuple, np.concatenate([a, b]).tolist())))
+    expr = compile_expression("abs(x - u) + 0.5 * abs(u - x) * (u - x)", ("x", "u"))
+    three = Metric("3|.|", lambda p, q: 3.0 * np.abs(p[:, None, :] - q[None, :, :]).sum(-1))
+    return {
+        "euclidean": euclidean_premetric(),
+        "scaled": euclidean_premetric().scaled(2.5),
+        "conjugate": euclidean_premetric().conjugate(),
+        "directional": directional_gauge(DirectionSet.normalized([(1.0,) * dim])),
+        "directional.conjugate": directional_gauge(
+            DirectionSet.normalized([(1.0,) * dim])).conjugate(),
+        "induced": induce_from_partial(
+            PartialMetric(lambda x, u: max(x[0], u[0]), name="max"), cloud),
+        "expression": QuasiPremetric(lambda x, u: abs(expr(x[0], u[0])), name="expr"),
+        "graph_max": graph_max_metric(max(dim - 1, 1), 0.7, EUCLIDEAN, three),
+        "metric": three,
+        "metric.scaled.conjugate": three.scaled(0.3).conjugate(),
+    }
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_pairwise_matches_calls_bit_for_bit(dim):
+    # Each premetric is defined in one form and derives the other, so a
+    # table entry and the call on the same two points are the same float.
+    rng = np.random.default_rng(7)
+    a = np.round(rng.uniform(-2.0, 2.0, (23, dim)), 3)
+    b = np.concatenate([a[:5], rng.uniform(-2.0, 2.0, (14, dim))])
+    for name, space in _builtin_premetrics(a, b).items():
+        table = space.pairwise(a, b)
+        assert table.shape == (len(a), len(b)), name
+        expected = [[float(space(p, q)) for q in b.tolist()] for p in a.tolist()]
+        assert table.tolist() == expected, name
+
+
+def test_premetric_forms_and_pairwise_validation():
+    table_form = Metric("abs", lambda p, q: np.abs(p[:, None, 0] - q[None, :, 0]))
+    scalar_form = QuasiPremetric(fn=lambda x, u: abs(x[0] - u[0]))
+    for space in (table_form, scalar_form):
+        for derived in (space.scaled(2.0), space.conjugate()):
+            assert (derived.fn is None) == (space.fn is None)
+            assert (derived.table is None) == (space.table is None)
+    with pytest.raises(ValueError, match="exactly one of fn and table"):
+        QuasiPremetric()
+    with pytest.raises(ValueError, match="exactly one of fn and table"):
+        QuasiPremetric(fn=lambda x, u: 0.0, table=lambda p, q: np.zeros((len(p), len(q))))
+    pts = np.array([[0.0], [1.0], [2.0]])
+    for value in (-1.0, math.nan):
+        for space in (QuasiPremetric(fn=lambda x, u, v=value: v if u[0] > 1.5 else 0.0),
+                      Metric("bad", lambda p, q, v=value: np.where(q[None, :, 0] > 1.5, v,
+                                                                   0.0 * p[:, None, 0]))):
+            message = f"premetric produced invalid value {value} at ((0.0,), (2.0,))"
+            with pytest.raises(ValueError) as call_error:
+                space((0.0,), (2.0,))
+            with pytest.raises(ValueError) as table_error:
+                space.pairwise(pts, pts)
+            assert str(call_error.value) == str(table_error.value) == message
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        EUCLIDEAN.pairwise(pts, np.zeros((2, 2)))
 
 
 def test_conjugate_swaps_arguments_and_drops_completeness_claim():
