@@ -428,8 +428,7 @@ def check_unconditional_estimate(mapping: SampledMap, ref: tuple, mu: float,
                                  closure_tol: float | None = None) -> CheckReport:
     """Distance estimate on beta-balls with no proviso on dist(y, G(x))."""
     geom = mapping.geometry
-    rx = geom.x_index[as_point(ref[0])]
-    ry = geom.y_index[as_point(ref[1])]
+    rx, ry = geom.locate(ref[0], ref[1])
     tol = closure_tol if closure_tol is not None else 2.0 * geom.step_x
     eps = eps_schedule or (2.0 * geom.step_y, geom.step_y, 0.5 * geom.step_y)
     surrogate = geom.preimage_distance(eps[-1])

@@ -2,11 +2,13 @@
 
 The rate of a matrix A is the largest c with c B_Y inside A(B_X): for
 euclidean norms this is the smallest singular value of the transposed
-operator, computed by an in-house one-sided Jacobi iteration. An independent
+operator, taken from LAPACK through numpy.linalg.svd. An independent
 sphere-mesh oracle evaluates the same quantity by brute force; the two
 routes are kept separate so each can audit the other. Non-euclidean norms
 are handled by the mesh route only, with refinement until stable, and always
-reported as a bracket.
+reported as a bracket. On a 2-D sup- or one-norm domain the mesh route's
+inner max, and the operator norm, read the 4 vertices of the domain ball,
+where a linear functional or a norm attains its max over the ball.
 """
 from __future__ import annotations
 
@@ -119,6 +121,10 @@ def jacobi_column_norms(a: np.ndarray) -> np.ndarray:
     stop when the off-diagonal Frobenius mass of the Gram matrix drops below
     1e-12 of its total, or after 60 sweeps. Column norms of the rotated
     matrix are the singular values (zeros included when rank < cols).
+
+    No program path calls it: singular_values uses LAPACK. It stays defined
+    and exported only because perfbench's traced mode patches this name as a
+    layer; it goes once that layer is renamed.
     """
     b = np.array(a, dtype=float, copy=True)
     n = b.shape[1]
@@ -153,8 +159,13 @@ def jacobi_column_norms(a: np.ndarray) -> np.ndarray:
 
 
 def singular_values(m: DenseMatrix) -> np.ndarray:
-    """All singular values of m (length = cols), descending."""
-    return jacobi_column_norms(m.as_array())
+    """All singular values of m (length = cols), descending.
+
+    LAPACK's values through numpy.linalg.svd, padded with zeros when
+    rows < cols.
+    """
+    sigmas = np.linalg.svd(m.as_array(), compute_uv=False)
+    return np.pad(sigmas, (0, m.cols - len(sigmas)))
 
 
 def _check_dims(m: DenseMatrix, nx: NormSpec, ny: NormSpec) -> None:
@@ -204,6 +215,23 @@ def _sphere_mesh(space: NormSpec, count: int) -> np.ndarray:
     return np.concatenate(edges, axis=0)
 
 
+# Vertices of the 2-D polyhedral unit balls. Every polyhedral sphere mesh
+# contains them exactly.
+_BALL_VERTICES = {
+    "sup": np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]]),
+    "one": np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]),
+}
+
+
+def _ball_vertices(space: NormSpec) -> np.ndarray | None:
+    """The vertices of a 2-D sup- or one-norm unit ball; None for any other
+    space. A linear functional or a norm attains its max over the ball at one
+    of them (Rockafellar, Convex Analysis, 1970, section 32)."""
+    if space.dimension == 2 and space.kind in _BALL_VERTICES:
+        return _BALL_VERTICES[space.kind]
+    return None
+
+
 def _mesh_counts(start: int = 360) -> Iterator[int]:
     c = start
     while True:
@@ -213,16 +241,20 @@ def _mesh_counts(start: int = 360) -> Iterator[int]:
 
 def _mesh_min_support(m: DenseMatrix, nx: NormSpec, ny: NormSpec,
                       count: int) -> float:
-    """min over dual-sphere mesh of max over domain-sphere mesh of <v, Ax>.
+    """min over dual-sphere mesh of max over the domain ball of <v, Ax>.
 
-    The inner max approximates the farthest reach of A(B_X) behind each
-    supporting hyperplane; supporting functionals carry the dual norm of the
-    target space, so the outer min runs over the dual unit sphere and yields
-    the certified covering radius. Computed in chunks to bound memory.
+    The inner max is the farthest reach of A(B_X) behind each supporting
+    hyperplane; supporting functionals carry the dual norm of the target
+    space, so the outer min runs over the dual unit sphere and yields the
+    certified covering radius. The inner max reads the ball's vertices on a
+    polyhedral 2-D domain, where it is exact, and the domain-sphere mesh
+    otherwise. Computed in chunks to bound memory.
     """
     a = m.as_array()
     targets = _sphere_mesh(_dual_space(ny), count)
-    sources = _sphere_mesh(nx, count)
+    sources = _ball_vertices(nx)
+    if sources is None:
+        sources = _sphere_mesh(nx, count)
     imgs = sources @ a.T  # (n_src, rows)
     best = math.inf
     for lo in range(0, len(targets), 1024):
@@ -251,12 +283,17 @@ def _refine_until_stable(m: DenseMatrix, nx: NormSpec, ny: NormSpec,
 
 def opnorm(m: DenseMatrix, nx: NormSpec | None = None,
            ny: NormSpec | None = None) -> float:
-    """Operator norm; euclidean norms use the Jacobi route."""
+    """Operator norm: the largest singular value for euclidean norms, the
+    max over the ball's vertices on a polyhedral 2-D domain, and otherwise
+    the max over refined domain-sphere meshes."""
     nx = nx or euclidean_space(m.cols)
     ny = ny or euclidean_space(m.rows)
     _check_dims(m, nx, ny)
     if nx.kind == "euclidean" and ny.kind == "euclidean":
         return float(singular_values(m)[0])
+    vertices = _ball_vertices(nx)
+    if vertices is not None:
+        return float(ny.norms(vertices @ m.as_array().T).max())
 
     def evaluate(mm: DenseMatrix, nnx: NormSpec, nny: NormSpec, count: int) -> float:
         a = mm.as_array()
@@ -273,7 +310,7 @@ def sur_modulus(m: DenseMatrix, nx: NormSpec | None = None,
     """Largest rate c with c B_Y covered by A(B_X).
 
     method="svd" (euclidean only): smallest of the rows-many singular values
-    of the transposed operator via the Jacobi routine; zero when rank < rows.
+    of the transposed operator (singular_values); zero when rank < rows.
     method="grid": sphere-mesh brute force, reported with the mesh step as
     resolution. Non-euclidean norms force the mesh route and a bracket.
     """
@@ -286,7 +323,7 @@ def sur_modulus(m: DenseMatrix, nx: NormSpec | None = None,
     if method == "svd":
         if not euclid:
             raise ValueError("svd route applies to euclidean norms only")
-        sigmas = jacobi_column_norms(m.as_array().T)
+        sigmas = singular_values(m.transpose())
         value = float(sigmas[-1])
         if m.rows > m.cols or value <= _RANK_TOL * max(1.0, float(sigmas[0])):
             value = 0.0
@@ -368,7 +405,7 @@ def harte_check(m: DenseMatrix, nx: NormSpec | None = None,
     nx = nx or euclidean_space(m.cols)
     ny = ny or euclidean_space(m.rows)
     _check_dims(m, nx, ny)
-    sigmas = jacobi_column_norms(m.as_array().T)
+    sigmas = singular_values(m.transpose())
     rank = int((sigmas > _RANK_TOL).sum())
     if rank < m.rows:
         return LinearVerdict(

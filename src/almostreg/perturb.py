@@ -59,14 +59,12 @@ class PerturbationInstance:
     constants: dict | None = None
 
     def __post_init__(self) -> None:
-        x_bar, z_bar = as_point(self.ref[0]), as_point(self.ref[1])
-        if z_bar not in self.F.image_of(x_bar):
+        if not self.F.geometry.on_graph(self.ref[0], self.ref[1]):
             raise ValueError("reference value must belong to F(reference point)")
         if self.H is not None:
             if len(self.ref) < 3 or self.ref[2] is None:
                 raise ValueError("set-valued perturbation needs a reference value w_bar")
-            w_bar = as_point(self.ref[2])
-            if w_bar not in self.H.image_of(x_bar):
+            if not self.H.geometry.on_graph(self.ref[0], self.ref[2]):
                 raise ValueError("w_bar must belong to H(reference point)")
         c = (self.constants or {}).get("c")
         c_prime = (self.constants or {}).get("c_prime")
@@ -75,19 +73,25 @@ class PerturbationInstance:
             if not ell < c < c_prime:
                 raise ValueError("constants must satisfy ell < c < c_prime")
 
+    # The reference points as the clouds store them (PointCloud.index_of), so
+    # that grid round-off in a user's coordinates moves no window.
     @property
     def x_bar(self) -> Point:
-        return as_point(self.ref[0])
+        return _stored(self.F.domain, self.ref[0])
 
     @property
     def z_bar(self) -> Point:
-        return as_point(self.ref[1])
+        return _stored(self.F.codomain, self.ref[1])
 
     @property
     def w_bar(self) -> Point | None:
-        if len(self.ref) < 3 or self.ref[2] is None:
+        if self.H is None or len(self.ref) < 3 or self.ref[2] is None:
             return None
-        return as_point(self.ref[2])
+        return _stored(self.H.codomain, self.ref[2])
+
+
+def _stored(cloud: PointCloud, point) -> Point:
+    return cloud.points[cloud.index_of(point)]
 
 
 def estimate_lip(h, center, radius: float, cloud: PointCloud | None = None,
@@ -396,8 +400,7 @@ def _distances(metric: QuasiPremetric, center: Point, cloud: PointCloud) -> np.n
 def _premise_a(geom: MapGeometry, x_bar: Point, z_bar: Point, c: float,
                c_prime: float, a: float, b: float, r: float, delta: float,
                tol: float) -> tuple[CheckReport, bool]:
-    rx = geom.x_index[x_bar]
-    rz = geom.y_index[z_bar]
+    rx, rz = geom.locate(x_bar, z_bar)
     z_window = c * (a + r) + b + delta
     v_window = c * (a + 2.0 * r) + b + delta
     rows = np.flatnonzero((geom.DX[rx, geom.pair_xi] < a + r)
@@ -428,8 +431,7 @@ def _premise_a(geom: MapGeometry, x_bar: Point, z_bar: Point, c: float,
 def _premise_b(H: SampledMap, x_bar: Point, w_bar: Point, ell: float,
                a: float, r: float, delta: float, tol: float) -> CheckReport:
     geom = H.geometry
-    rx = geom.x_index[x_bar]
-    rw = geom.y_index[w_bar]
+    rx, rw = geom.locate(x_bar, w_bar)
     near = geom.DX[rx] < a + 2.0 * r
     ball = np.flatnonzero(near)
     # Rows: the pairs (u, w) of H with u in the ball and w near w_bar;

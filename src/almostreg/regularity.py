@@ -167,6 +167,20 @@ class MapGeometry:
         self._cover: dict[float, np.ndarray] = {}
         self._preimage: dict[float, np.ndarray] = {}
 
+    def locate(self, x: float | Sequence[float],
+               y: float | Sequence[float]) -> tuple[int, int]:
+        """Indices of a user's domain point x and codomain point y, each
+        resolved through PointCloud.index_of (KeyError on a miss)."""
+        return self.domain.index_of(x), self.codomain.index_of(y)
+
+    def on_graph(self, x: float | Sequence[float], y: float | Sequence[float]) -> bool:
+        """Whether (x, y), resolved through locate, is a pair of the map."""
+        try:
+            xi, yi = self.locate(x, y)
+        except KeyError:
+            return False
+        return bool(((self.pair_xi == xi) & (self.pair_yi == yi)).any())
+
     def cover_radius(self, tol: float) -> np.ndarray:
         """S[v, x] = least radius whose open domain ball covers v within tol.
 
@@ -684,14 +698,10 @@ class _ModulusEngine:
 
     def __init__(self, mapping: SampledMap, ref: tuple, cfg: ModulusSearchConfig):
         self.geom = geom = mapping.geometry
-        try:
-            self.rx, self.ry = geom.domain.index_of(ref[0]), geom.codomain.index_of(ref[1])
-            on_graph = ((geom.pair_xi == self.rx) & (geom.pair_yi == self.ry)).any()
-        except KeyError:
-            on_graph = False
-        if not on_graph:
+        if not geom.on_graph(ref[0], ref[1]):
             raise ValueError(f"reference pair ({as_point(ref[0])}, {as_point(ref[1])}) "
                              "must lie on the graph")
+        self.rx, self.ry = geom.locate(ref[0], ref[1])
         self.tol = cfg.closure_tol if cfg.closure_tol is not None else 2.0 * self.geom.step_x
         self.tgrid = TGrid(self.geom.step_x, cfg.t_per_decade)
         self.eps = cfg.eps_schedule or _default_eps_schedule(self.geom)
@@ -1041,8 +1051,7 @@ def sequence_characterization(mapping: SampledMap, x: float | Sequence[float],
     if kappa <= 0.0 or eps <= 0.0:
         raise ValueError("kappa and eps must be positive")
     geom = mapping.geometry
-    xi = geom.x_index[as_point(x)]
-    yi = geom.y_index[as_point(y)]
+    xi, yi = geom.locate(x, y)
     tol = closure_tol if closure_tol is not None else 2.0 * geom.step_x
     d0 = float(geom.DYG[xi, yi])
     bound = kappa * (d0 + eps)

@@ -486,7 +486,7 @@ def _prep_regularity(payload: dict):
         ref = _require(payload, "ref", "payload")
         cfg = _modulus_cfg(payload)
         ref_pair = (as_point(ref[0]), as_point(ref[1]))
-        if ref_pair not in set(mapping.pairs):
+        if not mapping.geometry.on_graph(*ref_pair):
             raise _fail("payload.ref", "must be a graph pair of the map")
 
         def run(seed: int) -> dict:

@@ -1,7 +1,8 @@
 """Surjection rates, operator norms, and perturbation checks for matrices.
 
 Singular-value pins are hand-derived closed forms (symmetric eigenvalues,
-shear 1 + sqrt(2) and sqrt(2) - 1); nothing here calls an external SVD.
+shear 1 + sqrt(2) and sqrt(2) - 1); no expected value here comes from an
+SVD routine.
 """
 from __future__ import annotations
 
@@ -11,10 +12,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from almostreg import linear
 from almostreg.linear import (
     DenseMatrix,
     NormSpec,
+    _dual_space,
+    _mesh_min_support,
     _refine_until_stable,
+    _sphere_mesh,
     euclidean_space,
     harte_check,
     injectivity_bound,
@@ -42,6 +47,22 @@ def test_jacobi_hand_derived_two_by_two():
                                atol=1e-12)
     np.testing.assert_allclose(jacobi_column_norms(np.array([[3.0], [4.0]])),
                                [5.0], atol=1e-15)
+
+
+def test_singular_values_hand_derived():
+    np.testing.assert_allclose(
+        singular_values(DenseMatrix.from_rows([[3.0, 1.0], [1.0, 3.0]])),
+        [4.0, 2.0], atol=1e-12)
+    np.testing.assert_allclose(singular_values(SHEAR),
+                               [1.0 + math.sqrt(2.0), math.sqrt(2.0) - 1.0],
+                               atol=1e-12)
+    np.testing.assert_allclose(singular_values(DenseMatrix.from_rows([[3.0], [4.0]])),
+                               [5.0], atol=1e-15)
+    # rows < cols: one value per column, the missing ones exactly zero
+    wide = singular_values(DenseMatrix.from_rows([[3.0, 0.0, 4.0]]))
+    assert wide.shape == (3,)
+    np.testing.assert_allclose(wide[0], 5.0, atol=1e-15)
+    assert wide[1] == 0.0 and wide[2] == 0.0
 
 
 def test_sur_svd_route_pins():
@@ -100,6 +121,47 @@ def test_mesh_refinement_reports_last_evaluated_count():
     assert value == 8.0 and spread == 2.0
 
 
+def test_vertex_supports_match_full_domain_mesh():
+    # The inner max of <v, Ax> over a polyhedral domain is read at the 4
+    # vertices of the ball, which every domain-sphere mesh contains. It is
+    # never above the max over the full mesh; it can sit below it only by the
+    # round-off of <v, Ap> at a mesh point p inside an edge, at most a few
+    # eps * sum|a_ij| (|v_i|, |p_j| <= 1).
+    rng = np.random.default_rng(20261018)
+    eps = np.finfo(float).eps
+    for _ in range(20):
+        a = rng.standard_normal((2, 2)) * rng.uniform(0.1, 10.0)
+        m = DenseMatrix.from_rows(a.tolist())
+        for kx in ("sup", "one"):
+            for ky in ("sup", "one", "euclidean"):
+                nx, ny = NormSpec(kx, 2), NormSpec(ky, 2)
+                for count in (360, 1440):
+                    targets = _sphere_mesh(_dual_space(ny), count)
+                    sources = _sphere_mesh(nx, count)
+                    full = float((targets @ (sources @ a.T).T).max(axis=1).min())
+                    value = _mesh_min_support(m, nx, ny, count)
+                    assert value <= full
+                    assert full - value <= 2.0 * eps * np.abs(a).sum()
+
+
+def test_polyhedral_opnorm_reads_ball_vertices():
+    # A norm of Ax attains its max over a polyhedral ball at a vertex, so the
+    # value is the max over the 4 vertices, with no mesh refinement.
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        a = rng.standard_normal((2, 2))
+        m = DenseMatrix.from_rows(a.tolist())
+        for kx, verts in (("sup", [[1, 1], [-1, 1], [-1, -1], [1, -1]]),
+                          ("one", [[1, 0], [0, 1], [-1, 0], [0, -1]])):
+            images = np.array(verts, dtype=float) @ a.T
+            for ky in ("sup", "one", "euclidean"):
+                ny = NormSpec(ky, 2)
+                assert opnorm(m, NormSpec(kx, 2), ny) == float(ny.norms(images).max())
+                # the domain mesh contains the vertices, so its max is no lower
+                mesh = _sphere_mesh(NormSpec(kx, 2), 360) @ a.T
+                assert opnorm(m, NormSpec(kx, 2), ny) <= float(ny.norms(mesh).max())
+
+
 def test_opnorm_pins():
     assert opnorm(DIAG31) == pytest.approx(3.0, abs=1e-12)
     tri = DenseMatrix.from_rows([[1.0, 1.0], [0.0, 1.0]])
@@ -151,6 +213,38 @@ def test_open_set_check_deterministic_and_positive():
     rankdef = DenseMatrix.from_rows([[1.0, 1.0], [1.0, 1.0]])
     with pytest.raises(ValueError, match="positive base rate"):
         open_set_check(rankdef)
+
+
+def test_open_set_check_sup_norms_frozen():
+    # Every perturbed sample runs the sup-norm mesh route; worst recorded at
+    # the commit before the vertex supports.
+    rep = open_set_check(DIAG31, SUP2, SUP2, samples=6, seed=0)
+    assert rep.passed
+    assert dict(rep.data)["worst"] == 0.41858178770004456
+
+
+def test_jacobi_is_off_every_program_path(monkeypatch):
+    def unused(a):
+        raise AssertionError("jacobi_column_norms called")
+
+    monkeypatch.setattr(linear, "jacobi_column_norms", unused)
+    tri = DenseMatrix.from_rows([[1.0, 1.0], [0.0, 1.0]])
+    other = DenseMatrix.from_rows([[3.0, 0.1], [0.2, 1.2]])
+    for m in (DIAG31, SHEAR, tri, WIDE):
+        sur_modulus(m)
+        sur_modulus(m, method="grid", mesh_count=360)
+        opnorm(m)
+        injectivity_bound(m)
+        harte_check(m)
+    for norm in (SUP2, ONE2):
+        sur_modulus(tri, norm, norm, method="grid")
+        opnorm(tri, norm, norm)
+        injectivity_bound(tri, norm, norm)
+        harte_check(tri, norm, norm)
+        sur_lipschitz_check(DIAG31, other, norm, norm)
+        open_set_check(DIAG31, norm, norm, samples=2, seed=1)
+    sur_lipschitz_check(DIAG31, other)
+    open_set_check(DIAG31, samples=5, seed=1)
 
 
 def test_rotation_invariance_of_euclidean_quantities():

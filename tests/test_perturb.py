@@ -290,6 +290,29 @@ def test_lg_setvalued_windows_use_map_metrics():
     assert (rep.premise_c.checked, rep.conclusion.checked) == (5, 10)
 
 
+def test_perturbation_reference_tolerates_grid_roundoff():
+    # A reference given as 0.3 on the 0.02 grid names the stored
+    # 0.30000000000000004 (and 0.6000000000000001 for 2x): the instance
+    # accepts it, and premises A and B, and every other part of the reports,
+    # equal those for the stored points.
+    x_stored, z_stored = (0.30000000000000004,), (0.6000000000000001,)
+    w_stored = H_SIN.image_of(x_stored)[0]
+    consts = dict(c=1.2, c_prime=1.5, ell=0.4, a=0.3, b=0.3, r=0.15, delta=0.05)
+    typed = PerturbationInstance(F=F_2X, ref=((0.3,), (0.6,), (0.3 * math.sin(0.3),)),
+                                 H=H_SIN, constants=consts)
+    stored = PerturbationInstance(F=F_2X, ref=(x_stored, z_stored, w_stored),
+                                  H=H_SIN, constants=consts)
+    assert (typed.x_bar, typed.z_bar, typed.w_bar) == (x_stored, z_stored, w_stored)
+    rep = lg_setvalued_check(typed)
+    assert rep.premise_a.checked > 0 and rep.premise_b.checked > 0
+    assert rep == lg_setvalued_check(stored)
+    single = PerturbationInstance(F=F_2X, ref=((0.3,), (0.6,)), h=h_sin)
+    assert lg_single_check(single) == lg_single_check(
+        PerturbationInstance(F=F_2X, ref=(x_stored, z_stored), h=h_sin))
+    with pytest.raises(ValueError, match="reference value"):
+        PerturbationInstance(F=F_2X, ref=((0.3,), (0.64,)), h=h_sin)
+
+
 def test_lg_setvalued_validation():
     good = dict(c=1.2, c_prime=1.5, ell=0.4, a=0.3, b=0.3, r=0.15, delta=0.05)
     with pytest.raises(ValueError, match="no set-valued"):

@@ -33,6 +33,7 @@ from almostreg.regularity import (
     graph_max_metric,
     verify_product_laws,
 )
+from almostreg.ioffe import check_unconditional_estimate
 from almostreg.spaces import PointCloud
 
 DOM_COARSE = PointCloud.from_grid(-1.0, 1.0, 0.2)
@@ -338,6 +339,25 @@ def test_region_and_reference_lookups_tolerate_grid_roundoff():
                 == estimate_modulus(TWO_X, (x_stored, y_stored), kind))
     with pytest.raises(ValueError, match="must lie on the graph"):
         estimate_modulus(TWO_X, ((0.3,), (0.64,)), "sur")
+
+
+def test_user_point_lookups_tolerate_grid_roundoff():
+    # check_unconditional_estimate and sequence_characterization resolve the
+    # user's points through PointCloud.index_of, so (0.3,) and (0.6,) give the
+    # report of the stored 0.30000000000000004 and 0.6000000000000001.
+    x_stored, y_stored = (0.30000000000000004,), (0.6000000000000001,)
+    assert TWO_X.geometry.locate((0.3,), (0.6,)) == TWO_X.geometry.locate(x_stored, y_stored)
+    assert TWO_X.geometry.on_graph((0.3,), (0.6,))
+    assert not TWO_X.geometry.on_graph((0.3,), (0.64,))
+    assert not TWO_X.geometry.on_graph((0.3,), (5.0,))
+    for mu, beta in ((1.0, 0.2), (0.25, 0.3)):
+        assert (check_unconditional_estimate(TWO_X, ((0.3,), (0.6,)), mu, beta)
+                == check_unconditional_estimate(TWO_X, (x_stored, y_stored), mu, beta))
+    for kappa in (1.0, 0.1):
+        assert (regularity.sequence_characterization(TWO_X, (0.3,), (0.6,), kappa, 0.1)
+                == regularity.sequence_characterization(TWO_X, x_stored, y_stored, kappa, 0.1))
+    with pytest.raises(KeyError, match="not in cloud"):
+        regularity.sequence_characterization(TWO_X, (0.31,), (0.6,), 1.0, 0.1)
 
 
 def test_check_modulus_property_bisection_consistency():

@@ -113,6 +113,22 @@ def test_scenarios_are_built_once_at_load(monkeypatch):
         assert emit_report(reports, format="machine") == expected
 
 
+def test_modulus_scenario_ref_tolerates_grid_roundoff(tmp_path):
+    # A modulus ref of [[0.3], [0.6]] on the 0.02 grid names the stored
+    # graph pair (0.30000000000000004, 0.6000000000000001): it loads, and it
+    # runs to the same quantities as the stored pair.
+    doc = json.loads((DEMO / "regularity_modulus_sur.json").read_text())
+    runs = []
+    for ref in ([[0.3], [0.6]], [[0.30000000000000004], [0.6000000000000001]]):
+        doc["payload"]["ref"] = ref
+        runs.append(run_suite([load_scenario(write_scenario(tmp_path, doc))])[0])
+    assert runs[0].error is None
+    assert runs[0].quantities == runs[1].quantities
+    doc["payload"]["ref"] = [[0.3], [0.64]]
+    with pytest.raises(ScenarioError, match="payload.ref: must be a graph pair"):
+        load_scenario(write_scenario(tmp_path, doc))
+
+
 def test_run_suite_orders_by_id(tmp_path):
     pb = write_scenario(tmp_path, linear_doc(id="zz_later"), name="b.json")
     pa = write_scenario(tmp_path, linear_doc(id="aa_first"), name="a.json")
