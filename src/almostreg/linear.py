@@ -379,7 +379,10 @@ def injectivity_bound(m: DenseMatrix, nx: NormSpec | None = None,
     _check_dims(m, nx, ny)
     if nx.kind == "euclidean" and ny.kind == "euclidean":
         sigmas = singular_values(m)
-        return float(sigmas[-1]) if m.cols <= m.rows else 0.0
+        # Zero-padded when cols > rows; floored at the rank tolerance as in
+        # sur_modulus, so a rank-deficient m reads 0, not LAPACK's noise.
+        value = float(sigmas[-1])
+        return 0.0 if value <= _RANK_TOL * max(1.0, float(sigmas[0])) else value
 
     def evaluate(mm: DenseMatrix, nnx: NormSpec, nny: NormSpec, count: int) -> float:
         a = mm.as_array()

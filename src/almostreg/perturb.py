@@ -135,9 +135,10 @@ def _aubin_estimate(H: SampledMap, center: Point, anchor: Point,
     xi_all = np.flatnonzero(_distances(H.metric_x, center, H.domain) <= radius).tolist()
     if len(xi_all) < 2:
         raise ValueError("degenerate cloud: need at least two points in the ball")
-    anchor_idx = geom.y_index.get(anchor)
-    if anchor_idx is None:
-        raise KeyError(f"anchor value {anchor} not in codomain cloud")
+    try:
+        anchor_idx = H.codomain.index_of(anchor)
+    except KeyError as exc:
+        raise KeyError(f"anchor value: {exc.args[0]}") from None
     near_anchor = geom.DY[anchor_idx] <= radius
     best = 0.0
     witness: tuple[Point, Point] | None = None
@@ -535,6 +536,16 @@ class SumStabilityReport:
     grid_step: float
 
 
+def _stored_sum_ref(F: SampledMap, H: SampledMap, ref: tuple) -> tuple[Point, Point, Point]:
+    """The reference triple (x_bar, z_bar, w_bar) as the clouds store it,
+    once (x_bar, z_bar) is on F's graph and (x_bar, w_bar) on H's."""
+    if not F.geometry.on_graph(ref[0], ref[1]):
+        raise ValueError("z_bar must belong to F(x_bar)")
+    if not H.geometry.on_graph(ref[0], ref[2]):
+        raise ValueError("w_bar must belong to H(x_bar)")
+    return _stored(F.domain, ref[0]), _stored(F.codomain, ref[1]), _stored(H.codomain, ref[2])
+
+
 def sum_stability_check(F: SampledMap, H: SampledMap, ref: tuple,
                         xi_schedule: Sequence[float] = (1.0, 0.5, 0.25)
                         ) -> SumStabilityReport:
@@ -545,11 +556,7 @@ def sum_stability_check(F: SampledMap, H: SampledMap, ref: tuple,
     v = z + w with z within xi of z_bar in F(u) and w within xi of w_bar in
     H(u). Verdict: every xi admits beta above the domain grid step.
     """
-    x_bar, z_bar, w_bar = (as_point(ref[0]), as_point(ref[1]), as_point(ref[2]))
-    if z_bar not in F.image_of(x_bar):
-        raise ValueError("z_bar must belong to F(x_bar)")
-    if w_bar not in H.image_of(x_bar):
-        raise ValueError("w_bar must belong to H(x_bar)")
+    x_bar, z_bar, w_bar = _stored_sum_ref(F, H, ref)
     sum_map = minkowski_sum_map(F, H)
     geom = sum_map.geometry
     v_bar = tuple(p + q for p, q in zip(z_bar, w_bar))
@@ -587,7 +594,7 @@ def lg_sumstable_check(F: SampledMap, H: SampledMap, ref: tuple,
     stability = sum_stability_check(F, H, ref, xi_schedule)
     if not stability.verdict:
         raise ValueError("instance is not sum-stable on the sampled schedule")
-    x_bar, z_bar, w_bar = (as_point(ref[0]), as_point(ref[1]), as_point(ref[2]))
+    x_bar, z_bar, w_bar = _stored_sum_ref(F, H, ref)
     geom = F.geometry
     radius = lip_radius if lip_radius is not None else 0.5 * geom.diam_x
     sur_f = estimate_modulus(F, (x_bar, z_bar), "sur", cfg)

@@ -194,6 +194,10 @@ def _build_premetric(spec, path: str, cloud: PointCloud) -> QuasiPremetric:
             ds = DirectionSet.normalized(tuple(as_point(d) for d in dirs))
         except (TypeError, ValueError) as exc:
             raise _fail(f"{path}.directions", str(exc)) from None
+        if ds.dimension != cloud.dimension:
+            raise _fail(f"{path}.directions",
+                        f"dimension mismatch: directions have dimension {ds.dimension}, "
+                        f"cloud points {cloud.dimension}")
         return directional_gauge(ds)
     if kind == "partial_max":
         if cloud.dimension != 1:

@@ -228,6 +228,10 @@ class DirectionSet:
             if abs(norm - 1.0) > _UNIT_NORM_TOL:
                 raise ValueError(f"direction {d} is not unit (norm {norm})")
 
+    @property
+    def dimension(self) -> int:
+        return len(self.directions[0])
+
     @classmethod
     def normalized(cls, vectors: Iterable[Sequence[float]]) -> "DirectionSet":
         out = []
@@ -249,36 +253,52 @@ def directional_time(directions: DirectionSet, x: float | Sequence[float],
 
     Equals |u - x| when the displacement is (within tolerance 1e-9) a
     nonnegative multiple of a listed direction, 0 at u = x, and +inf
-    otherwise.
+    otherwise. It is the 1x1 entry of the directional gauge's table.
     """
-    return as_ext(_cone_time(directions, as_point(x), as_point(u)))
+    return directional_gauge(directions)(x, u)
 
 
-def _cone_time(directions: DirectionSet, px: Point, pu: Point) -> float:
-    if len(px) != len(pu):
-        raise ValueError("dimension mismatch")
-    delta = tuple(b - a for a, b in zip(px, pu))
-    norm = _length(delta)
-    if norm == 0.0:
-        return 0.0
-    unit = tuple(c / norm for c in delta)
-    for d in directions.directions:
-        if _length(tuple(a - b for a, b in zip(unit, d))) <= _COLLINEARITY_TOL:
-            return norm
-    return math.inf
+def _cone_table(directions: DirectionSet, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cone time from each row of a to each row of b, elementwise: the
+    displacement b_j - a_i, its length (squares summed coordinate by
+    coordinate, as in _euclidean_table), the unit vector, and a hit when the
+    unit vector lies within _COLLINEARITY_TOL of some direction."""
+    if a.shape[1] != directions.dimension:
+        raise ValueError(f"dimension mismatch: points have dimension {a.shape[1]}, "
+                         f"directions {directions.dimension}")
+    # Float arithmetic as in Python, with no warnings: a zero displacement
+    # divides 0 by 0, and its nan unit vector hits nothing (the entry is set
+    # to 0 below); huge coordinates overflow to inf.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        delta = [b[None, :, k] - a[:, None, k] for k in range(a.shape[1])]
+        total = np.zeros((len(a), len(b)))
+        for c in delta:
+            total += c * c
+        norm = np.sqrt(total)
+        hit = np.zeros(norm.shape, dtype=bool)
+        unit = [c / norm for c in delta]
+        for d in directions.directions:
+            gap = np.zeros(norm.shape)
+            for c, dk in zip(unit, d):
+                diff = c - dk
+                gap += diff * diff
+            hit |= np.sqrt(gap) <= _COLLINEARITY_TOL
+    return np.where(norm == 0.0, 0.0, np.where(hit, norm, math.inf))
 
 
 def directional_gauge(directions: DirectionSet, convex_cone: bool = True) -> QuasiPremetric:
-    """Premetric induced by directional_time for a fixed direction set.
+    """Table-form premetric whose entries are directional_time for a fixed
+    direction set. It is asymmetric, and its table is not symmetrized.
 
     The triangle claim A2 is sound when the sampled cone is convex (always
     true for a single direction); pass convex_cone=False to drop the claim.
+    Points whose dimension differs from the directions' raise ValueError.
     """
     claims = {A1, A3}
     if convex_cone:
         claims.add(A2)
     return QuasiPremetric(
-        fn=lambda x, u: _cone_time(directions, x, u),
+        table=lambda a, b: _cone_table(directions, a, b),
         axioms_claimed=frozenset(claims),
         name="directional",
     )

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -250,3 +251,36 @@ def test_weak_point_is_exactly_stationary(data):
     # Descent: reaching u from the start is paid for by the value drop.
     start = cloud.points[start_idx]
     assert vals[cloud.index_of(u)] + math.dist(u, start) <= vals[start_idx]
+
+
+def test_directional_ekeland_outputs_frozen():
+    # Outputs under the directional gauge on a seeded 60-point cloud, frozen
+    # as their reprs.
+    rng = np.random.default_rng(60)
+    xs = (rng.choice(400, size=60, replace=False) * 0.01 - 2.0).tolist()
+    values = np.round(rng.uniform(0.05, 4.0, 60), 2).tolist()
+    cloud = PointCloud(tuple((x,) for x in xs))
+    objective = Objective.from_table(cloud, values)
+    gauge = directional_gauge(DirectionSet(((1.0,),)))
+    start = (xs[values.index(max(values))],)
+    epsilon = 0.1 * max(values)
+    delta, r = 1.5 * (max(values) - min(values)), 0.5
+    trace = generate_trace(cloud, gauge, objective, start)
+    assert repr(trace) == (
+        "EkelandTrace(points=((0.22999999999999998,), (-1.58,)), values=(3.92, 0.17), "
+        "step_infima=(ExtReal(0.17), ExtReal(inf)), slack=(1.0,), "
+        "termination='alpha-infinite')")
+    assert repr(verify_trace(trace, cloud, gauge, objective, epsilon)) == (
+        "TraceVerification(chain_ok=True, chain_violations=(), stationary_index=2, "
+        "point_ok=(False, True))")
+    assert repr(approx_point(cloud, gauge, objective, start, epsilon)) == (
+        "EkelandCertificate(point=(-1.58,), epsilon=0.392, descent_ok=True, "
+        "stationarity_ok=True, descent_gap=1.94, witness=None)")
+    assert repr(weak_point(cloud, gauge, objective, start)) == (
+        "((-1.58,), EkelandCertificate(point=(-1.58,), epsilon=0.0, descent_ok=True, "
+        "stationarity_ok=True, descent_gap=1.94, witness=None))")
+    assert repr(two_constant_point(cloud, gauge, objective, start, delta, r)) == (
+        "TwoConstantResult(point=(0.06999999999999984,), scale=11.25, descent_ok=True, "
+        "stationarity_ok=True, radius_ok=True, certificate=EkelandCertificate("
+        "point=(0.06999999999999984,), epsilon=0.0, descent_ok=True, stationarity_ok=True, "
+        "descent_gap=1.9399999999999984, witness=None))")

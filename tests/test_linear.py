@@ -316,3 +316,14 @@ def test_sur_matches_dual_grid_route(m):
     svd_val = sur_modulus(m).estimate
     grid_val = sur_modulus(m, method="grid", mesh_count=3600).estimate
     assert grid_val == pytest.approx(svd_val, abs=2e-3 * (1.0 + opnorm(m)))
+
+
+def test_injectivity_bound_rank_floor():
+    # LAPACK leaves about 1e-16 as the smallest singular value of a
+    # rank-deficient matrix; the bound reads it as 0, as sur_modulus does.
+    for rows in ([[1.0, 2.0], [2.0, 4.0]], [[0.3, -1.7], [0.6, -3.4]]):
+        m = DenseMatrix.from_rows(rows)
+        assert injectivity_bound(m) == 0.0
+        assert sur_modulus(m).lower == 0.0
+    tall = DenseMatrix.from_rows([[3.0, 0.0], [0.0, 1e-6], [0.0, 0.0]])
+    assert injectivity_bound(tall) == pytest.approx(1e-6, rel=1e-9)

@@ -365,3 +365,20 @@ def test_beta_interval_contains_is_open():
     bi = BetaInterval(upper=1.0, empty=False)
     assert bi.contains(0.999)
     assert not bi.contains(1.0)
+
+
+def test_sum_stability_and_aubin_anchor_tolerate_grid_roundoff():
+    # On the 0.02 grid, 0.3, 0.6 and 0.3 sin(0.3) name the stored
+    # 0.30000000000000004, 0.6000000000000001 and 0.08865606199840188. Each
+    # report equals the report for the stored points.
+    x_stored, z_stored = (0.30000000000000004,), (0.6000000000000001,)
+    w_stored = H_SIN.image_of(x_stored)[0]
+    typed = ((0.3,), (0.6,), (0.3 * math.sin(0.3),))
+    assert typed[2] != w_stored
+    stored = (x_stored, z_stored, w_stored)
+    assert sum_stability_check(F_2X, H_SIN, typed) == sum_stability_check(F_2X, H_SIN, stored)
+    assert lg_sumstable_check(F_2X, H_SIN, typed) == lg_sumstable_check(F_2X, H_SIN, stored)
+    assert (estimate_lip(H_SIN, (0.3,), 0.2, anchor=typed[2])
+            == estimate_lip(H_SIN, (0.3,), 0.2, anchor=w_stored))
+    with pytest.raises(ValueError, match="z_bar"):
+        sum_stability_check(F_2X, H_SIN, ((0.3,), (0.64,), typed[2]))

@@ -310,3 +310,16 @@ def test_cli_jobs_env_default(monkeypatch):
     monkeypatch.delenv("ALMOSTREG_JOBS")
     args = _build_parser().parse_args(["run", "x.json"])
     assert args.jobs == 1
+
+
+def test_directional_premetric_dimension_checked_at_load(tmp_path):
+    # A 2-D direction on the 1-D grid was accepted and ran; it is now a
+    # schema error under the directions field.
+    doc = json.loads((DEMO / "axioms_euclidean_grid.json").read_text())
+    doc["payload"]["premetric"] = {"kind": "directional", "directions": [[0.6, 0.8]]}
+    with pytest.raises(ScenarioError,
+                       match=r"payload\.premetric\.directions: dimension mismatch"):
+        load_scenario(write_scenario(tmp_path, doc))
+    doc["payload"]["premetric"]["directions"] = [[1.0]]
+    (report,) = run_suite([load_scenario(write_scenario(tmp_path, doc))])
+    assert report.error is None

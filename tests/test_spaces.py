@@ -332,3 +332,94 @@ def test_induced_partial_always_sound_for_max(xs):
     report = check_axioms(eta, cloud)
     assert report.claimed_ok
     assert brute_triangle_violations(eta, cloud) == []
+
+
+def _oracle_length(v):
+    total = 0.0
+    for c in v:
+        total += c * c
+    return math.sqrt(total)
+
+
+def _oracle_cone_time(directions, x, u):
+    """The scalar cone-time formula, point pair by point pair: the
+    displacement u - x, its length, the unit vector, and a hit on the first
+    direction within 1e-9 of it."""
+    delta = [b - a for a, b in zip(x, u)]
+    norm = _oracle_length(delta)
+    if norm == 0.0:
+        return 0.0
+    unit = [c / norm for c in delta]
+    for d in directions:
+        if _oracle_length([a - b for a, b in zip(unit, d)]) <= 1e-9:
+            return norm
+    return math.inf
+
+
+def _perpendicular(d):
+    """A unit vector orthogonal to the unit vector d (len(d) >= 2)."""
+    axis = np.zeros(len(d))
+    axis[int(np.argmin(np.abs(d)))] = 1.0
+    e = axis - np.dot(axis, d) * d
+    return e / np.linalg.norm(e)
+
+
+@pytest.mark.parametrize("vectors", [
+    [(1.0,)],
+    [(1.0,), (-1.0,)],
+    [(3.0, 4.0)],
+    [(1.0, 0.0), (0.0, 1.0)],  # two rays at a right angle: a non-convex cone
+    [(0.6, 0.8), (-0.8, 0.6), (0.0, -1.0)],
+    [(0.0, 0.0, 1.0)],
+    [(1.0, 1.0, 1.0), (1.0, 0.0, 0.0), (0.0, -3.0, 4.0)],
+])
+def test_directional_gauge_table_matches_scalar_oracle(vectors):
+    ds = DirectionSet.normalized(vectors)
+    dim = len(vectors[0])
+    rng = np.random.default_rng(len(vectors) * 10 + dim)
+    # Rounded and full-precision points, the latter so that the order of
+    # float operations shows in the entries on the cone; then duplicates.
+    a = np.concatenate([np.round(rng.uniform(-2.0, 2.0, (9, dim)), 2),
+                        rng.uniform(-2.0, 2.0, (6, dim))])
+    a = np.concatenate([a, a[:3]])
+    rows = [a, np.round(rng.uniform(-2.0, 2.0, (6, dim)), 2)]
+    near = []
+    for d in ds.directions:
+        d = np.asarray(d)
+        steps = np.array([[0.5], [1.3], [0.01], [3.0]])
+        rows += [a[:4] + steps * d, a[9:13] + steps * d]
+        if dim > 1:
+            # Unit vectors about 0.99e-9 and 1.01e-9 away from d.
+            e = _perpendicular(d)
+            for eps in (0.99e-9, 1.01e-9):
+                near.append((a[0], a[0] + 0.7 * (d + eps * e), eps < 1e-9))
+    b = np.concatenate(rows + [np.array([q for _, q, _ in near]).reshape(-1, dim)])
+    gauge = directional_gauge(ds)
+    for p, q in ((np.concatenate([a, b]), b), (b, a)):
+        expected = [[_oracle_cone_time(ds.directions, x, u) for u in q.tolist()]
+                    for x in p.tolist()]
+        assert gauge.pairwise(p, q).tolist() == expected
+    # The cloud exercises zero displacements, hits and misses, and both
+    # sides of the collinearity tolerance.
+    table = gauge.pairwise(a, b)
+    assert (table == 0.0).any() and (np.isfinite(table) & (table > 0.0)).any()
+    if vectors != [(1.0,), (-1.0,)]:  # both rays of the line reach every point
+        assert np.isinf(table).any()
+    for x, u, inside in near:
+        assert math.isfinite(_oracle_cone_time(ds.directions, x.tolist(), u.tolist())) == inside
+        assert math.isfinite(float(directional_time(ds, x, u))) == inside
+
+
+def test_directional_gauge_checks_direction_dimension():
+    ds = DirectionSet.normalized([(0.6, 0.8)])
+    gauge = directional_gauge(ds)
+    line = np.array([[0.0], [0.6], [1.0]])
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        gauge.pairwise(line, line)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        gauge((0.0,), (0.6,))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        directional_time(ds, (0.0,), (0.6,))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        check_axioms(gauge, PointCloud.from_grid(0.0, 1.0, 0.25))
+    assert float(gauge((0.0, 0.0), (0.6, 0.8))) == 1.0
