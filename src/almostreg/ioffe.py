@@ -105,6 +105,27 @@ def _default_epsilons(residuals: np.ndarray, c: float, step: float) -> tuple[flo
     return (0.5 * margin if margin > 0.0 else 0.5 * minres,)
 
 
+def _region_indices(geom: MapGeometry, region: PairRegion) -> dict[int, list[int]]:
+    """The region as codomain index -> domain indices of its fiber, both in
+    first-appearance order, with every point resolved through
+    PointCloud.index_of. KeyError names the first target, then the first
+    point, that is not in its cloud."""
+    def lookup(cloud: PointCloud, p: Point, message: str) -> int:
+        try:
+            return cloud.index_of(p)
+        except KeyError:
+            raise KeyError(message.format(p)) from None
+
+    ys = {y: lookup(geom.codomain, y, "region target {} not in codomain cloud")
+          for y in region.y_points()}
+    xs = {x: lookup(geom.domain, x, "region point {} not in domain cloud")
+          for x in region.x_points()}
+    fibers: dict[int, list[int]] = {}
+    for x, y in region.pairs:
+        fibers.setdefault(ys[y], []).append(xs[x])
+    return fibers
+
+
 def check_criterion(mapping: SampledMap, region: PairRegion, c: float,
                     gamma: object, epsilons: Sequence[float] | None = None,
                     lam: Callable[[float], float] = default_lambda) -> CriterionReport:
@@ -121,18 +142,10 @@ def check_criterion(mapping: SampledMap, region: PairRegion, c: float,
         raise ValueError("criterion check needs a single-valued sampled map")
     g = mapping.geometry
     gam = _gamma_array(gamma, mapping.domain)
-    y_targets = []
-    for y in region.y_points():
-        if y not in g.y_index:
-            raise KeyError(f"region target {y} not in codomain cloud")
-        y_targets.append(y)
-    for x in region.x_points():
-        if x not in g.x_index:
-            raise KeyError(f"region point {x} not in domain cloud")
+    fibers = _region_indices(g, region)
 
     if epsilons is None:
-        cols = [g.y_index[y] for y in y_targets]
-        eps_list = _default_epsilons(g.DYG[:, cols], c, g.step_x)
+        eps_list = _default_epsilons(g.DYG[:, list(fibers)], c, g.step_x)
     else:
         eps_list = tuple(float(e) for e in epsilons)
         if any(e <= 0.0 for e in eps_list):
@@ -141,10 +154,9 @@ def check_criterion(mapping: SampledMap, region: PairRegion, c: float,
     checked = 0
     witnesses: list[tuple] = []
     vacuous = True
-    for y in y_targets:
-        yi = g.y_index[y]
+    for yi, fiber_idx in fibers.items():
+        y = mapping.codomain.points[yi]
         r = g.DYG[:, yi]
-        fiber_idx = [g.x_index[x] for x in region.fiber(y)]
         trig = [xi for xi in fiber_idx if r[xi] < c * gam[xi]]
         if not trig:
             continue
@@ -231,8 +243,8 @@ def _fiber_conclusion(geom: MapGeometry, region: PairRegion, c: float,
     witnesses: list[tuple] = []
     vacuous = True
     for x, y in region.pairs:
-        xi = geom.x_index[x]
-        yi = geom.y_index[y]
+        xi, yi = geom.locate(x, y)
+        x, y = geom.domain.points[xi], geom.codomain.points[yi]
         r = float(geom.DYG[xi, yi])
         if not (0.0 < r < c * gam[xi]):
             continue
@@ -502,19 +514,17 @@ def setvalued_criterion(mapping: SampledMap, region: PairRegion, c: float,
     pairs = mapping.pairs
     index = list(zip(geom.pair_xi.tolist(), geom.pair_yi.tolist()))
     DX, DY = geom.DX.tolist(), geom.DY.tolist()
+    fibers = _region_indices(geom, region)
     if epsilons is None:
-        cols = [geom.y_index[y] for y in region.y_points()]
-        eps_list = _default_epsilons(geom.DYG[:, cols], c, geom.step_x)
+        eps_list = _default_epsilons(geom.DYG[:, list(fibers)], c, geom.step_x)
     else:
         eps_list = tuple(float(e) for e in epsilons)
     checked = 0
     witnesses: list[tuple] = []
     vacuous = True
-    for y in region.y_points():
-        yi = geom.y_index[y]
-        fiber = set(region.fiber(y))
-        trig = [(xi, zi) for (x, _), (xi, zi) in zip(pairs, index)
-                if x in fiber and DY[zi][yi] < c * gam[xi]]
+    for yi, fiber_idx in fibers.items():
+        y, fiber = mapping.codomain.points[yi], set(fiber_idx)
+        trig = [(xi, zi) for (xi, zi) in index if xi in fiber and DY[zi][yi] < c * gam[xi]]
         if not trig:
             continue
         for (u, v), (ui, vi) in zip(pairs, index):
@@ -551,11 +561,11 @@ def setvalued_criterion(mapping: SampledMap, region: PairRegion, c: float,
     # Projected route: single-valued criterion on the graph cloud.
     projected_map, gamma_table = _graph_map(mapping, alpha, gam)
     region_pairs = []
-    for y in region.y_points():
-        fiber = set(region.fiber(y))
-        for gp, (x, _) in zip(projected_map.domain.points, pairs):
-            if x in fiber:
-                region_pairs.append((gp, y))
+    for yi, fiber_idx in fibers.items():
+        fiber = set(fiber_idx)
+        for gp, (xi, _) in zip(projected_map.domain.points, index):
+            if xi in fiber:
+                region_pairs.append((gp, mapping.codomain.points[yi]))
     projected_region = PairRegion.from_pairs(region_pairs)
     projected = check_criterion(projected_map, projected_region, c, gamma_table,
                                 eps_list, lam)

@@ -146,8 +146,10 @@ class MapGeometry:
         self.Y = np.asarray(mapping.codomain.points, dtype=float)
         self.DX = mapping.metric_x.pairwise(self.X, self.X)
         self.DY = mapping.metric_y.pairwise(self.Y, self.Y)
-        self.x_index = x_index = {p: i for i, p in enumerate(mapping.domain.points)}
-        self.y_index = y_index = {p: i for i, p in enumerate(mapping.codomain.points)}
+        # First occurrences, as PointCloud.index_of resolves, so the pairs of
+        # a repeated cloud point sit on the row that point lookups read.
+        self.x_index = x_index = dict(mapping.domain._positions)
+        self.y_index = y_index = dict(mapping.codomain._positions)
         self.pair_xi = np.array([x_index[x] for x, _ in mapping.pairs], dtype=int)
         self.pair_yi = np.array([y_index[y] for _, y in mapping.pairs], dtype=int)
         n_x, n_y = len(self.X), len(self.Y)

@@ -9,9 +9,10 @@ axioms; checks report what actually holds on a finite cloud.
 from __future__ import annotations
 
 import math
+import operator
+from collections import abc
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import repeat
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -286,20 +287,23 @@ def _cone_table(directions: DirectionSet, a: np.ndarray, b: np.ndarray) -> np.nd
     return np.where(norm == 0.0, 0.0, np.where(hit, norm, math.inf))
 
 
-def directional_gauge(directions: DirectionSet, convex_cone: bool = True) -> QuasiPremetric:
+def directional_gauge(directions: DirectionSet) -> QuasiPremetric:
     """Table-form premetric whose entries are directional_time for a fixed
     direction set. It is asymmetric, and its table is not symmetrized.
 
-    The triangle claim A2 is sound when the sampled cone is convex (always
-    true for a single direction); pass convex_cone=False to drop the claim.
+    It claims A2 only when every direction lies within _COLLINEARITY_TOL of
+    plus or minus the first: then the sampled cone is a ray or a line, which
+    sums of displacements do not leave. Two directions further apart span a
+    cone wider than their union, and the triangle inequality fails there.
     Points whose dimension differs from the directions' raise ValueError.
     """
-    claims = {A1, A3}
-    if convex_cone:
-        claims.add(A2)
+    first = directions.directions[0]
+    collinear = all(min(_length([a - b for a, b in zip(d, first)]),
+                        _length([a + b for a, b in zip(d, first)])) <= _COLLINEARITY_TOL
+                    for d in directions.directions)
     return QuasiPremetric(
         table=lambda a, b: _cone_table(directions, a, b),
-        axioms_claimed=frozenset(claims),
+        axioms_claimed=frozenset({A1, A2, A3} if collinear else {A1, A3}),
         name="directional",
     )
 
@@ -340,10 +344,11 @@ def induce_from_partial(zeta: PartialMetric, cloud: PointCloud) -> QuasiPremetri
         )
     first = next(_triangle_scan(zmat, diag), None)
     if first is not None:
-        i, ks, js, rhs = first
+        i, kj = first
+        k, j = divmod(int(kj[0]), len(pts))
         raise PartialMetricError(
-            f"corrected triangle fails at ({pts[i]}, {pts[ks[0]]}, {pts[js[0]]}): "
-            f"{float(zmat[i, js[0]])} > {float(rhs[0])}"
+            f"corrected triangle fails at ({pts[i]}, {pts[k]}, {pts[j]}): "
+            f"{float(zmat[i, j])} > {float(zmat[i, k] + zmat[k, j] - diag[k])}"
         )
     base = zeta.fn
     return QuasiPremetric(
@@ -363,10 +368,81 @@ class SequenceCheck:
     limit_point: Point | None
 
 
+# Witnesses built into tuples per step when a witness sequence is iterated.
+_WITNESS_CHUNK = 65536
+
+
+class TriangleWitnesses(abc.Sequence):
+    """The A2 witnesses (x_i, x_k, x_j, eta(x_i, x_j), eta(x_i, x_k) +
+    eta(x_k, x_j)) of one cloud, in (i, k, j) order.
+
+    They are kept as one int64 array of cells (i * n + k) * n + j over the
+    cloud's n points, next to the premetric table; a witness tuple is built
+    only when it is read, its two values read from the table (the right side
+    is summed again, the same float the scan compared). The sequence reads as
+    the tuple of those witnesses: it gives the tuple's items, slices (as
+    tuples), equality, hash and repr, and it pickles.
+    """
+
+    __slots__ = ("_points", "_table", "_cells", "_objects")
+
+    def __init__(self, points: tuple[Point, ...], table: np.ndarray, cells: np.ndarray):
+        self._points, self._table, self._cells = points, table, cells
+        # The points as an object array, so a chunk's points are gathered by
+        # one fancy index per coordinate slot.
+        self._objects = np.fromiter(points, dtype=object, count=len(points))
+
+    def __len__(self) -> int:
+        return len(self._cells)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return self._build(index)
+        pos = operator.index(index)
+        if pos < 0:
+            pos += len(self)
+        if not 0 <= pos < len(self):
+            raise IndexError("witness index out of range")
+        return self._build(slice(pos, pos + 1))[0]
+
+    def _build(self, sel: slice) -> tuple[tuple, ...]:
+        objects, table = self._objects, self._table
+        ik, j = np.divmod(self._cells[sel], len(objects))
+        i, k = np.divmod(ik, len(objects))
+        # A list first: the tuple is then allocated once, at its full size.
+        return tuple([*zip(objects[i].tolist(), objects[k].tolist(), objects[j].tolist(),
+                           table[i, j].tolist(), (table[i, k] + table[k, j]).tolist())])
+
+    def __iter__(self):
+        for lo in range(0, len(self), _WITNESS_CHUNK):
+            yield from self._build(slice(lo, lo + _WITNESS_CHUNK))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (tuple, TriangleWitnesses)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+    def __reduce__(self):
+        return (type(self), (self._points, self._table, self._cells))
+
+
 @dataclass(frozen=True)
 class AxiomCheck:
+    """Status of one axiom on a cloud, with every violation found.
+
+    A1 and A3 violations are tuples. A failing A2 check keeps its witnesses
+    compact, as TriangleWitnesses, and builds each tuple when it is read; it
+    equals, hashes and prints as the tuple of those witnesses.
+    """
+
     status: str  # "pass" | "fail" | "not-assessed"
-    violations: tuple[tuple, ...] = ()
+    violations: Sequence[tuple] = ()
 
 
 @dataclass(frozen=True)
@@ -382,17 +458,29 @@ class AxiomReport:
 
 def _triangle_scan(m: np.ndarray, diag: np.ndarray | None = None):
     """Per row i breaking m[i, j] <= m[i, k] + m[k, j] (- diag[k]) beyond
-    _TRIANGLE_SLACK, yield (i, ks, js, rhs): the violating (k, j) in row-major
-    order and their right sides. A nan right side never violates."""
-    for i in range(len(m)):
+    _TRIANGLE_SLACK, yield (i, kj): the violating cells k * n + j in
+    row-major order. A caller that sums m[i, k] + m[k, j] (- diag[k]) again
+    gets the right side the scan compared. A nan right side never violates.
+
+    Each row is tested in buffers allocated once per scan, so the scan does
+    not allocate per row beyond the cells it yields.
+    """
+    n = len(m)
+    rhs, bound = np.empty((n, n)), np.empty((n, n))
+    bad = np.empty((n, n), dtype=bool)
+    for i in range(n):
         with np.errstate(invalid="ignore"):
-            rhs = m[i][:, None] + m
+            np.add(m[i][:, None], m, out=rhs)
             if diag is not None:
-                rhs -= diag[:, None]
-            bad = m[i][None, :] > rhs + _TRIANGLE_SLACK * np.maximum(1.0, np.abs(rhs))
-        if bad.any():
-            ks, js = np.nonzero(bad)
-            yield i, ks, js, rhs[ks, js]
+                np.subtract(rhs, diag[:, None], out=rhs)
+            np.abs(rhs, out=bound)
+            np.maximum(bound, 1.0, out=bound)
+            np.multiply(bound, _TRIANGLE_SLACK, out=bound)
+            np.add(rhs, bound, out=bound)
+            np.greater(m[i][None, :], bound, out=bad)
+        kj = np.flatnonzero(bad)
+        if kj.size:
+            yield i, kj
 
 
 def check_axioms(space: QuasiPremetric, cloud: PointCloud,
@@ -409,22 +497,24 @@ def check_axioms(space: QuasiPremetric, cloud: PointCloud,
     n = len(pts)
     coords = np.asarray(pts, dtype=float)
     table = space.pairwise(coords, coords)
-    eta = table.tolist()
+    diag = table.diagonal().tolist()
 
-    a1_violations = tuple((pts[i], eta[i][i]) for i in range(n) if eta[i][i] != 0.0)
+    a1_violations = tuple((pts[i], diag[i]) for i in range(n) if diag[i] != 0.0)
     a1 = AxiomCheck("fail" if a1_violations else "pass", a1_violations)
 
-    # A witness's lhs is the entry of eta itself, shared by every k, so a
-    # long witness list holds one new float per witness, not two.
-    a2_violations: list[tuple] = []
-    for i, ks, js, rhs in _triangle_scan(table):
-        row, js = eta[i], js.tolist()
-        a2_violations += zip(repeat(pts[i]), [pts[k] for k in ks.tolist()],
-                             [pts[j] for j in js], [row[j] for j in js], rhs.tolist())
-    a2 = AxiomCheck("fail" if a2_violations else "pass", tuple(a2_violations))
+    cells = []
+    for i, kj in _triangle_scan(table):
+        kj += i * n * n  # the witness (i, k, j) as the cell (i * n + k) * n + j
+        cells.append(kj)
+    if cells:
+        a2 = AxiomCheck("fail", TriangleWitnesses(pts, table, np.concatenate(cells)))
+    else:
+        a2 = AxiomCheck("pass")
 
-    a3_violations = tuple((pts[i], pts[j], eta[i][j])
-                          for i, j in np.argwhere(table == 0.0).tolist()
+    zero = table == 0.0
+    a3_violations = tuple((pts[i], pts[j], value)
+                          for (i, j), value in zip(np.argwhere(zero).tolist(),
+                                                   table[zero].tolist())
                           if i != j and pts[i] != pts[j])
     a3 = AxiomCheck("fail" if a3_violations else "pass", a3_violations)
 

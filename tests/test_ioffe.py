@@ -304,3 +304,41 @@ def test_setvalued_alpha_guard():
         setvalued_criterion(m, region, 2.0, math.inf, 0.75)
     with pytest.raises(ValueError, match="alpha"):
         setvalued_criterion(m, region, 2.0, math.inf, 0.0)
+
+
+def test_region_lookups_tolerate_grid_roundoff():
+    # The grid stores 0.30000000000000004 and 2x stores 0.6000000000000001;
+    # typed points used to raise KeyError (region point (0.3,)) or, in the
+    # set-valued projected route, 'pair region must be nonempty'.
+    dom = PointCloud.from_grid(-1.0, 1.0, 0.02)
+    m = SampledMap.from_function(dom, lambda p: (2.0 * p[0],))
+    typed_x, typed_y = [(0.3,), (0.34,)], [(0.0,), (0.6,), (0.68,)]
+    stored_x = [dom.points[dom.index_of(x)] for x in typed_x]
+    stored_y = [m.codomain.points[m.codomain.index_of(y)] for y in typed_y]
+    assert stored_x[0] != (0.3,) and stored_y[1] != (0.6,)
+    typed = PairRegion.product(typed_x, typed_y)
+    stored = PairRegion.product(stored_x, stored_y)
+    for c in (1.0, 3.0):
+        reports = [(check_criterion(m, r, c, 0.5), setvalued_criterion(m, r, c, 0.5, 0.1),
+                    conclude_openness(m, r, c, 0.5)) for r in (typed, stored)]
+        assert reports[0] == reports[1]
+        crit, setvalued, conclusion = reports[1]
+        assert not crit.vacuous and not setvalued.direct.vacuous
+        assert conclusion.fiber_check.checked > 0
+        assert crit.passed == (c == 1.0) and setvalued.agree
+    one = PairRegion((((0.3,), (0.6,)),))
+    assert check_criterion(m, one, 1.0, 0.5) == check_criterion(
+        m, PairRegion(((stored_x[0], stored_y[1]),)), 1.0, 0.5)
+
+
+def test_repeated_domain_point_reads_its_pairs():
+    # The geometry put the pairs of a repeated point on its last row, while
+    # point lookups read the first, so the openness check over (0.5,) was
+    # vacuous. Both now use the first row, as for the cloud without repeats.
+    cod = PointCloud(((0.0,), (1.0,), (2.0,)))
+    pairs = (((0.0,), (0.0,)), ((0.5,), (1.0,)), ((1.0,), (2.0,)))
+    region = PairRegion.product([(0.5,)], cod.points)
+    reports = [conclude_openness(SampledMap(PointCloud(pts), cod, pairs), region, 1.0, 5.0)
+               for pts in (((0.0,), (0.5,), (0.5,), (1.0,)), ((0.0,), (0.5,), (1.0,)))]
+    assert reports[0] == reports[1]
+    assert reports[0].openness_check.checked == 1 and reports[0].fiber_check.checked == 2

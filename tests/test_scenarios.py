@@ -323,3 +323,25 @@ def test_directional_premetric_dimension_checked_at_load(tmp_path):
     doc["payload"]["premetric"]["directions"] = [[1.0]]
     (report,) = run_suite([load_scenario(write_scenario(tmp_path, doc))])
     assert report.error is None
+
+
+def test_directional_premetric_claims_triangle_only_on_a_line(tmp_path, capsys):
+    # Two rays at a right angle: their cone breaks the triangle inequality,
+    # so the gauge does not claim A2, and its A2 failure fails no claim.
+    doc = {"kind": "axioms",
+           "payload": {"cloud": {"points": [[0, 0], [1, 0], [1, 1], [0, 1]]},
+                       "premetric": {"kind": "directional",
+                                     "directions": [[1, 0], [0, 1]]}},
+           "expectations": [{"quantity": "claimed_ok", "equals": True},
+                            {"quantity": "A2", "equals": "fail"}]}
+    path = write_scenario(tmp_path, doc)
+    (report,) = run_suite([load_scenario(path)])
+    assert report.quantities["claimed_ok"] is True
+    assert main(["run", str(path)]) == 0
+    capsys.readouterr()
+    # A single direction and a +- pair claim A2, and it holds.
+    for directions in ([[1, 0]], [[1, 0], [-1, 0]]):
+        doc["payload"]["premetric"]["directions"] = directions
+        doc["expectations"][1]["equals"] = "pass"
+        (report,) = run_suite([load_scenario(write_scenario(tmp_path, doc))])
+        assert report.error is None and all_expectations_met([report])

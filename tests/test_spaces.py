@@ -2,20 +2,26 @@
 from __future__ import annotations
 
 import math
+import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from almostreg import spaces
 from almostreg.expressions import compile_expression
 from almostreg.regularity import EUCLIDEAN, Metric, graph_max_metric
 from almostreg.spaces import (
+    A2,
+    AxiomCheck,
     DirectionSet,
     PartialMetric,
     PartialMetricError,
     PointCloud,
     QuasiPremetric,
+    TriangleWitnesses,
     check_axioms,
     directional_gauge,
     directional_time,
@@ -258,6 +264,24 @@ def test_induced_partial_rejects_bad_self_distance():
         induce_from_partial(zeta, cloud)
 
 
+def test_induced_partial_names_first_corrected_triangle_witness():
+    # Self-distances max(x, x) = x are nonzero, so the corrected right side
+    # zeta(x, y) + zeta(y, u) - zeta(y, y) subtracts a real diagonal entry.
+    cloud = PointCloud.from_grid(0.0, 1.0, 0.125)
+    fn = lambda x, u: max(x[0], u[0]) + 2.0 * (x[0] - u[0]) ** 2  # noqa: E731
+    pts = cloud.points
+    z = [[fn(p, q) for q in pts] for p in pts]
+    expected = next(
+        f"corrected triangle fails at ({pts[i]}, {pts[k]}, {pts[j]}): {z[i][j]} > {rhs}"
+        for i in range(len(pts)) for k in range(len(pts)) for j in range(len(pts))
+        for rhs in [z[i][k] + z[k][j] - z[k][k]]
+        if z[i][j] > rhs + 1e-12 * max(1.0, abs(rhs))
+    )
+    with pytest.raises(PartialMetricError) as err:
+        induce_from_partial(PartialMetric(fn, name="bowl"), cloud)
+    assert str(err.value) == expected
+
+
 def test_completeness_probe_pass_on_settling_sequence():
     cloud = PointCloud.from_grid(0.0, 1.0, 0.25)
     report = check_axioms(euclidean_premetric(), cloud,
@@ -423,3 +447,100 @@ def test_directional_gauge_checks_direction_dimension():
     with pytest.raises(ValueError, match="dimension mismatch"):
         check_axioms(gauge, PointCloud.from_grid(0.0, 1.0, 0.25))
     assert float(gauge((0.0, 0.0), (0.6, 0.8))) == 1.0
+
+
+@pytest.mark.parametrize("vectors, claims_a2", [
+    ([(1.0, 0.0)], True),
+    ([(1.0, 0.0), (-1.0, 0.0)], True),
+    ([(0.6, 0.8), (-0.6, -0.8), (0.6, 0.8)], True),
+    ([(1.0, 0.0), (0.0, 1.0)], False),
+    ([(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0)], False),
+])
+def test_directional_gauge_claims_triangle_only_on_a_line(vectors, claims_a2):
+    ds = DirectionSet.normalized(vectors)
+    gauge = directional_gauge(ds)
+    assert (A2 in gauge.axioms_claimed) == claims_a2
+    # The unit square plus points on the first direction's line.
+    d = np.asarray(ds.directions[0])
+    pts = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
+    pts += [tuple((t * d).tolist()) for t in (-1.5, -0.5, 2.0)]
+    report = check_axioms(gauge, PointCloud(tuple(pts)))
+    assert report.claimed_ok
+    assert (report.checks[A2].status == "pass") == claims_a2
+
+
+def _squared(x, u):
+    return sum((a - b) * (a - b) for a, b in zip(x, u))
+
+
+def _asymmetric(x, u):
+    # Squared going up a coordinate, half the gap going down: asymmetric,
+    # and it breaks the triangle inequality.
+    return sum((b - a) * (b - a) if b >= a else 0.5 * (a - b) for a, b in zip(x, u))
+
+
+def _oracle_triangle_witnesses(space, cloud):
+    """The A2 witness tuples as the former tuple-building loop listed them,
+    by a pure-Python triple loop over the premetric table."""
+    pts = cloud.points
+    coords = np.asarray(pts, dtype=float)
+    eta = space.pairwise(coords, coords).tolist()
+    out = []
+    for i in range(len(pts)):
+        for k in range(len(pts)):
+            for j in range(len(pts)):
+                rhs = eta[i][k] + eta[k][j]
+                if eta[i][j] > rhs + 1e-12 * max(1.0, abs(rhs)):
+                    out.append((pts[i], pts[k], pts[j], eta[i][j], rhs))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("fn", [_squared, _asymmetric])
+def test_triangle_witnesses_read_as_the_tuple_oracle(monkeypatch, dim, fn):
+    # Iteration builds witnesses 7 at a time, so it crosses chunk borders.
+    monkeypatch.setattr(spaces, "_WITNESS_CHUNK", 7)
+    rng = np.random.default_rng(dim)
+    cloud = PointCloud(tuple(map(tuple, np.round(rng.uniform(-1.0, 1.0, (9, dim)), 2).tolist())))
+    space = QuasiPremetric(fn=fn, axioms_claimed=frozenset({A2}))
+    check = check_axioms(space, cloud).checks[A2]
+    expected = _oracle_triangle_witnesses(space, cloud)
+    witnesses = check.violations
+    n = len(expected)
+    assert isinstance(witnesses, TriangleWitnesses) and n > 20
+    assert len(witnesses) == n and check.status == "fail"
+    assert list(witnesses) == list(expected)
+    for pos in range(-n, n):
+        assert witnesses[pos] == expected[pos]
+    for pos in (n, n + 3, -n - 1):
+        with pytest.raises(IndexError):
+            witnesses[pos]
+    for sel in (slice(None), slice(None, None, 3), slice(2, -3, 2), slice(None, None, -1),
+                slice(n - 2, 1, -4), slice(-5, None), slice(n + 5, None), slice(4, 4)):
+        got = witnesses[sel]
+        assert type(got) is tuple and got == expected[sel]
+    assert witnesses == expected and expected == witnesses
+    assert witnesses != expected[:-1] and witnesses != expected[1:] + expected[:1]
+    assert hash(witnesses) == hash(expected)
+    assert repr(witnesses) == repr(expected)
+    assert check == AxiomCheck("fail", expected) and hash(check) == hash(AxiomCheck("fail", expected))
+    assert repr(check) == repr(AxiomCheck("fail", expected))
+    copy = pickle.loads(pickle.dumps(witnesses))
+    assert type(copy) is TriangleWitnesses and copy == expected and repr(copy) == repr(expected)
+
+
+def test_triangle_witness_memory_is_compact():
+    # The squared premetric on 101 grid points breaks the triangle
+    # inequality on every triple in strictly monotone order, 333,300 in all.
+    # Witness tuples held in full took 123 bytes each at the peak.
+    squared = QuasiPremetric(fn=_squared, axioms_claimed=frozenset({A2}))
+    cloud = PointCloud.from_grid(0.0, 1.0, 0.01)
+    tracemalloc.start()
+    try:
+        report = check_axioms(squared, cloud)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    count = len(report.checks[A2].violations)
+    assert count == 101 * 100 * 99 // 3
+    assert peak <= 80 * count, peak / count
