@@ -409,11 +409,11 @@ def _premise_a(geom: MapGeometry, x_bar: Point, z_bar: Point, c: float,
     x, y = geom.pair_xi[rows], geom.pair_yi[rows]
     cover = geom.cover_radius(tol).T[x]
     targets = geom.DY[rz] < v_window
-    reach = np.full(len(rows), r)
+    gam = np.full(len(rows), r)
     tgrid = TGrid(geom.step_x)
     closed_scan, open_scan = (
-        _openness_violations(tgrid.first_reaching(geom.DY[y], c_prime, closed=closed),
-                             cover, targets, reach, closed)
+        _openness_violations(tgrid, geom.DY[y], c_prime,
+                             tgrid.floor_radius(cover, strict=closed), targets, gam, closed)
         for closed in (True, False))
     report = CheckReport(
         name="setvalued-premise-A",

@@ -260,7 +260,9 @@ class TGrid:
         radii = self.radius(np.arange(math.ceil(math.log(top / self.t_min)
                                                 / math.log(self.ratio)) + 2))
         k = np.searchsorted(radii, bound, side="left" if strict else "right")
-        return np.where(np.isinf(bound), np.inf, np.concatenate(([0.0], radii))[k])
+        out = np.asarray(np.concatenate(([0.0], radii))[k])
+        out[np.isinf(bound)] = np.inf
+        return out
 
     def first_reaching(self, rho: np.ndarray, constant: float,
                        closed: bool = False) -> np.ndarray:
@@ -428,8 +430,9 @@ def _default_eps_schedule(geom: MapGeometry) -> tuple[float, ...]:
 #
 # Every check runs on a block of source rows (graph pairs or domain points)
 # against target columns (codomain points). An entry takes part only where
-# its column mask is set and its radius t (openness) or constant * rho
-# (estimate) is below the row's gamma, so a gamma of 0 drops the row.
+# its column mask is set and its least reaching grid radius (openness) or
+# constant * rho (estimate) is below the row's gamma, so a gamma of 0 drops
+# the row.
 
 
 class _Scan(NamedTuple):
@@ -448,18 +451,35 @@ def _scan(window: np.ndarray, viol: np.ndarray, *values: np.ndarray) -> _Scan:
     return _Scan(int(window.sum()), count, hits)
 
 
-def _openness_violations(t: np.ndarray, cover: np.ndarray, cols: np.ndarray,
-                         gam: np.ndarray, closed: bool) -> _Scan:
+def _openness_violations(tgrid: TGrid, rho: np.ndarray, constant: float,
+                         reach: np.ndarray, cols: np.ndarray, gam: np.ndarray,
+                         closed: bool) -> _Scan:
     """Ball-inclusion scan; hits carry the radius t.
 
-    t[i, v] is the least grid radius with rho[i, v] < constant * t (<= when
-    closed), cover[i, v] the least radius whose domain ball around row i's
-    point covers v. The inclusion fails at the first radius below gamma that
-    reaches v while the open (closed) ball still misses it.
+    Entry (i, v) is reached at the least grid radius t with rho[i, v] <
+    constant * t (<= when closed). The inclusion fails when that radius is
+    below gamma while the open (closed) domain ball around row i's point
+    misses v; reach[i, v] is the largest grid radius <= (< when closed) the
+    least covering radius, 0 when there is none. Since constant * t never
+    decreases along the grid, t <= T for a grid radius T exactly when rho <
+    constant * T (<=), so the scan compares rho with constant * T and finds
+    t only for the hits.
     """
-    window = cols & (t < gam[:, None])
-    viol = window & ((t < cover) if closed else (t <= cover))
-    return _scan(window, viol, t)
+    top = tgrid.floor_radius(gam, strict=True)[:, None]
+    if closed:
+        # rho = 0 would pass <= against a radius of 0, and an infinite rho
+        # against an infinite radius, where no grid radius reaches or covers.
+        window = cols & (rho <= constant * top) & (top > 0.0) & np.isfinite(rho)
+        viol = window & (rho <= constant * reach) & (reach > 0.0)
+    else:
+        window = cols & (rho < constant * top)
+        viol = window & (rho < constant * reach)
+    scan = _scan(window, viol)
+    if not scan.hits:
+        return scan
+    t = tgrid.first_reaching(np.array([rho[hit] for hit in scan.hits]), constant,
+                             closed=closed)
+    return scan._replace(hits=tuple((*hit, float(ti)) for hit, ti in zip(scan.hits, t)))
 
 
 def _estimate_violations(rho: np.ndarray, surrogate: np.ndarray, cols: np.ndarray,
@@ -495,9 +515,9 @@ def _openness_check(inst: RegularityInstance, closed: bool, name: str) -> CheckR
     geom = prep.geom
     rows = np.flatnonzero(prep.u_mask[geom.pair_xi])
     x, y = geom.pair_xi[rows], geom.pair_yi[rows]
-    t = prep.tgrid.first_reaching(geom.DY[y], inst.constant, closed=closed)
-    scan = _openness_violations(t, geom.cover_radius(prep.tol).T[x], prep.v_mask,
-                                prep.gam[x], closed)
+    reach = prep.tgrid.floor_radius(geom.cover_radius(prep.tol).T[x], strict=closed)
+    scan = _openness_violations(prep.tgrid, geom.DY[y], inst.constant, reach,
+                                prep.v_mask, prep.gam[x], closed)
     return CheckReport(
         name=name,
         passed=scan.count == 0,
@@ -665,15 +685,11 @@ class _KindBlock:
     cols: np.ndarray      # codomain index of each column
     rho: np.ndarray       # rows x cols
     # Open scans: the largest grid radius <= the cover radius (0 when there
-    # is none). A grid radius t is <= the cover radius exactly when it is <=
-    # this, so the kernel reads it in place of the cover radius.
+    # is none), the kernel's reach.
     # Estimate scans: the surrogate. Both rows x cols.
     fixed: np.ndarray
     row_dist: np.ndarray  # distance of each row's x from the reference point
     col_dist: np.ndarray  # distance of each column from the reference value
-    # Open scans: the distinct rho values and each entry's index into them.
-    rho_values: np.ndarray | None = None
-    rho_index: np.ndarray | None = None
 
 
 # Relative rounding slack of a rate threshold min rho / t, and the slack of a
@@ -695,7 +711,8 @@ class _ModulusEngine:
     verdict() answers a probe outside the band by comparing the constant with
     it. The scan kernel (holds_at) runs only for a probe inside the band and
     in endpoint(), which re-evaluates a bracket endpoint and yields its
-    witness.
+    witness. Each kernel verdict is kept, so an endpoint the bisection
+    already scanned is not scanned again.
     """
 
     def __init__(self, mapping: SampledMap, ref: tuple, cfg: ModulusSearchConfig):
@@ -709,9 +726,15 @@ class _ModulusEngine:
         self.eps = cfg.eps_schedule or _default_eps_schedule(self.geom)
         self.gamma0 = cfg.gamma0 if cfg.gamma0 is not None else self.geom.diam_x
         self.gamma_floor = cfg.gamma_floor_steps * self.geom.step_x
+        schedule = []
+        g = self.gamma0
+        while g >= self.gamma_floor and len(schedule) < 60:
+            schedule.append(g)
+            g *= 0.5
+        self.gamma_schedule = tuple(schedule) or (self.gamma0,)
         self._blocks: dict[str, _KindBlock] = {}
         self._bands: dict[tuple[str, float], tuple[float, float]] = {}
-        self._tstar: tuple[str, float, np.ndarray] | None = None
+        self._verdicts: dict[tuple[str, float, float], tuple[bool, tuple | None]] = {}
 
     def block(self, kind: str) -> _KindBlock:
         if kind not in self._blocks:
@@ -725,44 +748,35 @@ class _ModulusEngine:
             if rows == "at":
                 at = x == self.rx
                 x, y = x[at], y[at]
-            cols = np.arange(len(geom.Y)) if targets == "ball" else np.array([self.ry])
+            # A slice keeps the whole codomain without copying the rows again.
+            cols = slice(None) if targets == "ball" else [self.ry]
             rho = (geom.DY[y] if source == "pairs" else geom.DYG[x])[:, cols]
-            extra = {}
             if scan == "open":
                 fixed = self.tgrid.floor_radius(geom.cover_radius(self.tol).T[x][:, cols])
-                values, index = np.unique(rho, return_inverse=True)
-                extra = dict(rho_values=values, rho_index=index.reshape(rho.shape))
             else:
                 fixed = geom.preimage_distance(self.eps[-1])[x][:, cols]
             self._blocks[kind] = _KindBlock(
-                open_scan=scan == "open", x=x, y=y, cols=cols, rho=rho, fixed=fixed,
+                open_scan=scan == "open", x=x, y=y,
+                cols=np.arange(len(geom.Y))[cols], rho=rho, fixed=fixed,
                 row_dist=geom.DX[self.rx, x] if rows == "near" else np.zeros(len(x)),
-                col_dist=geom.DY[self.ry, cols] if targets == "ball" else np.zeros(1),
-                **extra)
+                col_dist=geom.DY[self.ry, cols] if targets == "ball" else np.zeros(1))
         return self._blocks[kind]
 
-    def tstar(self, kind: str, constant: float) -> np.ndarray:
-        """Least grid radius reaching each block entry, cached for one constant."""
-        if self._tstar is None or self._tstar[:2] != (kind, constant):
-            b = self.block(kind)
-            t = self.tgrid.first_reaching(b.rho_values, constant)[b.rho_index]
-            self._tstar = (kind, constant, t)
-        return self._tstar[2]
-
-    def gamma_schedule(self) -> list[float]:
-        out = []
-        g = self.gamma0
-        while g >= self.gamma_floor and len(out) < 60:
-            out.append(g)
-            g *= 0.5
-        return out or [self.gamma0]
-
     def holds_at(self, kind: str, constant: float, gamma: float) -> tuple[bool, tuple | None]:
+        """The kernel's verdict and first violation, kept per (kind,
+        constant, gamma) so a bracket endpoint reads the bisection's scan."""
+        key = (kind, constant, gamma)
+        if key not in self._verdicts:
+            self._verdicts[key] = self._scan_kind(kind, constant, gamma)
+        return self._verdicts[key]
+
+    def _scan_kind(self, kind: str, constant: float, gamma: float
+                   ) -> tuple[bool, tuple | None]:
         b = self.block(kind)
         gam = np.where(b.row_dist < gamma, gamma, 0.0)
         cols = b.col_dist < gamma
         if b.open_scan:
-            scan = _openness_violations(self.tstar(kind, constant), b.fixed, cols, gam,
+            scan = _openness_violations(self.tgrid, b.rho, constant, b.fixed, cols, gam,
                                         closed=False)
         else:
             scan = _estimate_violations(b.rho, b.fixed, cols, gam, constant, self.tol)
@@ -814,13 +828,11 @@ class _ModulusEngine:
         if (live & (b.rho == 0.0)).any():
             return math.inf, math.inf
         live &= np.isfinite(b.rho)
-        num = np.minimum(b.fixed - self.tol, gamma)
+        rho = b.rho[live]
+        num = np.minimum(b.fixed[live] - self.tol, gamma)
         slack = _BOUND_SLACK * (gamma + self.tol)
-        out = []
-        for edge in (num - slack, num + slack):
-            np.divide(edge, b.rho, out=edge, where=live)
-            out.append(float(np.max(edge, where=live, initial=-math.inf)))
-        return out[0], out[1]
+        return (float(np.max((num - slack) / rho, initial=-math.inf)),
+                float(np.max((num + slack) / rho, initial=-math.inf)))
 
     def sure_verdict(self, kind: str, constant: float, gamma: float) -> bool | None:
         """holds_at's verdict when the constant lies outside the band, else None."""
@@ -838,7 +850,7 @@ class _ModulusEngine:
         """
         prev: bool | None = None
         prev_gamma = None
-        for g in self.gamma_schedule():
+        for g in self.gamma_schedule:
             ok = self.sure_verdict(kind, constant, g)
             if ok is None:
                 ok = self.holds_at(kind, constant, g)[0]

@@ -8,10 +8,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from almostreg import regularity
 from almostreg.regularity import (
@@ -436,7 +439,7 @@ def test_threshold_verdicts_agree_with_kernel():
         for cfg in (ModulusSearchConfig(), ModulusSearchConfig(closure_tol=0.0),
                     ModulusSearchConfig(gamma0=on_grid)):
             engine = _ModulusEngine(mapping, REF0, cfg)
-            for kind, gamma in itertools.product(MODULUS_KINDS, engine.gamma_schedule()):
+            for kind, gamma in itertools.product(MODULUS_KINDS, engine.gamma_schedule):
                 edges = [e for e in engine.band(kind, gamma) if 0.0 < e < math.inf]
                 constants = [c for e in edges for c in (np.nextafter(e, 0.0), e,
                                                         np.nextafter(e, math.inf))]
@@ -471,3 +474,141 @@ def test_modulus_search_runs_kernel_only_near_threshold(monkeypatch):
     assert counts["_estimate_violations"] <= 8, counts
     assert sur.lower <= 2.0 <= float(sur.upper)
     assert verify_product_laws(sur, reg).verdict
+
+
+def test_modulus_search_memoizes_kernel_scans(monkeypatch):
+    # A bracket endpoint whose verdict the kernel already gave during the
+    # bisection reads that scan, and a witness's radius comes from the few
+    # hit entries alone.
+    scans: list[tuple[float, float]] = []
+    sizes: list[int] = []
+    kernel, first_reaching = regularity._openness_violations, TGrid.first_reaching
+
+    def counted_kernel(tgrid, rho, constant, reach, cols, gam, closed):
+        scans.append((constant, float(gam.max())))
+        return kernel(tgrid, rho, constant, reach, cols, gam, closed)
+
+    def counted_first_reaching(self, rho, *args, **kwargs):
+        sizes.append(np.size(rho))
+        return first_reaching(self, rho, *args, **kwargs)
+
+    monkeypatch.setattr(regularity, "_openness_violations", counted_kernel)
+    monkeypatch.setattr(TGrid, "first_reaching", counted_first_reaching)
+    mapping = SampledMap.from_function(PointCloud.from_grid(-1.0, 1.0, 0.005),
+                                       lambda p: (2.0 * p[0],))
+    sur = estimate_modulus(mapping, REF0, "sur")
+    assert sur.lower <= 2.0 <= float(sur.upper)
+    assert scans and len(scans) == len(set(scans)), scans
+    assert sizes and all(1 <= size <= regularity._WITNESS_CAP for size in sizes), sizes
+
+
+def test_modulus_search_memory_per_block_entry():
+    # The sur block of x -> 2x on 801 points has 801 x 801 entries. The rho
+    # block and the grid floor of the cover radius are kept; the cover table
+    # is built inside the call.
+    mapping = SampledMap.from_function(PointCloud.from_grid(-1.0, 1.0, 0.0025),
+                                       lambda p: (2.0 * p[0],))
+    entries = len(mapping.geometry.Y) * len(mapping.geometry.X)
+    assert entries == 641_601
+    tracemalloc.start()
+    try:
+        estimate_modulus(mapping, REF0, "sur")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 48 * entries, peak / entries
+
+
+def _tstar_oracle(tgrid, rho, constant, cover, cols, gam, closed):
+    """The openness scan through t*, the least grid radius reaching each entry."""
+    t = tgrid.first_reaching(rho, constant, closed=closed)
+    window = cols & (t < gam[:, None])
+    viol = window & ((t < cover) if closed else (t <= cover))
+    return regularity._scan(window, viol, t)
+
+
+@st.composite
+def _openness_blocks(draw):
+    tgrid = TGrid(draw(st.sampled_from([0.005, 0.02, 0.3])), draw(st.sampled_from([5, 20])))
+    constant = draw(st.one_of(st.sampled_from([1e-9, 1e-6, 1e6, 1e9]),
+                              st.floats(1e-3, 1e3)))
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+
+    def value(scale, hi):
+        # 0, inf, a float, or scale times a grid radius, possibly one ulp off.
+        kind = draw(st.integers(0, 3))
+        if kind < 2:
+            return (0.0, math.inf)[kind]
+        if kind == 2:
+            return draw(st.floats(0.0, hi))
+        v = scale * float(tgrid.radius(draw(st.integers(0, 40))))
+        return float(np.nextafter(v, draw(st.sampled_from([0.0, v, math.inf]))))
+
+    rho = np.array([[value(constant, 1e4) for _ in range(cols)] for _ in range(rows)])
+    cover = np.array([[value(1.0, 100.0) for _ in range(cols)] for _ in range(rows)])
+    gam = np.array([value(1.0, 100.0) for _ in range(rows)])
+    mask = np.array(draw(st.lists(st.booleans(), min_size=cols, max_size=cols)))
+    return tgrid, rho, constant, cover, mask, gam, draw(st.booleans())
+
+
+def _block(rho, cover, gam, closed):
+    return (TGrid(0.02), np.array([[rho]]), 1.0, np.array([[cover]]), np.array([True]),
+            np.array([gam]), closed)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_openness_blocks())
+# The closed scan's guards: rho = 0 against a top radius of 0 (gamma 0),
+# an infinite rho against an infinite gamma, rho = 0 against a reach of 0.
+@example(_block(0.0, 1.0, 0.0, True))
+@example(_block(math.inf, 1.0, math.inf, True))
+@example(_block(0.0, 0.0, 1.0, True))
+def test_openness_kernel_matches_tstar_oracle(block):
+    tgrid, rho, constant, cover, cols, gam, closed = block
+    reach = tgrid.floor_radius(cover, strict=closed)
+    got = regularity._openness_violations(tgrid, rho, constant, reach, cols, gam, closed)
+    assert got == _tstar_oracle(tgrid, rho, constant, cover, cols, gam, closed)
+
+
+@st.composite
+def _grid_maps(draw):
+    # Coordinates stay within 0.5 in size (up to round-off), so a point is
+    # resolved by PointCloud.index_of exactly when it lies within 1e-9.
+    start = draw(st.floats(-0.5, 0.0))
+    step = draw(st.sampled_from([0.01, 0.02, 0.025]))
+    cloud = PointCloud.from_grid(start, start + step * draw(st.integers(1, 20)), step)
+    return SampledMap.from_function(cloud, lambda p: (0.5 * p[0],))
+
+
+_ROUNDOFF = st.floats(-1e-10, 1e-10)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_grid_maps(), st.data())
+def test_locate_resolves_roundoff_to_stored_index(mapping, data):
+    geom = mapping.geometry
+    i = data.draw(st.integers(0, len(mapping.pairs) - 1))
+    x, y = mapping.pairs[i]
+    moved_x = (x[0] + data.draw(_ROUNDOFF),)
+    moved_y = (y[0] + data.draw(_ROUNDOFF),)
+    assert geom.locate(moved_x, moved_y) == (geom.x_index[x], geom.y_index[y])
+    assert geom.locate(moved_x, moved_y) == (mapping.domain.index_of(moved_x),
+                                             mapping.codomain.index_of(moved_y))
+    assert geom.on_graph(moved_x, moved_y)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_grid_maps(), st.data())
+def test_locate_rejects_points_off_the_cloud(mapping, data):
+    geom = mapping.geometry
+    x, y = mapping.pairs[data.draw(st.integers(0, len(mapping.pairs) - 1))]
+    offset = data.draw(st.floats(1e-9, 0.2, exclude_min=True))
+    off = (x[0] + data.draw(st.sampled_from([-offset, offset])),)
+    assume(all(abs(off[0] - p[0]) > 1e-9 for p in mapping.domain.points))
+    with pytest.raises(KeyError):
+        geom.locate(off, y)
+    with pytest.raises(KeyError):
+        mapping.domain.index_of(off)
+    with pytest.raises(KeyError):
+        geom.locate(x, (y[0] + offset + 1.0,))
+    assert not geom.on_graph(off, y)
