@@ -30,7 +30,7 @@ from .regularity import (
     check_openness,
     estimate_modulus,
 )
-from .spaces import Point, PointCloud, QuasiPremetric, as_point
+from .spaces import EUCLIDEAN, Point, PointCloud, QuasiPremetric, as_point
 
 
 @dataclass(frozen=True)
@@ -95,13 +95,19 @@ def _stored(cloud: PointCloud, point) -> Point:
 
 
 def estimate_lip(h, center, radius: float, cloud: PointCloud | None = None,
-                 anchor=None) -> LipschitzEstimate:
+                 anchor=None, metric_x: QuasiPremetric = EUCLIDEAN,
+                 metric_y: QuasiPremetric = EUCLIDEAN) -> LipschitzEstimate:
     """Sampled Lipschitz rate of h inside the closed ball around center.
 
-    For a callable h the estimate is the max pairwise ratio over cloud points
-    in the ball. For a sampled set-valued map the Aubin form is used: every
-    value of h(u) within `radius` of `anchor` must be approached in h(x), and
-    the worst excess-to-distance ratio is returned.
+    For a callable h the ball holds the cloud points p with metric_x(center,
+    p) <= radius, and the estimate is the largest ratio metric_y(h(u), h(x))
+    / metric_x(u, x) over pairs u before x in the ball, read from one
+    distance table of the points and one of the values. Pairs at distance 0
+    and nan ratios are skipped; the witness is the first pair, row-major,
+    that attains the largest ratio, and there is none when every ratio is 0.
+    For a sampled set-valued map the Aubin form is used, in the map's own
+    metrics: every value of h(u) within `radius` of `anchor` must be
+    approached in h(x), and the worst excess-to-distance ratio is returned.
     """
     c = as_point(center)
     if isinstance(h, SampledMap):
@@ -110,23 +116,21 @@ def estimate_lip(h, center, radius: float, cloud: PointCloud | None = None,
         return _aubin_estimate(h, c, as_point(anchor), radius)
     if cloud is None:
         raise ValueError("callable Lipschitz estimate needs a point cloud")
-    pts = [p for p in cloud.points
-           if math.dist(p, c) <= radius]
+    pts = [p for p, d in zip(cloud.points, _distances(metric_x, c, cloud)) if d <= radius]
     if len(pts) < 2:
         raise ValueError("degenerate cloud: need at least two points in the ball")
-    values = [as_point(h(p)) for p in pts]
-    best = 0.0
-    witness: tuple[Point, Point] | None = None
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            d = math.dist(pts[i], pts[j])
-            if d == 0.0:
-                continue
-            ratio = math.dist(values[i], values[j]) / d
-            if ratio > best:
-                best = ratio
-                witness = (pts[i], pts[j])
-    return LipschitzEstimate(value=best, radius=radius, witness_pair=witness)
+    xs = np.array(pts, dtype=float)
+    values = np.array([as_point(h(p)) for p in pts], dtype=float)
+    d = metric_x.pairwise(xs, xs)
+    # A value distance may be nan (two infinite values); its ratio never wins.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = metric_y.unchecked_pairwise(values, values) / d
+        live = np.triu(d != 0.0, k=1) & (ratio > 0.0)
+    best = float(np.max(ratio, where=live, initial=0.0))
+    if best == 0.0:
+        return LipschitzEstimate(value=0.0, radius=radius, witness_pair=None)
+    i, j = np.argwhere(live & (ratio == best))[0]
+    return LipschitzEstimate(value=best, radius=radius, witness_pair=(pts[i], pts[j]))
 
 
 def _aubin_estimate(H: SampledMap, center: Point, anchor: Point,
@@ -248,7 +252,8 @@ def lg_single_check(inst: PerturbationInstance,
     geom = F.geometry
     radius = lip_radius if lip_radius is not None else 0.5 * geom.diam_x
     sur_f = estimate_modulus(F, (inst.x_bar, inst.z_bar), "sur", cfg)
-    lip = estimate_lip(inst.h, inst.x_bar, radius, F.domain)
+    lip = estimate_lip(inst.h, inst.x_bar, radius, F.domain,
+                       metric_x=F.metric_x, metric_y=F.metric_y)
     perturbed = perturbed_map(F, inst.h)
     shift = as_point(inst.h(inst.x_bar))
     z_shifted = tuple(a + b for a, b in zip(inst.z_bar, shift))
@@ -407,13 +412,12 @@ def _premise_a(geom: MapGeometry, x_bar: Point, z_bar: Point, c: float,
     rows = np.flatnonzero((geom.DX[rx, geom.pair_xi] < a + r)
                           & (geom.DY[rz, geom.pair_yi] < z_window))
     x, y = geom.pair_xi[rows], geom.pair_yi[rows]
-    cover = geom.cover_radius(tol).T[x]
     targets = geom.DY[rz] < v_window
     gam = np.full(len(rows), r)
     tgrid = TGrid(geom.step_x)
     closed_scan, open_scan = (
-        _openness_violations(tgrid, geom.DY[y], c_prime,
-                             tgrid.floor_radius(cover, strict=closed), targets, gam, closed)
+        _openness_violations(tgrid, geom.DY[y], c_prime, geom.reach(tol, tgrid, strict=closed)[x],
+                             targets, gam, closed)
         for closed in (True, False))
     report = CheckReport(
         name="setvalued-premise-A",

@@ -166,7 +166,7 @@ class MapGeometry:
         self.step_y = _min_positive(self.DY)
         self.diam_x = _max_finite(self.DX)
         self.diam_y = _max_finite(self.DY)
-        self._cover: dict[float, np.ndarray] = {}
+        self._reach: dict[tuple[float, TGrid, bool], np.ndarray] = {}
         self._preimage: dict[float, np.ndarray] = {}
 
     def locate(self, x: float | Sequence[float],
@@ -188,19 +188,31 @@ class MapGeometry:
 
         Precisely min{DX[u, x] : dist(v, image(u)) <= tol}; +inf when no
         sampled image approaches v. An open ball of radius t covers v exactly
-        when t > S[v, x]; a closed ball when t >= S[v, x]. Built once per tol
-        and returned read-only.
+        when t > S[v, x]; a closed ball when t >= S[v, x]. Built on every
+        call and kept nowhere: the checks read its grid floor from reach().
         """
-        if tol not in self._cover:
-            n_x, n_y = self.DYG.shape
-            out = np.full((n_y, n_x), np.inf)
-            for v in range(n_y):
-                mask = self.DYG[:, v] <= tol
-                if mask.any():
-                    out[v] = self.DX[mask].min(axis=0)
+        n_x, n_y = self.DYG.shape
+        out = np.full((n_y, n_x), np.inf)
+        for v in range(n_y):
+            mask = self.DYG[:, v] <= tol
+            if mask.any():
+                out[v] = self.DX[mask].min(axis=0)
+        return out
+
+    def reach(self, tol: float, tgrid: "TGrid", strict: bool = False) -> np.ndarray:
+        """R[x, v] = tgrid.floor_radius(S[v, x], strict), the openness kernel's reach.
+
+        The largest grid radius <= the cover radius S of cover_radius(tol)
+        (< when strict), 0 when there is none, inf when no image approaches
+        v. Rows are domain points. Built once per (tol, tgrid, strict) and
+        returned read-only.
+        """
+        key = (tol, tgrid, strict)
+        if key not in self._reach:
+            out = tgrid.floor_radius(self.cover_radius(tol).T, strict=strict)
             out.flags.writeable = False
-            self._cover[tol] = out
-        return self._cover[tol]
+            self._reach[key] = out
+        return self._reach[key]
 
     def preimage_distance(self, eps: float) -> np.ndarray:
         """P[x, v] = dist(x, {u : image(u) meets the open ball B(v, eps)}).
@@ -223,6 +235,13 @@ class MapGeometry:
         out = np.full(self.DYG.T.shape, np.inf)
         np.minimum.at(out, self.pair_yi, self.DX[:, self.pair_xi].T)
         return out.T
+
+
+def _take_rows(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """table[rows], read without a copy when rows lists every row in order."""
+    if len(rows) == len(table) and (rows == np.arange(len(rows))).all():
+        return table
+    return table[rows]
 
 
 def _min_positive(d: np.ndarray) -> float:
@@ -515,8 +534,8 @@ def _openness_check(inst: RegularityInstance, closed: bool, name: str) -> CheckR
     geom = prep.geom
     rows = np.flatnonzero(prep.u_mask[geom.pair_xi])
     x, y = geom.pair_xi[rows], geom.pair_yi[rows]
-    reach = prep.tgrid.floor_radius(geom.cover_radius(prep.tol).T[x], strict=closed)
-    scan = _openness_violations(prep.tgrid, geom.DY[y], inst.constant, reach,
+    reach = _take_rows(geom.reach(prep.tol, prep.tgrid, strict=closed), x)
+    scan = _openness_violations(prep.tgrid, _take_rows(geom.DY, y), inst.constant, reach,
                                 prep.v_mask, prep.gam[x], closed)
     return CheckReport(
         name=name,
@@ -565,11 +584,11 @@ def _estimate_check(inst: RegularityInstance, from_pairs: bool, name: str) -> Ch
     if from_pairs:
         rows = np.flatnonzero(prep.u_mask[geom.pair_xi])
         x = geom.pair_xi[rows]
-        rho = geom.DY[geom.pair_yi[rows]]
+        rho = _take_rows(geom.DY, geom.pair_yi[rows])
     else:
         x = np.flatnonzero(prep.u_mask)
-        rho = geom.DYG[x]
-    scan = _estimate_violations(rho, surrogate[x], prep.v_mask, prep.gam[x],
+        rho = _take_rows(geom.DYG, x)
+    scan = _estimate_violations(rho, _take_rows(surrogate, x), prep.v_mask, prep.gam[x],
                                 inst.constant, prep.tol)
     return CheckReport(
         name=name,
@@ -691,6 +710,34 @@ class _KindBlock:
     row_dist: np.ndarray  # distance of each row's x from the reference point
     col_dist: np.ndarray  # distance of each column from the reference value
 
+    def box(self, gamma: float) -> "_Box":
+        """The least row range and column range holding the gamma window.
+
+        No entry outside them can count or violate, and row-major order
+        inside them is the block's own, so a scan of the box has the block's
+        verdict, count and first hits, shifted by the box offsets. The
+        ranges are basic slices: views, not copies.
+        """
+        row_in, col_in = self.row_dist < gamma, self.col_dist < gamma
+        rs, cs = _span(row_in), _span(col_in)
+        return _Box(rs.start, cs.start, self.rho[rs, cs], self.fixed[rs, cs],
+                    row_in[rs], col_in[cs])
+
+
+class _Box(NamedTuple):
+    r0: int               # block row of the box's first row
+    c0: int               # block column of the box's first column
+    rho: np.ndarray
+    fixed: np.ndarray
+    row_in: np.ndarray    # whether each box row is inside the window
+    col_in: np.ndarray    # whether each box column is inside the window
+
+
+def _span(mask: np.ndarray) -> slice:
+    """The least slice holding every set entry of mask, empty when none is."""
+    hit = np.flatnonzero(mask)
+    return slice(int(hit[0]), int(hit[-1]) + 1) if hit.size else slice(0, 0)
+
 
 # Relative rounding slack of a rate threshold min rho / t, and the slack of a
 # bound threshold min(gamma, surrogate - tol) / rho in units of
@@ -748,16 +795,18 @@ class _ModulusEngine:
             if rows == "at":
                 at = x == self.rx
                 x, y = x[at], y[at]
-            # A slice keeps the whole codomain without copying the rows again.
+            # Rows that list every table row, and a slice for the whole
+            # codomain, read the geometry's tables without copying them.
             cols = slice(None) if targets == "ball" else [self.ry]
-            rho = (geom.DY[y] if source == "pairs" else geom.DYG[x])[:, cols]
+            rho = _take_rows(geom.DY, y) if source == "pairs" else _take_rows(geom.DYG, x)
             if scan == "open":
-                fixed = self.tgrid.floor_radius(geom.cover_radius(self.tol).T[x][:, cols])
+                fixed = geom.reach(self.tol, self.tgrid)
             else:
-                fixed = geom.preimage_distance(self.eps[-1])[x][:, cols]
+                fixed = geom.preimage_distance(self.eps[-1])
             self._blocks[kind] = _KindBlock(
                 open_scan=scan == "open", x=x, y=y,
-                cols=np.arange(len(geom.Y))[cols], rho=rho, fixed=fixed,
+                cols=np.arange(len(geom.Y))[cols], rho=rho[:, cols],
+                fixed=_take_rows(fixed, x)[:, cols],
                 row_dist=geom.DX[self.rx, x] if rows == "near" else np.zeros(len(x)),
                 col_dist=geom.DY[self.ry, cols] if targets == "ball" else np.zeros(1))
         return self._blocks[kind]
@@ -773,16 +822,17 @@ class _ModulusEngine:
     def _scan_kind(self, kind: str, constant: float, gamma: float
                    ) -> tuple[bool, tuple | None]:
         b = self.block(kind)
-        gam = np.where(b.row_dist < gamma, gamma, 0.0)
-        cols = b.col_dist < gamma
+        box = b.box(gamma)
+        gam = np.where(box.row_in, gamma, 0.0)
         if b.open_scan:
-            scan = _openness_violations(self.tgrid, b.rho, constant, b.fixed, cols, gam,
-                                        closed=False)
+            scan = _openness_violations(self.tgrid, box.rho, constant, box.fixed, box.col_in,
+                                        gam, closed=False)
         else:
-            scan = _estimate_violations(b.rho, b.fixed, cols, gam, constant, self.tol)
+            scan = _estimate_violations(box.rho, box.fixed, box.col_in, gam, constant, self.tol)
         if not scan.hits:
             return True, None
         r, c, *values = scan.hits[0]
+        r, c = box.r0 + r, box.c0 + c
         xi, v = int(b.x[r]), int(b.cols[c])
         if b.open_scan:
             return False, _openness_witness(self.geom, xi, int(b.y[r]), v, values[0],
@@ -798,14 +848,15 @@ class _ModulusEngine:
         key = (kind, gamma)
         if key not in self._bands:
             b = self.block(kind)
-            window = (b.row_dist < gamma)[:, None] & (b.col_dist < gamma)
+            box = b.box(gamma)
+            window = box.row_in[:, None] & box.col_in
             if b.open_scan:
-                self._bands[key] = self._rate_band(b, window, gamma)
+                self._bands[key] = self._rate_band(box, window, gamma)
             else:
-                self._bands[key] = self._bound_band(b, window, gamma)
+                self._bands[key] = self._bound_band(box, window, gamma)
         return self._bands[key]
 
-    def _rate_band(self, b: _KindBlock, window: np.ndarray,
+    def _rate_band(self, b: _Box, window: np.ndarray,
                    gamma: float) -> tuple[float, float]:
         # An entry violates iff its t* is <= T, the largest grid radius that
         # is <= its cover radius and < gamma, that is iff rho < c * T. So the
@@ -817,7 +868,7 @@ class _ModulusEngine:
         c = float(np.fmin.reduce(ratio, axis=None, where=window, initial=math.inf))
         return c * (1.0 - _RATE_SLACK), c * (1.0 + _RATE_SLACK)
 
-    def _bound_band(self, b: _KindBlock, window: np.ndarray,
+    def _bound_band(self, b: _Box, window: np.ndarray,
                     gamma: float) -> tuple[float, float]:
         # An entry violates iff c * rho < gamma and c * rho + tol < surrogate.
         # A surrogate <= tol or an infinite rho never violates; rho = 0 with a

@@ -146,16 +146,20 @@ class QuasiPremetric:
             raise ValueError(f"premetric produced invalid value {value} at ({px}, {pu})")
         return as_ext(value)
 
-    def pairwise(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Matrix of eta(a_i, b_j); rejects its first nan or negative entry
-        (row-major) as a call would."""
+    def unchecked_pairwise(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """pairwise(a, b) with its nan and negative entries left in place."""
         a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
         if a.shape[1] != b.shape[1]:
             raise ValueError(f"dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
         if self.fn is not None:
-            out = _scalar_table(self.fn, a, b)
-        else:
-            out = np.asarray(self.table(a, b), dtype=float)
+            return _scalar_table(self.fn, a, b)
+        return np.asarray(self.table(a, b), dtype=float)
+
+    def pairwise(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Matrix of eta(a_i, b_j); rejects its first nan or negative entry
+        (row-major) as a call would."""
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        out = self.unchecked_pairwise(a, b)
         bad = np.isnan(out) | (out < 0.0)
         if bad.any():
             i, j = np.argwhere(bad)[0]

@@ -58,6 +58,110 @@ def test_estimate_lip_validation():
         estimate_lip(H_SIN, (0.0,), 0.5, anchor=(7.0,))
 
 
+def _lip_oracle(h, center, radius, cloud):
+    """The pure-Python double loop over Euclidean distances that the table
+    route of estimate_lip must reproduce."""
+    pts = [p for p in cloud.points if math.dist(p, center) <= radius]
+    values = [tuple(float(v) for v in h(p)) for p in pts]
+    best, witness = 0.0, None
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            d = math.dist(pts[i], pts[j])
+            if d == 0.0:
+                continue
+            ratio = math.dist(values[i], values[j]) / d
+            if ratio > best:
+                best, witness = ratio, (pts[i], pts[j])
+    return best, witness
+
+
+def _lip(h, center, radius, cloud):
+    est = estimate_lip(h, center, radius, cloud)
+    return est.value, est.witness_pair
+
+
+def test_estimate_lip_tables_match_loop_oracle_on_hand_cases():
+    line = PointCloud(tuple((float(k),) for k in range(6)))
+    cases = [
+        # Every ratio is exactly 2: the witness is the first pair.
+        (line, lambda p: (2.0 * p[0],)),
+        # Ties between different pairs at the largest ratio 3.
+        (line, lambda p: (3.0 * abs(p[0] - 2.0),)),
+        # Duplicate points: the pairs at distance 0 are skipped.
+        (PointCloud(((0.0,), (0.5,), (0.5,), (1.0,), (0.0,))),
+         lambda p: (p[0] * p[0],)),
+        # A constant h: the rate is 0 with no witness.
+        (line, lambda p: (7.0,)),
+        # Infinite values: inf against a finite value wins, inf against inf
+        # is a nan ratio and never does.
+        (line, lambda p: (math.inf if p[0] >= 3.0 else p[0],)),
+        (line, lambda p: ((-math.inf, math.inf)[int(p[0]) % 2],)),
+        (line, lambda p: (math.inf,)),
+    ]
+    for cloud, h in cases:
+        assert _lip(h, (2.0,), 10.0, cloud) == _lip_oracle(h, (2.0,), 10.0, cloud)
+    assert _lip(lambda p: (2.0 * p[0],), (2.0,), 10.0, line) == (2.0, ((0.0,), (1.0,)))
+    assert _lip(lambda p: (7.0,), (2.0,), 10.0, line) == (0.0, None)
+    value, pair = _lip(lambda p: (math.inf if p[0] >= 3.0 else p[0],), (2.0,), 10.0, line)
+    assert (value, pair) == (math.inf, ((0.0,), (3.0,)))
+    # The ball is closed: radius 1 around 2 holds 1, 2 and 3.
+    assert _lip(lambda p: (p[0] ** 2,), (2.0,), 1.0, line) == (5.0, ((2.0,), (3.0,)))
+    # Distinct points at premetric distance 0 are skipped, not read as inf.
+    coarse = Metric("floor", lambda a, b: np.abs(np.floor(a[:, None, 0])
+                                                  - np.floor(b[None, :, 0])))
+    est = estimate_lip(lambda p: p, (1.0,), 5.0, PointCloud(((0.0,), (0.5,), (1.0,), (1.5,))),
+                       metric_x=coarse)
+    assert (est.value, est.witness_pair) == (1.5, ((0.0,), (1.5,)))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_estimate_lip_tables_match_loop_oracle_on_random_clouds(dim):
+    # On 1-D clouds the tables give the loop's floats bit for bit. In more
+    # dimensions the Euclidean table sums squares where math.dist scales, so
+    # an entry may move by an ulp. A ratio of two such entries, the point
+    # distance and the value distance, can then move by two ulps before the
+    # division rounds: the rate is bounded at 3 ulps relative (2.07 seen).
+    drift = 3.0 * np.finfo(float).eps
+    rng = np.random.default_rng(dim)
+    for trial in range(20):
+        cloud = PointCloud(tuple(tuple(p) for p in rng.uniform(-1.0, 1.0, (60, dim)).tolist()))
+        a = rng.uniform(-2.0, 2.0, (dim, dim))
+
+        def h(p):
+            q = np.asarray(p) @ a
+            return tuple((np.sin(q) + 0.1 * q * q).tolist())
+
+        center, radius = cloud.points[trial], float(rng.uniform(0.3, 2.5))
+        got, pair = _lip(h, center, radius, cloud)
+        want, want_pair = _lip_oracle(h, center, radius, cloud)
+        if dim == 1:
+            assert (got, pair) == (want, want_pair)
+        else:
+            assert abs(got - want) <= drift * want, (got, want)
+            u, x = pair
+            assert abs(math.dist(h(u), h(x)) / math.dist(u, x) - want) <= drift * want
+
+
+def test_lg_single_check_reads_lipschitz_rate_in_map_metrics():
+    # Under d = 3|.| on the domain, the rate of h is a third of its
+    # Euclidean rate, and the ball of radius 3 * r is the Euclidean ball of
+    # radius r. The estimate must read both from the map's metrics.
+    scaled = Metric("3|.|", lambda a, b: 3.0 * np.abs(a[:, None, 0] - b[None, :, 0]))
+    euclidean = estimate_lip(h_sin, (0.0,), 0.5, DOM).value
+    scaled_est = estimate_lip(h_sin, (0.0,), 1.5, DOM, metric_x=scaled)
+    assert scaled_est.value == pytest.approx(euclidean / 3.0, rel=1e-12)
+    assert max(abs(p[0]) for p in scaled_est.witness_pair) <= 0.5
+    both = estimate_lip(h_sin, (0.0,), 1.5, DOM, metric_x=scaled, metric_y=scaled)
+    assert both.value == pytest.approx(euclidean, rel=1e-12)
+
+    F = SampledMap.from_function(DOM, lambda p: (2.0 * p[0],), metric_x=scaled)
+    rep = lg_single_check(PerturbationInstance(F=F, ref=((0.0,), (0.0,)), h=h_sin))
+    lip = dict(rep.details)["lip"]
+    assert lip == estimate_lip(h_sin, (0.0,), 0.5 * F.geometry.diam_x, DOM,
+                               metric_x=scaled).value
+    assert lip == pytest.approx(estimate_lip(h_sin, (0.0,), 1.0, DOM).value / 3.0, rel=1e-12)
+
+
 def test_perturbed_map_shifts_values():
     dom = PointCloud(((0.0,), (1.0,)))
     base = SampledMap.from_function(dom, lambda p: (2.0 * p[0],))

@@ -502,6 +502,110 @@ def test_modulus_search_memoizes_kernel_scans(monkeypatch):
     assert sizes and all(1 <= size <= regularity._WITNESS_CAP for size in sizes), sizes
 
 
+def _unsliced_holds(engine, kind, constant, gamma):
+    """The kernel on the kind's whole block, with the gamma window as masks."""
+    b = engine.block(kind)
+    gam = np.where(b.row_dist < gamma, gamma, 0.0)
+    cols = b.col_dist < gamma
+    if b.open_scan:
+        scan = regularity._openness_violations(engine.tgrid, b.rho, constant, b.fixed, cols,
+                                               gam, closed=False)
+    else:
+        scan = regularity._estimate_violations(b.rho, b.fixed, cols, gam, constant, engine.tol)
+    if not scan.hits:
+        return True, None
+    r, c, *values = scan.hits[0]
+    xi, v = int(b.x[r]), int(b.cols[c])
+    if b.open_scan:
+        return False, regularity._openness_witness(engine.geom, xi, int(b.y[r]), v, values[0],
+                                                   False).as_tuple()
+    return False, (engine.geom.domain.points[xi], engine.geom.codomain.points[v], *values)
+
+
+_GRID_2D = PointCloud(tuple((0.25 * i - 1.0, 0.25 * j - 1.0)
+                            for i in range(9) for j in range(9)))
+WINDOW_MAPS = [
+    SampledMap.from_function(PointCloud.from_grid(-1.0, 1.0, 0.05), lambda p: (-2.3 * p[0],)),
+    SampledMap.from_function(PointCloud.from_grid(-1.0, 1.0, 0.05),
+                             lambda p: (p[0] + 0.3 * math.sin(p[0]),)),
+    SampledMap.from_branches(PointCloud.from_grid(-1.0, 1.0, 0.05),
+                             [lambda p: (1.5 * p[0],), lambda p: (1.5 * p[0] + 10.0,)]),
+    SampledMap.from_function(_GRID_2D, lambda p: (2.0 * p[0] + 0.5 * p[1],
+                                                  -p[0] + 1.5 * p[1])),
+]
+
+
+def test_gamma_window_box_matches_unsliced_kernel():
+    # A scan cut to the least box around the gamma window must give the
+    # verdict and first witness of the kernel on the whole block, at every
+    # gamma of the schedule, above gamma0, and at gamma 0 (no row is near).
+    # In the 2-D map and the two-branch map the window has holes in its box.
+    rng = np.random.default_rng(10)
+    verdicts, holes = set(), 0
+    for mapping in WINDOW_MAPS:
+        ref = ((0.0,) * mapping.domain.dimension, (0.0,) * mapping.codomain.dimension)
+        engine = _ModulusEngine(mapping, ref, ModulusSearchConfig())
+        gammas = engine.gamma_schedule + (2.0 * engine.gamma0, 0.0)
+        for kind, gamma in itertools.product(MODULUS_KINDS, gammas):
+            box = engine.block(kind).box(gamma)
+            if gamma == 0.0:
+                assert box.rho.size == 0
+            holes += not (box.row_in.all() and box.col_in.all())
+            edges = [e for e in engine.band(kind, gamma) if 0.0 < e < math.inf]
+            constants = [c for e in edges for c in (np.nextafter(e, 0.0), e,
+                                                    np.nextafter(e, math.inf))]
+            constants += (10.0 ** rng.uniform(-2.0, 2.5, 3)).tolist()
+            for c in constants:
+                got = engine.holds_at(kind, c, gamma)
+                assert got == _unsliced_holds(engine, kind, c, gamma), (kind, c, gamma)
+                verdicts.add(got[0])
+        top = 2.0 * engine.gamma0
+        for kind in MODULUS_KINDS:
+            c = engine.band(kind, top)[0]
+            if 0.0 < c < math.inf:
+                report = check_modulus_property(mapping, ref, kind, 2.0 * c, top)
+                ok, witness = _unsliced_holds(engine, kind, 2.0 * c, top)
+                assert (report.passed, report.witnesses) == (ok, () if ok else (witness,))
+    assert verdicts == {True, False}
+    assert holes > 0
+
+
+def test_reach_table_built_once_and_shared(monkeypatch):
+    # The grid-floored reach is one read-only table per (tol, grid, strict):
+    # a nine-kind sweep builds it once, a second sweep builds none, and
+    # check_openness reads the sweep's table while closed_ball_openness
+    # builds the strict one once.
+    builds: list[float] = []
+    cover_radius = MapGeometry.cover_radius
+
+    def counted(self, tol):
+        builds.append(tol)
+        return cover_radius(self, tol)
+
+    monkeypatch.setattr(MapGeometry, "cover_radius", counted)
+    mapping = SampledMap.from_function(PointCloud.from_grid(-1.0, 1.0, 0.005),
+                                       lambda p: (2.0 * p[0],))
+    for sweep in (1, 2):
+        for kind in MODULUS_KINDS:
+            estimate_modulus(mapping, REF0, kind)
+        assert len(builds) == 1, (sweep, builds)
+    geom = mapping.geometry
+    reach = geom.reach(2.0 * geom.step_x, TGrid(geom.step_x))
+    assert not reach.flags.writeable
+    with pytest.raises(ValueError):
+        reach[0, 0] = 1.0
+    inst = RegularityInstance(mapping=mapping, region_x=mapping.domain.points[::8],
+                              region_y=mapping.codomain.points, gamma=0.5, constant=1.5)
+    check_openness(inst)
+    assert len(builds) == 1
+    closed_ball_openness(inst)
+    assert len(builds) == 2
+    check_openness(inst)
+    closed_ball_openness(inst)
+    assert not geom.reach(2.0 * geom.step_x, TGrid(geom.step_x), strict=True).flags.writeable
+    assert len(geom._reach) == 2 and len(builds) == 2
+
+
 def test_modulus_search_memory_per_block_entry():
     # The sur block of x -> 2x on 801 points has 801 x 801 entries. The rho
     # block and the grid floor of the cover radius are kept; the cover table
