@@ -154,6 +154,7 @@ def check_criterion(mapping: SampledMap, region: PairRegion, c: float,
     checked = 0
     witnesses: list[tuple] = []
     vacuous = True
+    cdx = c * g.DX
     for yi, fiber_idx in fibers.items():
         y = mapping.codomain.points[yi]
         r = g.DYG[:, yi]
@@ -161,13 +162,12 @@ def check_criterion(mapping: SampledMap, region: PairRegion, c: float,
         if not trig:
             continue
         # Largest descent bound reachable from any triggered region point.
-        ub = np.full(len(r), -np.inf)
-        for xi in trig:
-            np.maximum(ub, r[xi] - c * g.DX[:, xi], out=ub)
+        ub = np.max(r[trig] - cdx[:, trig], axis=1)
         with np.errstate(invalid="ignore"):
-            margin = r[:, None] - r[None, :] - c * g.DX
-        best = np.where(np.isfinite(r), np.nanmax(np.where(
-            np.isfinite(r)[None, :], margin, -np.inf), axis=1), -np.inf)
+            margin = r[:, None] - r[None, :]
+            margin -= cdx
+        margin[:, ~np.isfinite(r)] = -np.inf
+        best = np.where(np.isfinite(r), np.nanmax(margin, axis=1), -np.inf)
         for eps in eps_list:
             required = lam(eps)
             active = np.isfinite(r) & (r > eps) & (r <= ub)
@@ -270,10 +270,6 @@ def _fiber_conclusion(geom: MapGeometry, region: PairRegion, c: float,
 Oracle = Callable[[Point, Point, float], Point | None]
 
 
-def _dist(p: Point, q: Point) -> float:
-    return math.sqrt(sum((a - b) ** 2 for a, b in zip(p, q)))
-
-
 def scalar_map(fn: Callable[[float], float]) -> Callable[[Point], Point]:
     """Lift a float function to a map on 1-D points."""
     return lambda p: (float(fn(p[0])),)
@@ -295,21 +291,33 @@ def newton_oracle(fn: Callable[[float], float],
     return propose
 
 
+def _distances(a, b) -> np.ndarray:
+    """The Euclidean table between two point lists, nan entries kept, so an
+    infinite or nan map value gives a nan margin or residual (which never
+    wins and ends a descent run) instead of raising."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        return EUCLIDEAN.unchecked_pairwise(np.array(a, dtype=float), np.array(b, dtype=float))
+
+
 def grid_scan_oracle(cloud: PointCloud, g: Callable[[Point], Point],
                      c: float, slack: float) -> Oracle:
-    """Propose the cloud point with the largest validated improvement margin."""
+    """Propose the cloud point with the largest validated improvement margin.
+
+    The first candidate with the largest margin wins, and a nan margin never
+    does. g is evaluated once per cloud point, when the oracle is built.
+    """
+    points = np.array(cloud.points, dtype=float)
+    images = np.array([as_point(g(p)) for p in cloud.points], dtype=float)
 
     def propose(u: Point, y: Point, residual: float) -> Point | None:
-        best: Point | None = None
-        best_margin = -math.inf
-        for cand in cloud.points:
-            margin = residual - _dist(g(cand), y) - c * _dist(u, cand)
-            if margin > best_margin:
-                best_margin = margin
-                best = cand
-        if best is None or best_margin < slack:
+        with np.errstate(invalid="ignore"):
+            margin = (residual - _distances(images, [y])[:, 0]
+                      - c * _distances([u], points)[0])
+        margin[np.isnan(margin)] = -math.inf
+        best = int(np.argmax(margin))
+        if not -math.inf < margin[best] or margin[best] < slack:
             return None
-        return best
+        return cloud.points[best]
 
     return propose
 
@@ -356,7 +364,7 @@ def descent_solve(g: Callable[[Point], Point], start, target, c: float,
     if slack <= 0.0:
         raise ValueError("improvement slack must be positive")
     points = [u]
-    residuals = [_dist(as_point(g(u)), y)]
+    residuals = [float(_distances([as_point(g(u))], [y])[0, 0])]
     status = BUDGET_EXHAUSTED
     while True:
         if residuals[-1] <= eps:
@@ -370,23 +378,25 @@ def descent_solve(g: Callable[[Point], Point], start, target, c: float,
             status = ORACLE_EXHAUSTED
             break
         cand = as_point(proposal)
-        r_cand = _dist(as_point(g(cand)), y)
-        if not c * _dist(points[-1], cand) <= residuals[-1] - r_cand - slack:
+        r_cand = float(_distances([as_point(g(cand))], [y])[0, 0])
+        step = float(_distances([points[-1]], [cand])[0, 0])
+        if not c * step <= residuals[-1] - r_cand - slack:
             status = ORACLE_EXHAUSTED
             break
         points.append(cand)
         residuals.append(r_cand)
 
+    moves = _distances(points, points).tolist()
     cauchy_ok = True
     for j in range(len(points)):
         for k in range(j + 1, len(points)):
-            if not c * _dist(points[j], points[k]) <= residuals[j] - residuals[k]:
+            if not c * moves[j][k] <= residuals[j] - residuals[k]:
                 cauchy_ok = False
     if not cauchy_ok:
         raise AssertionError("descent iterates violated the pairwise estimate")
 
     radius_bound = residuals[0] / c
-    max_step = max(_dist(points[0], p) for p in points)
+    max_step = max(moves[0])
     within = max_step <= radius_bound
     if complete_space:
         note = ("iterates are Cauchy at rate c; in a complete space they "

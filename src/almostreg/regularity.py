@@ -63,6 +63,13 @@ def _image_cloud(pairs: Sequence[tuple[Point, Point]],
     return PointCloud(tuple(dict.fromkeys([y for _, y in pairs] + list(extra))))
 
 
+def _stored(cloud: PointCloud, point: float | Sequence[float]) -> Point | None:
+    """The cloud point that point resolves to through PointCloud.index_of;
+    None when no point matches, index_of's KeyError when several do."""
+    i = cloud._find(point)
+    return None if i is None else cloud.points[i]
+
+
 @dataclass(frozen=True)
 class SampledMap:
     """A finite set-valued map: pairs (x, y) over explicit clouds."""
@@ -112,11 +119,13 @@ class SampledMap:
         return MapGeometry(self)
 
     def image_of(self, x: float | Sequence[float]) -> tuple[Point, ...]:
-        p = as_point(x)
+        """Values over the stored point that x resolves to (see _stored)."""
+        p = _stored(self.domain, x)
         return tuple(y for (u, y) in self.pairs if u == p)
 
     def preimage_of(self, y: float | Sequence[float]) -> tuple[Point, ...]:
-        q = as_point(y)
+        """Points under the stored point that y resolves to (see _stored)."""
+        q = _stored(self.codomain, y)
         return tuple(x for (x, v) in self.pairs if v == q)
 
     def is_single_valued(self) -> bool:
@@ -739,13 +748,25 @@ def _span(mask: np.ndarray) -> slice:
     return slice(int(hit[0]), int(hit[-1]) + 1) if hit.size else slice(0, 0)
 
 
-# Relative rounding slack of a rate threshold min rho / t, and the slack of a
+# Relative rounding slack of a rate threshold min rho / T, and the slack of a
 # bound threshold min(gamma, surrogate - tol) / rho in units of
-# (gamma + tol) / rho. Both exceed the few ulps by which the kernel's float
-# comparisons can differ from the threshold's; constants inside the slack
-# are left to the kernel.
-_RATE_SLACK = 1e-9
-_BOUND_SLACK = 2e-9
+# (gamma + tol) / rho. Constants inside the slack are left to the kernel.
+# With u = 2**-53 the unit roundoff, and away from the subnormal range:
+# - Rate kinds. The kernel tests rho < fl(c * T), the band takes
+#   fl(rho / T), and each rounds by at most u; the fmin is exact, and
+#   widening the threshold by (1 -+ slack) rounds once more. So the band's
+#   edges sit within about 3u relative of the threshold the kernel applies,
+#   before the slack moves them out.
+# - Bound kinds. The kernel tests fl(c * rho) < gamma and surrogate <=
+#   fl(fl(c * rho) + tol), the band takes min(fl(surrogate - tol), gamma),
+#   adds or subtracts the slack and divides by rho. Near the threshold c *
+#   rho is at most gamma and the sums at most gamma + tol, so these roundings
+#   move c * rho by at most about 5u * (gamma + tol) in all, which the
+#   slack's (gamma + tol) / rho scaling covers.
+# 2**-46 = 128u covers both with a wide margin, so the kernel decides only a
+# constant within about 1e-14 relative of a threshold.
+_RATE_SLACK = 2.0 ** -46
+_BOUND_SLACK = 2.0 ** -46
 
 
 class _ModulusEngine:
@@ -754,12 +775,12 @@ class _ModulusEngine:
     At a fixed gamma each property is monotone in the constant: a rate kind
     holds exactly for constants up to a threshold, a bound kind exactly from
     one on. band() computes that threshold in one vectorized pass over the
-    kind's block and widens it by the rounding slack of its float operations;
-    verdict() answers a probe outside the band by comparing the constant with
-    it. The scan kernel (holds_at) runs only for a probe inside the band and
-    in endpoint(), which re-evaluates a bracket endpoint and yields its
-    witness. Each kernel verdict is kept, so an endpoint the bisection
-    already scanned is not scanned again.
+    kind's block and widens it by the rounding slack of its float operations,
+    a few ulps; verdict() answers a probe outside the band by comparing the
+    constant with it. The scan kernel (holds_at) runs in endpoint(), which
+    re-evaluates a bracket endpoint and yields its witness, and otherwise
+    only for the rare probe that lands inside a band. Each kernel verdict is
+    kept, so an endpoint such a probe already scanned is not scanned again.
     """
 
     def __init__(self, mapping: SampledMap, ref: tuple, cfg: ModulusSearchConfig):
@@ -946,10 +967,11 @@ def estimate_modulus(mapping: SampledMap, ref: tuple, kind: str,
     passing constants; for bound-type kinds it is the infimum. Each probe
     walks the gamma schedule until a verdict repeats. At each gamma the
     verdict comes from the kind's threshold constant, computed once per
-    gamma, unless the probe lies within rounding slack of it; then, and at
-    the bracket endpoints, the scan kernel evaluates the sample. So the
-    endpoints always carry verdicts actually evaluated on the sample, and
-    witness_fail is the kernel's first violation.
+    gamma. The scan kernel evaluates the sample at the two reported bracket
+    endpoints, and otherwise only in the rare probe that lies within a few
+    ulps of a threshold. So the endpoints always carry verdicts actually
+    evaluated on the sample, and witness_fail is the kernel's first
+    violation.
     """
     if kind not in MODULUS_KINDS:
         raise ValueError(f"unknown modulus kind {kind!r}")

@@ -92,17 +92,22 @@ class PointCloud:
         one point whose every coordinate lies within _INDEX_TOL of the
         target's (math.isclose with that relative and absolute tolerance).
         KeyError on no match or several."""
+        found = self._find(point)
+        if found is None:
+            raise KeyError(f"point {as_point(point)} not in cloud")
+        return found
+
+    def _find(self, point: float | Sequence[float]) -> int | None:
+        """index_of's index, or None when no point matches."""
         target = as_point(point)
         if target in self._positions:
             return self._positions[target]
         near = [i for i, p in enumerate(self.points) if len(p) == len(target)
                 and all(math.isclose(a, b, rel_tol=_INDEX_TOL, abs_tol=_INDEX_TOL)
                         for a, b in zip(p, target))]
-        if len(near) == 1:
-            return near[0]
-        if near:
+        if len(near) > 1:
             raise KeyError(f"point {target} matches {len(near)} cloud points")
-        raise KeyError(f"point {target} not in cloud")
+        return near[0] if near else None
 
 
 def _scalar_table(fn: Callable[[Point, Point], float], a: np.ndarray,

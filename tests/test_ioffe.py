@@ -6,6 +6,7 @@ the engine under test.
 """
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -342,3 +343,57 @@ def test_repeated_domain_point_reads_its_pairs():
                for pts in (((0.0,), (0.5,), (0.5,), (1.0,)), ((0.0,), (0.5,), (1.0,)))]
     assert reports[0] == reports[1]
     assert reports[0].openness_check.checked == 1 and reports[0].fiber_check.checked == 2
+
+
+def _loop_dist(p, q):
+    return math.sqrt(sum((a - b) ** 2 for a, b in zip(p, q)))
+
+
+def _loop_grid_oracle(cloud, g, c, slack):
+    """The grid oracle as a loop over the cloud, one distance at a time."""
+    def propose(u, y, residual):
+        best, best_margin = None, -math.inf
+        for cand in cloud.points:
+            margin = residual - _loop_dist(g(cand), y) - c * _loop_dist(u, cand)
+            if margin > best_margin:
+                best_margin, best = margin, cand
+        return None if best is None or best_margin < slack else best
+    return propose
+
+
+def test_grid_scan_oracle_matches_loop_oracle():
+    # Ties on a plateau go to the first cloud point, a nan margin (a nan
+    # image, an infinite image against an infinite target, or an infinite
+    # residual against an infinite image) never wins, and no proposal is
+    # made when every margin is nan or -inf.
+    cloud = PointCloud.from_grid(-1.0, 1.0, 0.25)
+    maps = [scalar_map(lambda x: max(-0.5, min(0.5, x))),
+            scalar_map(lambda x: math.inf if x > 0.6 else 2.0 * x),
+            scalar_map(lambda x: math.nan if x < -0.6 else x),
+            scalar_map(lambda x: math.inf)]
+    proposals = set()
+    for g in maps:
+        got = grid_scan_oracle(cloud, g, 0.7, 0.01)
+        want = _loop_grid_oracle(cloud, g, 0.7, 0.01)
+        for u, y, residual in itertools.product(
+                cloud.points, ((-0.5,), (0.0,), (0.3,), (math.inf,)), (0.0, 0.4, 2.0, math.inf)):
+            proposal = got(u, y, residual)
+            assert proposal == want(u, y, residual), (u, y, residual)
+            proposals.add(proposal)
+    assert None in proposals and len(proposals) > 2
+
+
+def test_descent_ends_on_nan_residual():
+    # A nan residual, from a map value that is nan or infinite against an
+    # infinite target, fails the improvement test and ends the run.
+    cloud = PointCloud.from_grid(-1.0, 1.0, 0.25)
+    g = scalar_map(lambda x: math.nan if x < -0.6 else x)
+    start = descent_solve(g, (-1.0,), (0.0,), 0.5, 0.01, grid_scan_oracle(cloud, g, 0.5, 0.01))
+    assert start.status == "oracle-exhausted" and start.points == ((-1.0,),)
+    assert math.isnan(start.residuals[0])
+    step = descent_solve(g, (0.5,), (0.0,), 0.5, 0.01, lambda u, y, r: (-1.0,))
+    assert step.status == "oracle-exhausted" and step.residuals == (0.5,)
+    g_inf = scalar_map(lambda x: math.inf)
+    target = descent_solve(g_inf, (0.0,), (math.inf,), 0.5, 0.01,
+                           grid_scan_oracle(cloud, g_inf, 0.5, 0.01))
+    assert target.status == "oracle-exhausted" and math.isnan(target.residuals[0])

@@ -21,6 +21,7 @@ from almostreg.regularity import (
     MODULUS_KINDS,
     SUP_KINDS,
     MapGeometry,
+    Metric,
     ModulusSearchConfig,
     RegularityInstance,
     SampledMap,
@@ -37,7 +38,7 @@ from almostreg.regularity import (
     verify_product_laws,
 )
 from almostreg.ioffe import check_unconditional_estimate
-from almostreg.spaces import PointCloud
+from almostreg.spaces import EUCLIDEAN, PointCloud
 
 DOM_COARSE = PointCloud.from_grid(-1.0, 1.0, 0.2)
 DOM = PointCloud.from_grid(-1.0, 1.0, 0.02)
@@ -363,6 +364,27 @@ def test_user_point_lookups_tolerate_grid_roundoff():
         regularity.sequence_characterization(TWO_X, (0.31,), (0.6,), 1.0, 0.1)
 
 
+def test_image_and_preimage_resolve_grid_roundoff():
+    # image_of and preimage_of resolve the user's point through
+    # PointCloud.index_of and read the pairs of the stored point.
+    x_stored, y_stored = (0.30000000000000004,), (0.6000000000000001,)
+    assert DOM.index_of(0.3) == DOM.points.index(x_stored) == 65
+    assert TWO_X.image_of(0.3) == TWO_X.image_of(x_stored) == (y_stored,)
+    assert TWO_X.preimage_of(0.6) == TWO_X.preimage_of(y_stored) == (x_stored,)
+    assert FAR.image_of((0.3,)) == FAR.image_of(x_stored)
+    assert len(FAR.image_of((0.3,))) == 2
+    # A point matching no stored point has no values; one matching two is
+    # ambiguous, as in index_of.
+    assert TWO_X.image_of(0.31) == () and TWO_X.preimage_of(0.61) == ()
+    near = SampledMap.from_function(PointCloud(((0.0,), (4e-10,), (1.0,))),
+                                    lambda p: (2.0 * p[0],))
+    assert near.image_of(4e-10) == ((8e-10,),)
+    with pytest.raises(KeyError, match="matches 2 cloud points"):
+        near.image_of(2e-10)
+    with pytest.raises(KeyError, match="matches 2 cloud points"):
+        near.preimage_of(4e-10)
+
+
 def test_check_modulus_property_bisection_consistency():
     # check at explicit constants brackets the reported threshold
     holds = check_modulus_property(TWO_X, REF0, "sur", 1.8, 1.0)
@@ -479,10 +501,17 @@ def test_modulus_search_runs_kernel_only_near_threshold(monkeypatch):
 def test_modulus_search_memoizes_kernel_scans(monkeypatch):
     # A bracket endpoint whose verdict the kernel already gave during the
     # bisection reads that scan, and a witness's radius comes from the few
-    # hit entries alone.
+    # hit entries alone. The rate band is widened to 1e-3 so that the
+    # bisection's last probes land inside it and are scanned.
+    lookups: list[tuple[str, float, float]] = []
     scans: list[tuple[float, float]] = []
     sizes: list[int] = []
+    holds_at = _ModulusEngine.holds_at
     kernel, first_reaching = regularity._openness_violations, TGrid.first_reaching
+
+    def counted_holds_at(self, kind, constant, gamma):
+        lookups.append((kind, constant, gamma))
+        return holds_at(self, kind, constant, gamma)
 
     def counted_kernel(tgrid, rho, constant, reach, cols, gam, closed):
         scans.append((constant, float(gam.max())))
@@ -492,14 +521,113 @@ def test_modulus_search_memoizes_kernel_scans(monkeypatch):
         sizes.append(np.size(rho))
         return first_reaching(self, rho, *args, **kwargs)
 
+    monkeypatch.setattr(regularity, "_RATE_SLACK", 1e-3)
+    monkeypatch.setattr(_ModulusEngine, "holds_at", counted_holds_at)
     monkeypatch.setattr(regularity, "_openness_violations", counted_kernel)
     monkeypatch.setattr(TGrid, "first_reaching", counted_first_reaching)
     mapping = SampledMap.from_function(PointCloud.from_grid(-1.0, 1.0, 0.005),
                                        lambda p: (2.0 * p[0],))
     sur = estimate_modulus(mapping, REF0, "sur")
     assert sur.lower <= 2.0 <= float(sur.upper)
-    assert scans and len(scans) == len(set(scans)), scans
+    assert scans and len(scans) == len(set(scans)) == len(set(lookups)), scans
+    ends = [("sur", *end[:2]) for end in (sur.witness_ok, sur.witness_fail)]
+    # Each endpoint was looked up by a bisection probe and again by the
+    # endpoint audit, and scanned once.
+    assert all(lookups.count(end) == 2 for end in ends), (ends, lookups)
+    assert all(scans.count(end[1:]) == 1 for end in ends), (ends, scans)
     assert sizes and all(1 <= size <= regularity._WITNESS_CAP for size in sizes), sizes
+
+
+ENDPOINT_MAPS = [
+    SampledMap.from_function(PointCloud.from_grid(-1.0, 1.0, 0.005), lambda p: (-2.3 * p[0],)),
+    SampledMap.from_function(PointCloud.from_grid(-1.0, 1.0, 0.02),
+                             lambda p: (p[0] + 0.3 * math.sin(p[0]),)),
+    SampledMap.from_branches(PointCloud.from_grid(-1.0, 1.0, 0.02),
+                             [lambda p: (1.5 * p[0],), lambda p: (1.5 * p[0] + 10.0,)]),
+]
+
+
+def test_modulus_search_scans_only_the_reported_endpoints(monkeypatch):
+    # The bands are a few ulps wide, so the bisection's probes are decided
+    # by the threshold and the kernel runs once per reported endpoint.
+    scans: list[tuple[str, float, float]] = []
+    scan_kind = _ModulusEngine._scan_kind
+
+    def counted(self, kind, constant, gamma):
+        scans.append((kind, constant, gamma))
+        return scan_kind(self, kind, constant, gamma)
+
+    monkeypatch.setattr(_ModulusEngine, "_scan_kind", counted)
+    for mapping in ENDPOINT_MAPS:
+        for kind in MODULUS_KINDS:
+            scans.clear()
+            report = estimate_modulus(mapping, REF0, kind)
+            ends = [(kind, *end[:2]) for end in (report.witness_ok, report.witness_fail)
+                    if end is not None]
+            assert len(scans) <= 2, (kind, scans)
+            assert sorted(scans) == sorted(ends), (kind, scans, ends)
+
+
+def _ulps_from(edge: float, toward: float, ulps: int) -> float:
+    for _ in range(ulps):
+        edge = float(np.nextafter(edge, toward))
+    return edge
+
+
+_THREE_ABS = Metric("3|.|", lambda a, b: 3.0 * np.abs(a[:, None, 0] - b[None, :, 0]))
+
+
+# (step, slope, family, metric_x, closure_tol in grid steps, gamma0 spec).
+# Whole grid steps sit on the surrogates' values, so surrogate - tol cancels
+# to a few ulps there. A gamma0 spec (j, k) sets gamma0 = 2**j times grid
+# radius k, which puts the schedule's j-th gamma on the radius grid; None is
+# the default gamma0.
+_BAND_CASES = st.tuples(
+    st.sampled_from([0.04, 0.05]),
+    st.floats(1e-3, 7.0).flatmap(lambda s: st.sampled_from([s, -s])),
+    st.sampled_from(["linear", "sine", "branches"]),
+    st.sampled_from(["euclidean", "3|.|"]),
+    st.sampled_from([None, 0.0, 1e-9, 1.0, 2.0, 3.0]),
+    st.none() | st.tuples(st.integers(0, 3), st.integers(20, 40)))
+
+
+def _band_engine(step, slope, family, metric, tol_steps, on_grid):
+    domain = PointCloud.from_grid(-1.0, 1.0, step)
+    metric_x = EUCLIDEAN if metric == "euclidean" else _THREE_ABS
+    if family == "branches":
+        mapping = SampledMap.from_branches(
+            domain, [lambda p: (slope * p[0],), lambda p: (slope * p[0] + 1.0,)],
+            metric_x=metric_x)
+    else:
+        wave = 0.3 if family == "sine" else 0.0
+        mapping = SampledMap.from_function(
+            domain, lambda p: (slope * (p[0] + wave * math.sin(3.0 * p[0])),),
+            metric_x=metric_x)
+    step_x = mapping.geometry.step_x
+    tol = None if tol_steps is None else tol_steps * step_x
+    gamma0 = None if on_grid is None else 2.0 ** on_grid[0] * float(
+        TGrid(step_x).radius(on_grid[1]))
+    return _ModulusEngine(mapping, REF0, ModulusSearchConfig(gamma0=gamma0, closure_tol=tol))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_BAND_CASES)
+def test_band_edges_agree_with_kernel_just_outside(case):
+    # A constant 1 to 8 ulps outside a band edge is decided by the threshold,
+    # and the kernel must give the same verdict: the band's slack covers
+    # every rounding by which the threshold and the kernel's float tests
+    # differ. With no slack, probes like these disagree.
+    engine = _band_engine(*case)
+    for kind, gamma in itertools.product(MODULUS_KINDS, engine.gamma_schedule):
+        below, above = engine.band(kind, gamma)
+        for edge, toward in ((below, 0.0), (above, math.inf)):
+            if not 0.0 < edge < math.inf:
+                continue
+            for ulps in range(1, 9):
+                c = _ulps_from(edge, toward, ulps)
+                sure = engine.sure_verdict(kind, c, gamma)
+                assert sure is not None and c > 0.0, (kind, c, gamma)
+                assert sure == engine._scan_kind(kind, c, gamma)[0], (kind, c, gamma, edge)
 
 
 def _unsliced_holds(engine, kind, constant, gamma):
