@@ -424,17 +424,22 @@ def milyutin_gamma(domain: PointCloud, region: Sequence,
 
     Computed inside the sampled domain cloud under the given metric
     (Euclidean by default); +inf when the region covers the whole cloud.
+    Region points resolve as PointCloud.index_of does, so grid round-off is
+    absorbed; a point matching no cloud point, or several, raises KeyError.
     """
-    region_set = {as_point(p) for p in region}
-    domain_set = set(domain.points)
-    for p in region_set:
-        if p not in domain_set:
-            raise KeyError(f"region point {p} not in domain cloud")
-    outside = [p for p in domain.points if p not in region_set]
+    inside = set()
+    for p in region:
+        found = domain._find(p)
+        if found is None:
+            raise KeyError(f"region point {as_point(p)} not in domain cloud")
+        inside.add(found)
+    # Every copy of a region point is inside: copies share a first index.
+    positions = domain._positions
+    outside = [i for i, p in enumerate(domain.points) if positions[p] not in inside]
     if not outside:
         return {p: math.inf for p in domain.points}
-    dmat = (metric if metric is not None else EUCLIDEAN).pairwise(
-        np.asarray(domain.points, dtype=float), np.asarray(outside, dtype=float))
+    coords = np.asarray(domain.points, dtype=float)
+    dmat = (metric if metric is not None else EUCLIDEAN).pairwise(coords, coords[outside])
     return dict(zip(domain.points, dmat.min(axis=1).tolist()))
 
 

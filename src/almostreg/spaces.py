@@ -114,7 +114,7 @@ def _scalar_table(fn: Callable[[Point, Point], float], a: np.ndarray,
                   b: np.ndarray) -> np.ndarray:
     """Matrix of fn(a_i, b_j) over the rows of two coordinate arrays."""
     cols = [tuple(q) for q in b.tolist()]
-    return np.array([[fn(tuple(p), q) for q in cols] for p in a.tolist()],
+    return np.array([[fn(p, q) for q in cols] for p in map(tuple, a.tolist())],
                     dtype=float).reshape(len(a), len(b))
 
 
@@ -338,13 +338,17 @@ def induce_from_partial(zeta: PartialMetric, cloud: PointCloud) -> QuasiPremetri
     Validation is exhaustive: small self-distances on every ordered pair and
     the corrected triangle inequality on every ordered triple. A violation is
     rejected with a witness.
+
+    eta is given in table form: an n x m table calls zeta n * m + n times,
+    once per pair and once per row point, and a call, a table entry and
+    zeta(x, u) - zeta(x, x) are the same float.
     """
     pts = cloud.points
     coords = np.asarray(pts, dtype=float)
     zmat = _scalar_table(zeta.fn, coords, coords)
     diag = np.diag(zmat)
     with np.errstate(invalid="ignore"):
-        small = diag[:, None] > zmat + _TRIANGLE_SLACK * np.maximum(1.0, np.abs(zmat))
+        small = diag[:, None] > _slack_bound(zmat, np.empty_like(zmat))
     if small.any():
         i, j = np.argwhere(small)[0]
         raise PartialMetricError(
@@ -360,8 +364,14 @@ def induce_from_partial(zeta: PartialMetric, cloud: PointCloud) -> QuasiPremetri
             f"{float(zmat[i, j])} > {float(zmat[i, k] + zmat[k, j] - diag[k])}"
         )
     base = zeta.fn
+
+    def table(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        own = np.array([base(p, p) for p in map(tuple, a.tolist())], dtype=float)
+        with np.errstate(invalid="ignore", over="ignore"):  # as in Python floats
+            return _scalar_table(base, a, b) - own[:, None]
+
     return QuasiPremetric(
-        fn=lambda x, u: base(x, u) - base(x, x),
+        table=table,
         axioms_claimed=frozenset({A1, A2}),
         name=f"induced({zeta.name})",
     )
@@ -465,29 +475,48 @@ class AxiomReport:
         return all(self.checks[a].status != "fail" for a in self.claimed)
 
 
+def _slack_bound(r: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """r + max(|r|, 1) * _TRIANGLE_SLACK into out: the largest left side that
+    does not break a triangle with right side r. Nondecreasing in r up to
+    +inf; nan at r = -inf and at nan."""
+    np.abs(r, out=out)
+    np.maximum(out, 1.0, out=out)
+    np.multiply(out, _TRIANGLE_SLACK, out=out)
+    return np.add(r, out, out=out)
+
+
 def _triangle_scan(m: np.ndarray, diag: np.ndarray | None = None):
     """Per row i breaking m[i, j] <= m[i, k] + m[k, j] (- diag[k]) beyond
     _TRIANGLE_SLACK, yield (i, kj): the violating cells k * n + j in
     row-major order. A caller that sums m[i, k] + m[k, j] (- diag[k]) again
     gets the right side the scan compared. A nan right side never violates.
 
-    Each row is tested in buffers allocated once per scan, so the scan does
-    not allocate per row beyond the cells it yields.
+    A row is screened first: as the slack bound is nondecreasing, a row
+    whose every m[i, j] lies within the bound of its column's least right
+    side breaks no triangle and is skipped. The screen's <= is false on a
+    nan (an all-nan column, a -inf right side, a nan entry), so such a row
+    is tested cell by cell, as is every row the screen flags. A row after
+    a violating row skips the screen, which seldom clears it (every row of
+    the squared distance's table violates). Buffers are allocated once per
+    scan, so the scan does not allocate per row beyond the cells it yields.
     """
     n = len(m)
     rhs, bound = np.empty((n, n)), np.empty((n, n))
+    low, low_bound = np.empty(n), np.empty(n)
     bad = np.empty((n, n), dtype=bool)
+    screen = True
     for i in range(n):
         with np.errstate(invalid="ignore"):
             np.add(m[i][:, None], m, out=rhs)
             if diag is not None:
                 np.subtract(rhs, diag[:, None], out=rhs)
-            np.abs(rhs, out=bound)
-            np.maximum(bound, 1.0, out=bound)
-            np.multiply(bound, _TRIANGLE_SLACK, out=bound)
-            np.add(rhs, bound, out=bound)
-            np.greater(m[i][None, :], bound, out=bad)
+            if screen:
+                np.fmin.reduce(rhs, axis=0, out=low)
+                if np.less_equal(m[i], _slack_bound(low, low_bound)).all():
+                    continue
+            np.greater(m[i][None, :], _slack_bound(rhs, bound), out=bad)
         kj = np.flatnonzero(bad)
+        screen = not kj.size
         if kj.size:
             yield i, kj
 
@@ -520,11 +549,15 @@ def check_axioms(space: QuasiPremetric, cloud: PointCloud,
     else:
         a2 = AxiomCheck("pass")
 
-    zero = table == 0.0
-    a3_violations = tuple((pts[i], pts[j], value)
-                          for (i, j), value in zip(np.argwhere(zero).tolist(),
-                                                   table[zero].tolist())
-                          if i != j and pts[i] != pts[j])
+    # Distinct points at premetric 0, in row-major order: two indices hold
+    # equal points exactly when the points first occur at the same index.
+    first = np.fromiter(map(cloud._positions.__getitem__, pts), dtype=np.int64, count=n)
+    i, j = np.nonzero(table == 0.0)
+    keep = first[i] != first[j]
+    i, j = i[keep], j[keep]
+    objects = np.fromiter(pts, dtype=object, count=n)
+    a3_violations = tuple([*zip(objects[i].tolist(), objects[j].tolist(),
+                                table[i, j].tolist())])
     a3 = AxiomCheck("fail" if a3_violations else "pass", a3_violations)
 
     seq_results: list[SequenceCheck] = []

@@ -220,7 +220,7 @@ instance = st.builds(
 )
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(instance)
 def test_trace_matches_oracle_and_chain_law(data):
     xs, vals, start_idx = data
@@ -237,7 +237,7 @@ def test_trace_matches_oracle_and_chain_law(data):
     assert ver.stationary_index is not None
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(instance)
 def test_weak_point_is_exactly_stationary(data):
     xs, vals, start_idx = data

@@ -226,6 +226,25 @@ def test_milyutin_gamma_distance_to_complement():
         milyutin_gamma(cloud, [(7.0,)])
 
 
+def test_milyutin_gamma_resolves_grid_roundoff():
+    # The grid stores 0.30000000000000004 at index 65; a region given as 0.3
+    # resolves to it, as index_of does.
+    cloud = PointCloud.from_grid(-1.0, 1.0, 0.02)
+    assert cloud.index_of((0.3,)) == 65 and cloud.points[65] != (0.3,)
+    assert milyutin_gamma(cloud, [(0.3,)]) == milyutin_gamma(cloud, [cloud.points[65]])
+    assert milyutin_gamma(cloud, [(0.3,)])[cloud.points[65]] > 0.0
+    with pytest.raises(KeyError, match=r"region point \(0\.305,\) not in domain cloud"):
+        milyutin_gamma(cloud, [(0.3,), (0.305,)])
+    # A copy of a region point is inside too.
+    twice = PointCloud(((0.0,), (0.1 + 0.2,), (1.0,), (0.1 + 0.2,)))
+    gam = milyutin_gamma(twice, [(0.1 + 0.2,)])
+    assert gam == {(0.0,): 0.0, (0.1 + 0.2,): 0.30000000000000004, (1.0,): 0.0}
+    # A point within the lookup tolerance of two distinct points is ambiguous.
+    close = PointCloud(((0.0,), (0.3,), (0.3 + 4e-10,), (1.0,)))
+    with pytest.raises(KeyError, match="matches 2 cloud points"):
+        milyutin_gamma(close, [(0.3 + 2e-10,)])
+
+
 def test_shrink_beta_closed_form():
     assert shrink_beta(1.0, 1.0, 1.0, 1.0) == 0.5
     assert shrink_beta(10.0, 10.0, 2.0, 3.0) == 2.0

@@ -610,7 +610,7 @@ def _band_engine(step, slope, family, metric, tol_steps, on_grid):
     return _ModulusEngine(mapping, REF0, ModulusSearchConfig(gamma0=gamma0, closure_tol=tol))
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(_BAND_CASES)
 def test_band_edges_agree_with_kernel_just_outside(case):
     # A constant 1 to 8 ulps outside a band edge is decided by the threshold,
@@ -788,7 +788,7 @@ def _block(rho, cover, gam, closed):
             np.array([gam]), closed)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(_openness_blocks())
 # The closed scan's guards: rho = 0 against a top radius of 0 (gamma 0),
 # an infinite rho against an infinite gamma, rho = 0 against a reach of 0.
@@ -815,7 +815,7 @@ def _grid_maps(draw):
 _ROUNDOFF = st.floats(-1e-10, 1e-10)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(_grid_maps(), st.data())
 def test_locate_resolves_roundoff_to_stored_index(mapping, data):
     geom = mapping.geometry
@@ -829,7 +829,7 @@ def test_locate_resolves_roundoff_to_stored_index(mapping, data):
     assert geom.on_graph(moved_x, moved_y)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(_grid_maps(), st.data())
 def test_locate_rejects_points_off_the_cloud(mapping, data):
     geom = mapping.geometry

@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from almostreg import spaces
@@ -544,3 +544,118 @@ def test_triangle_witness_memory_is_compact():
     count = len(report.checks[A2].violations)
     assert count == 101 * 100 * 99 // 3
     assert peak <= 80 * count, peak / count
+
+
+def _unscreened_scan(m, diag=None):
+    """The triangle scan before the row screen, every row tested cell by
+    cell: the reference for the screened scan."""
+    n = len(m)
+    rhs, bound = np.empty((n, n)), np.empty((n, n))
+    bad = np.empty((n, n), dtype=bool)
+    for i in range(n):
+        with np.errstate(invalid="ignore"):
+            np.add(m[i][:, None], m, out=rhs)
+            if diag is not None:
+                np.subtract(rhs, diag[:, None], out=rhs)
+            np.abs(rhs, out=bound)
+            np.maximum(bound, 1.0, out=bound)
+            np.multiply(bound, 1e-12, out=bound)
+            np.add(rhs, bound, out=bound)
+            np.greater(m[i][None, :], bound, out=bad)
+        kj = np.flatnonzero(bad)
+        if kj.size:
+            yield i, kj
+
+
+def _slack_edge(r):
+    return r + max(abs(r), 1.0) * 1e-12
+
+
+# Table entries: a few values with their neighbours one ulp apart, +inf, and
+# the slack bound of some right sides they sum to, with the float above it.
+_SCAN_VALUES = sorted(
+    {v for r in (0.0, 0.5, 1.0, 2.0, 3.0, -1.0, -2.5)
+     for v in (r, math.nextafter(r, -math.inf), math.nextafter(r, math.inf))}
+    | {v for r in (0.5, 1.0, 1.5, 2.0, 3.0, 4.0)
+       for v in (_slack_edge(r), math.nextafter(_slack_edge(r), math.inf))}
+    | {math.inf})
+
+
+@st.composite
+def _scan_tables(draw):
+    n = draw(st.integers(1, 6))
+    values = st.sampled_from(_SCAN_VALUES)
+    m = np.array(draw(st.lists(values, min_size=n * n, max_size=n * n))).reshape(n, n)
+    diag = draw(st.none() | st.lists(values, min_size=n, max_size=n).map(np.array))
+    return m, diag
+
+
+_ABOVE_EDGE = math.nextafter(_slack_edge(2.0), math.inf)
+_NAN, _INF = math.nan, math.inf
+
+
+@settings(max_examples=300)
+@given(_scan_tables())
+# One cell one ulp above the slack bound of its column's least right side,
+# 2.0, in a row that is otherwise clean.
+@example((np.array([[0.0, 1.0, _ABOVE_EDGE], [1.0, 0.0, 1.0], [_ABOVE_EDGE, 1.0, 0.0]]), None))
+# A -inf right side (its slack bound is nan) next to a violating one in the
+# same column, with and without a diagonal.
+@example((np.array([[0.0, 0.0, 5.0], [0.0, 0.0, 1.0], [0.0, 0.0, -_INF]]), None))
+@example((np.array([[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]]),
+          np.array([0.0, 0.0, _INF])))
+# An all-nan column: each row's own entry there is nan too, so every column
+# holds a nan right side, next to a violating one in the last column.
+@example((np.array([[0.0, _NAN, 1.0, 4.0], [1.0, _NAN, 0.0, 1.0],
+                    [1.0, _NAN, 0.0, 1.0], [4.0, _NAN, 1.0, 0.0]]), None))
+@example((np.array([[0.0, _NAN, 1.0, 4.0], [1.0, _NAN, 0.0, 1.0],
+                    [1.0, _NAN, 0.0, 1.0], [4.0, _NAN, 1.0, 0.0]]),
+          np.array([0.5, 0.0, 0.0, 0.0])))
+def test_screened_triangle_scan_matches_unscreened_oracle(case):
+    m, diag = case
+    got = [(i, kj.tolist()) for i, kj in spaces._triangle_scan(m, diag)]
+    assert got == [(i, kj.tolist()) for i, kj in _unscreened_scan(m, diag)]
+
+
+@settings(max_examples=40)
+@given(st.lists(st.floats(min_value=-5.0, max_value=5.0, allow_nan=False),
+                min_size=1, max_size=8))
+def test_induced_table_calls_zeta_once_per_pair(xs):
+    # zeta(x, x) = x + 0.3 > 0, so eta = zeta(x, u) - zeta(x, x) rounds.
+    calls = []
+
+    def zeta(x, u):
+        calls.append((x, u))
+        return max(x[0], u[0]) + 0.3
+
+    cloud = PointCloud.from_points(xs)
+    eta = induce_from_partial(PartialMetric(zeta, name="shifted max"), cloud)
+    coords = np.asarray(cloud.points)
+    calls.clear()
+    table = eta.pairwise(coords, coords)
+    n = len(xs)
+    assert len(calls) == n * n + n
+    pts = cloud.points
+    assert table.tolist() == [[zeta(p, q) - zeta(p, p) for q in pts] for p in pts]
+    assert table.tolist() == [[float(eta(p, q)) for q in pts] for p in pts]
+
+
+def test_axiom_a3_violations_match_generator_oracle():
+    # Distinct points at premetric 0, with -0.0 entries; the duplicate point
+    # (0.5,) at indices 1 and 4 is no violation against itself.
+    def fn(x, u):
+        if u[0] > x[0]:
+            return u[0] - x[0]
+        return 0.0 if u[0] == x[0] else -0.0
+
+    pts = ((0.0,), (0.5,), (2.0,), (1.25,), (0.5,), (3.0,))
+    space = QuasiPremetric(fn=fn)
+    cloud = PointCloud(pts)
+    table = space.pairwise(np.asarray(pts), np.asarray(pts))
+    zero = table == 0.0
+    expected = tuple((pts[i], pts[j], value)
+                     for (i, j), value in zip(np.argwhere(zero).tolist(), table[zero].tolist())
+                     if i != j and pts[i] != pts[j])
+    check = check_axioms(space, cloud).checks["A3"]
+    assert check.status == "fail" and len(expected) == 14
+    assert check.violations == expected and repr(check.violations) == repr(expected)
