@@ -61,7 +61,6 @@ from .regularity import (
     equivalence_suite,
     estimate_modulus,
     graph_max_metric,
-    project_graph,
     sequence_characterization,
     verify_product_laws,
 )

@@ -1088,33 +1088,6 @@ def _graph_map(mapping: SampledMap, alpha: float,
                        for g, (x, _) in zip(graph_points, mapping.pairs)}
 
 
-def project_graph(inst: RegularityInstance, alpha: float) -> RegularityInstance:
-    """Rebuild the instance over the graph cloud with the max-product metric.
-
-    The projected map sends a graph point (x, y) to y; the domain metric is
-    max(d, alpha * rho) with 0 < alpha < 1 / constant, and each graph point
-    inherits gamma from its first coordinate. Openness verdicts transfer.
-    """
-    if not 0.0 < alpha < 1.0 / inst.constant:
-        raise ValueError("alpha must lie in (0, 1 / constant)")
-    mapping = inst.mapping
-    projected, gamma_table = _graph_map(mapping, alpha,
-                                        _gamma_array(inst.gamma, mapping.domain))
-    region = set(as_point(p) for p in inst.region_x)
-    region_graph = tuple(g for g, (x, _) in zip(projected.domain.points, mapping.pairs)
-                         if x in region)
-    return RegularityInstance(
-        mapping=projected,
-        region_x=region_graph,
-        region_y=inst.region_y,
-        gamma=gamma_table,
-        constant=inst.constant,
-        eps_schedule=inst.eps_schedule,
-        closure_tol=inst.closure_tol,
-        t_per_decade=inst.t_per_decade,
-    )
-
-
 @dataclass(frozen=True)
 class SequenceCharReport:
     targets: tuple[Point, ...]

@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from time import perf_counter
 from typing import Callable, Mapping, Sequence
@@ -37,7 +35,6 @@ from .linear import DenseMatrix, NormSpec, harte_check, injectivity_bound, open_
 from .perturb import (
     PerturbationInstance,
     admissible_beta_interval,
-    estimate_lip,
     graves_check,
     lg_setvalued_check,
     lg_single_check,
@@ -45,6 +42,7 @@ from .perturb import (
     sum_stability_check,
 )
 from .regularity import (
+    MODULUS_KINDS,
     ModulusSearchConfig,
     RegularityInstance,
     SampledMap,
@@ -61,9 +59,9 @@ from .spaces import (
     DirectionSet,
     PartialMetric,
     PartialMetricError,
+    Point,
     PointCloud,
     QuasiPremetric,
-    as_point,
     check_axioms,
     directional_gauge,
     euclidean_premetric,
@@ -84,8 +82,8 @@ class Scenario:
     payload: dict
     expectations: tuple[dict, ...]
     source: str
-    # The built instance, run(seed) -> quantities; load_scenario fills it in.
-    run: Callable[[int], dict] | None = field(default=None, repr=False, compare=False)
+    # The built instance, run(seed) -> quantities.
+    run: Callable[[int], dict] = field(repr=False, compare=False)
 
 
 @dataclass
@@ -103,9 +101,25 @@ def _fail(path: str, message: str) -> ScenarioError:
     return ScenarioError(f"{path}: {message}")
 
 
-def _require(data: Mapping, key: str, path: str):
-    if key not in data:
-        raise _fail(f"{path}.{key}", "missing required field")
+_MISSING = object()
+_TYPE_NAMES = {dict: "an object", list: "a list", bool: "true or false"}
+
+
+def _at(path: str, key: str | int) -> str:
+    return f"{path}[{key}]" if isinstance(key, int) else f"{path}.{key}"
+
+
+def _require(data, key: str | int, path: str, default=_MISSING, of: type = object):
+    """data[key], for an object field or a list index, checked to be an `of`.
+    An absent or null field reads as the default, and is a load error when
+    there is none."""
+    present = key < len(data) if isinstance(key, int) else key in data
+    if not present or data[key] is None:
+        if default is _MISSING:
+            raise _fail(_at(path, key), "missing required field")
+        return default
+    if not isinstance(data[key], of):
+        raise _fail(_at(path, key), f"must be {_TYPE_NAMES[of]}")
     return data[key]
 
 
@@ -124,15 +138,10 @@ def load_scenario(path: str | Path) -> Scenario:
     kind = _require(data, "kind", "scenario")
     if kind not in KINDS:
         raise _fail("scenario.kind", f"unknown kind {kind!r}; expected one of {KINDS}")
-    payload = _require(data, "payload", "scenario")
-    if not isinstance(payload, dict):
-        raise _fail("scenario.payload", "must be an object")
+    payload = dict(_require(data, "payload", "scenario", of=dict))
     scenario_id = str(data.get("id", p.stem))
-    raw_expect = data.get("expectations", [])
-    if not isinstance(raw_expect, list):
-        raise _fail("scenario.expectations", "must be a list")
     expectations = []
-    for i, e in enumerate(raw_expect):
+    for i, e in enumerate(_require(data, "expectations", "scenario", [], of=list)):
         epath = f"scenario.expectations[{i}]"
         if not isinstance(e, dict) or "quantity" not in e:
             raise _fail(epath, "each expectation needs a quantity name")
@@ -141,67 +150,188 @@ def load_scenario(path: str | Path) -> Scenario:
             raise _fail(epath, "need exactly one of value / equals / bracket_contains")
         if "value" in e and "tol" not in e:
             raise _fail(epath, "value expectations need a tol")
+        for key in ("value", "tol", "bracket_contains"):
+            _number(e, key, epath, None, infinite=True)
         expectations.append(dict(e))
-    payload = dict(payload)
-    # Validate eagerly: building the instance surfaces schema errors at load.
-    # The built instance is kept, so running the scenario does not build it again.
+    # Every payload field is read and checked here, so schema errors surface
+    # at load. The built instance is kept, so running does not build it again.
     return Scenario(scenario_id, kind, payload, tuple(expectations), str(p),
                     _build_instance(kind, payload))
+
+
+# --- payload readers -----------------------------------------------------------
+# Each reader reads one field of a JSON object, or one entry of a JSON list,
+# converts and checks it, and raises ScenarioError with the field's path. A
+# reader given a default returns it, unconverted, for an absent or null field.
+
+
+def _number(data, key, path: str, default=_MISSING, *, positive: bool = False,
+            integer: bool = False, infinite: bool = False):
+    """A JSON number as a float, or as an int when integer; with infinite,
+    the string "inf" reads as +inf."""
+    value = _require(data, key, path, default)
+    if value is default:
+        return value
+    where = _at(path, key)
+    if infinite and value == "inf":
+        value = math.inf
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or math.isnan(value):
+        raise _fail(where, f"must be a number, not {value!r}")
+    if positive and not value > 0:
+        raise _fail(where, "must be positive")
+    if integer:
+        if not float(value).is_integer():
+            raise _fail(where, "must be an integer")
+        return int(value)
+    return float(value)
+
+
+def _numbers(data, key, path: str, default=_MISSING, *, positive: bool = False):
+    values = _require(data, key, path, default, of=list)
+    if values is default:
+        return values
+    where = _at(path, key)
+    return tuple(_number(values, i, where, positive=positive) for i in range(len(values)))
+
+
+def _choice(data, key, path: str, choices: Sequence[str], default=_MISSING) -> str:
+    value = _require(data, key, path, default)
+    if value not in choices:
+        raise _fail(_at(path, key), f"must be one of {', '.join(choices)}; got {value!r}")
+    return value
+
+
+def _known(spec: dict, path: str, names: Sequence[str]) -> None:
+    for key in spec:
+        if key not in names:
+            raise _fail(f"{path}.{key}", f"unknown field; expected one of {', '.join(names)}")
+
+
+def _stored(cloud: PointCloud, point: Point, where: str) -> Point:
+    """The cloud's own copy of a point, as PointCloud.index_of resolves it."""
+    try:
+        return cloud.points[cloud.index_of(point)]
+    except KeyError as exc:
+        raise _fail(where, exc.args[0]) from None
+
+
+def _point(data, key, path: str, cloud: PointCloud | None = None) -> Point:
+    """A number or a nonempty list of numbers as a point; given a cloud, the
+    cloud's own copy of it."""
+    value = _require(data, key, path)
+    where = _at(path, key)
+    if not isinstance(value, list):
+        point = (_number(data, key, path),)
+    elif value:
+        point = tuple(_number(value, i, where) for i in range(len(value)))
+    else:
+        raise _fail(where, "must be a number or a nonempty list of numbers")
+    return point if cloud is None else _stored(cloud, point, where)
+
+
+def _points(data, key, path: str, cloud: PointCloud | None = None,
+            count: int | None = None) -> tuple[Point, ...]:
+    values = _require(data, key, path, of=list)
+    where = _at(path, key)
+    if count is not None and len(values) != count:
+        raise _fail(where, f"must list exactly {count} points")
+    return tuple(_point(values, i, where, cloud) for i in range(len(values)))
+
+
+def _expr(data, key, path: str, variables: Sequence[str] = ("x",)) -> Callable[..., float]:
+    source = _require(data, key, path)
+    where = _at(path, key)
+    if not isinstance(source, str):
+        raise _fail(where, "must be an expression string")
+    try:
+        return compile_expression(source, variables)
+    except ExpressionError as exc:
+        raise _fail(where, str(exc)) from None
+
+
+def _gamma(data, key, path: str, mapping: SampledMap):
+    """A reach: a positive number, "inf", or {"milyutin": region}, the
+    distance to the region's complement in the map's domain metric."""
+    value = _require(data, key, path)
+    if isinstance(value, dict) and "milyutin" in value:
+        region = _points(value, "milyutin", _at(path, key), mapping.domain)
+        return milyutin_gamma(mapping.domain, region, mapping.metric_x)
+    if value == "inf" or (isinstance(value, (int, float)) and not isinstance(value, bool)):
+        return _number(data, key, path, positive=True, infinite=True)
+    raise _fail(_at(path, key), "must be a positive number, 'inf', or {'milyutin': region}")
+
+
+def _search(payload: dict) -> ModulusSearchConfig:
+    path = "payload.search"
+    spec = _require(payload, "search", "payload", {}, of=dict)
+    _known(spec, path, [f.name for f in fields(ModulusSearchConfig)])
+    kwargs = {}
+    for key, options in (("gamma0", {"positive": True}), ("gamma_floor_steps", {}),
+                         ("bisect_iters", {"integer": True}), ("closure_tol", {}),
+                         ("t_per_decade", {"integer": True, "positive": True})):
+        if key in spec:
+            kwargs[key] = _number(spec, key, path, **options)
+    for key in ("bracket", "eps_schedule"):
+        if key in spec:
+            kwargs[key] = _numbers(spec, key, path, positive=True)
+    if len(kwargs.get("bracket", (0.0, 0.0))) != 2:
+        raise _fail(f"{path}.bracket", "must be a pair of numbers")
+    return ModulusSearchConfig(**kwargs)
 
 
 # --- payload builders -------------------------------------------------------
 
 
-def _build_cloud(spec, path: str) -> PointCloud:
-    if not isinstance(spec, dict):
-        raise _fail(path, "cloud spec must be an object")
+def _cloud(data, key, path: str) -> PointCloud:
+    spec, path = _require(data, key, path, of=dict), _at(path, key)
     if "points" in spec:
-        pts = spec["points"]
-        if not isinstance(pts, list) or not pts:
-            raise _fail(f"{path}.points", "must be a nonempty list")
         try:
-            return PointCloud(tuple(as_point(q) for q in pts))
-        except (TypeError, ValueError) as exc:
+            return PointCloud(_points(spec, "points", path))
+        except ValueError as exc:
             raise _fail(f"{path}.points", str(exc)) from None
     if "grid" in spec:
-        g = spec["grid"]
-        for k in ("start", "stop", "step"):
-            if k not in g:
-                raise _fail(f"{path}.grid.{k}", "missing required field")
-        if not g["step"] > 0:
-            raise _fail(f"{path}.grid.step", "must be positive")
-        if not g["stop"] > g["start"]:
-            raise _fail(f"{path}.grid.stop", "must exceed start")
-        return PointCloud.from_grid(float(g["start"]), float(g["stop"]),
-                                    float(g["step"]))
+        grid, path = _require(spec, "grid", path, of=dict), f"{path}.grid"
+        start = _number(grid, "start", path)
+        stop = _number(grid, "stop", path)
+        step = _number(grid, "step", path, positive=True)
+        if not stop > start:
+            raise _fail(f"{path}.stop", "must exceed start")
+        return PointCloud.from_grid(start, stop, step)
     raise _fail(path, "cloud spec needs 'points' or 'grid'")
 
 
-def _build_premetric(spec, path: str, cloud: PointCloud) -> QuasiPremetric:
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise _fail(path, "premetric spec needs a kind")
-    kind = spec["kind"]
+def _region(data, key, path: str, cloud: PointCloud) -> tuple[Point, ...]:
+    """Points of a cloud, as the cloud holds them: all of them when absent,
+    else a cloud spec or a list of points."""
+    spec = _require(data, key, path, None)
+    if spec is None:
+        return cloud.points
+    if not isinstance(spec, dict):
+        return _points(data, key, path, cloud)
+    return tuple(_stored(cloud, p, _at(path, key)) for p in _cloud(data, key, path).points)
+
+
+def _premetric(data, key, path: str, cloud: PointCloud) -> QuasiPremetric:
+    spec, path = _require(data, key, path, of=dict), _at(path, key)
+    kind = _choice(spec, "kind", path, ("euclidean", "scaled_euclidean", "directional",
+                                        "partial_max", "expression"))
     if kind == "euclidean":
         return euclidean_premetric()
     if kind == "scaled_euclidean":
-        factor = _require(spec, "factor", path)
-        if not factor > 0:
-            raise _fail(f"{path}.factor", "must be positive")
-        return euclidean_premetric().scaled(float(factor))
+        return euclidean_premetric().scaled(_number(spec, "factor", path, positive=True))
     if kind == "directional":
-        dirs = _require(spec, "directions", path)
         try:
-            ds = DirectionSet.normalized(tuple(as_point(d) for d in dirs))
-        except (TypeError, ValueError) as exc:
+            ds = DirectionSet.normalized(_points(spec, "directions", path))
+        except ValueError as exc:
             raise _fail(f"{path}.directions", str(exc)) from None
         if ds.dimension != cloud.dimension:
             raise _fail(f"{path}.directions",
                         f"dimension mismatch: directions have dimension {ds.dimension}, "
                         f"cloud points {cloud.dimension}")
         return directional_gauge(ds)
+    if cloud.dimension != 1:
+        raise _fail(path, f"{kind} premetrics need a 1-D cloud")
     if kind == "partial_max":
-        if cloud.dimension != 1:
-            raise _fail(path, "partial_max needs a 1-D cloud")
         if any(p[0] < 0.0 for p in cloud.points):
             raise _fail(path, "partial_max needs nonnegative points")
         zeta = PartialMetric(lambda x, u: max(x[0], u[0]), name="max")
@@ -209,113 +339,80 @@ def _build_premetric(spec, path: str, cloud: PointCloud) -> QuasiPremetric:
             return induce_from_partial(zeta, cloud)
         except PartialMetricError as exc:
             raise _fail(path, str(exc)) from None
-    if kind == "expression":
-        source = _require(spec, "source", path)
-        axioms = spec.get("axioms", [])
-        bad = [a for a in axioms if a not in ("A1", "A2", "A3", "A4")]
-        if bad:
-            raise _fail(f"{path}.axioms", f"unknown axiom name {bad[0]!r}")
-        if cloud.dimension != 1:
-            raise _fail(path, "expression premetrics need a 1-D cloud")
-        try:
-            fn = compile_expression(source, ("x", "u"))
-        except ExpressionError as exc:
-            raise _fail(f"{path}.source", str(exc)) from None
-        return QuasiPremetric(lambda p, q: fn(p[0], q[0]),
-                              axioms_claimed=frozenset(axioms),
-                              name=f"expr({source})")
-    raise _fail(f"{path}.kind", f"unknown premetric kind {kind!r}")
+    axioms = _require(spec, "axioms", path, [], of=list)
+    for i in range(len(axioms)):
+        _choice(axioms, i, f"{path}.axioms", ("A1", "A2", "A3", "A4"))
+    fn = _expr(spec, "source", path, ("x", "u"))
+    return QuasiPremetric(lambda p, q: fn(p[0], q[0]), axioms_claimed=frozenset(axioms),
+                          name=f"expr({spec['source']})")
 
 
-def _build_objective(spec, path: str, cloud: PointCloud) -> Objective:
-    if not isinstance(spec, dict):
-        raise _fail(path, "objective spec must be an object")
+def _objective(data, key, path: str, cloud: PointCloud) -> Objective:
+    spec, path = _require(data, key, path, of=dict), _at(path, key)
     if "table" in spec:
-        vals = spec["table"]
-        if not isinstance(vals, list) or len(vals) != len(cloud):
+        values = _numbers(spec, "table", path)
+        if len(values) != len(cloud):
             raise _fail(f"{path}.table",
                         f"needs exactly {len(cloud)} values (one per cloud point)")
-        return Objective.from_table(cloud, [float(v) for v in vals])
+        return Objective.from_table(cloud, list(values))
     if "expr" in spec:
         if cloud.dimension != 1:
             raise _fail(path, "expression objectives need a 1-D cloud")
-        try:
-            fn = compile_expression(spec["expr"], ("x",))
-        except ExpressionError as exc:
-            raise _fail(f"{path}.expr", str(exc)) from None
+        fn = _expr(spec, "expr", path)
         return Objective(lambda p: fn(p[0]), name=f"expr({spec['expr']})")
     raise _fail(path, "objective spec needs 'table' or 'expr'")
 
 
-def _build_map(spec, path: str) -> SampledMap:
-    if not isinstance(spec, dict):
-        raise _fail(path, "map spec must be an object")
-    domain = _build_cloud(_require(spec, "domain", path), f"{path}.domain")
-    if "graph_expr" in spec:
+def _pairs(data, key, path: str, x_cloud: PointCloud,
+           y_cloud: PointCloud | None) -> tuple[tuple[Point, Point], ...]:
+    """A nonempty list of [x, y] pairs, each point resolved in its cloud."""
+    raw, where = _require(data, key, path, of=list), _at(path, key)
+    if not raw:
+        raise _fail(where, "must be a nonempty list of pairs")
+    pairs = (_points(raw, i, where, count=2) for i in range(len(raw)))
+    return tuple((_stored(x_cloud, x, f"{where}[{i}]"),
+                  y if y_cloud is None else _stored(y_cloud, y, f"{where}[{i}]"))
+                 for i, (x, y) in enumerate(pairs))
+
+
+def _map(data, key, path: str) -> SampledMap:
+    spec, path = _require(data, key, path, of=dict), _at(path, key)
+    domain = _cloud(spec, "domain", path)
+    if "graph_expr" in spec or "graph_exprs" in spec:
         if domain.dimension != 1:
-            raise _fail(path, "graph_expr maps need a 1-D domain")
-        try:
-            fn = compile_expression(spec["graph_expr"], ("x",))
-        except ExpressionError as exc:
-            raise _fail(f"{path}.graph_expr", str(exc)) from None
-        return SampledMap.from_function(domain, lambda p: (fn(p[0]),))
-    if "graph_exprs" in spec:
-        if domain.dimension != 1:
-            raise _fail(path, "graph_exprs maps need a 1-D domain")
-        fns = []
-        for i, src in enumerate(spec["graph_exprs"]):
-            try:
-                fns.append(compile_expression(src, ("x",)))
-            except ExpressionError as exc:
-                raise _fail(f"{path}.graph_exprs[{i}]", str(exc)) from None
-        branches = [(lambda p, f=f: (f(p[0]),)) for f in fns]
-        return SampledMap.from_branches(domain, branches)
-    if "pairs" in spec:
-        raw = spec["pairs"]
-        if not isinstance(raw, list) or not raw:
-            raise _fail(f"{path}.pairs", "must be a nonempty list")
-        try:
-            pairs = tuple((as_point(x), as_point(y)) for x, y in raw)
-        except (TypeError, ValueError) as exc:
-            raise _fail(f"{path}.pairs", str(exc)) from None
-        if "codomain" in spec:
-            codomain = _build_cloud(spec["codomain"], f"{path}.codomain")
-        else:
-            codomain = _image_cloud(pairs)
-        return SampledMap(domain, codomain, pairs)
-    raise _fail(path, "map spec needs 'graph_expr', 'graph_exprs', or 'pairs'")
+            raise _fail(path, "expression maps need a 1-D domain")
+        if "graph_expr" in spec:
+            fn = _expr(spec, "graph_expr", path)
+            return SampledMap.from_function(domain, lambda p: (fn(p[0]),))
+        sources, where = _require(spec, "graph_exprs", path, of=list), f"{path}.graph_exprs"
+        if not sources:
+            raise _fail(where, "must be a nonempty list")
+        fns = [_expr(sources, i, where) for i in range(len(sources))]
+        return SampledMap.from_branches(domain, [(lambda p, f=f: (f(p[0]),)) for f in fns])
+    if "pairs" not in spec:
+        raise _fail(path, "map spec needs 'graph_expr', 'graph_exprs', or 'pairs'")
+    codomain = _cloud(spec, "codomain", path) if "codomain" in spec else None
+    pairs = _pairs(spec, "pairs", path, domain, codomain)
+    try:
+        return SampledMap(domain, codomain or _image_cloud(pairs), pairs)
+    except ValueError as exc:
+        raise _fail(f"{path}.pairs", str(exc)) from None
 
 
-def _points_list(spec, path: str, cloud: PointCloud) -> tuple:
-    if spec is None:
-        return cloud.points
-    if isinstance(spec, dict):
-        return _build_cloud(spec, path).points
-    if isinstance(spec, list):
-        try:
-            return tuple(as_point(q) for q in spec)
-        except (TypeError, ValueError) as exc:
-            raise _fail(path, str(exc)) from None
-    raise _fail(path, "must be a list of points or a cloud spec")
-
-
-def _gamma_spec(value, path: str):
-    if isinstance(value, (int, float)):
-        if not value > 0:
-            raise _fail(path, "must be positive")
-        return float(value)
-    if value == "inf":
-        return math.inf
-    if isinstance(value, dict) and "milyutin" in value:
-        return ("milyutin", value["milyutin"])
-    raise _fail(path, "must be a positive number, 'inf', or {'milyutin': region}")
+def _ref(payload: dict, maps: Mapping[str, SampledMap]) -> tuple[Point, ...]:
+    """payload.ref: a point x, then one value at x of each map, on its graph."""
+    ref = _points(payload, "ref", "payload", count=len(maps) + 1)
+    for value, (name, mapping) in zip(ref[1:], maps.items()):
+        if not mapping.geometry.on_graph(ref[0], value):
+            raise _fail("payload.ref", f"must be a graph pair of {name}")
+    return ref
 
 
 # --- execution ---------------------------------------------------------------
 
 
 def _build_instance(kind: str, payload: dict) -> Callable[[int], dict]:
-    """Validate and build the executable pieces of a scenario; returns a thunk."""
+    """Read and check the payload and build its instance; returns run(seed)."""
     builder = {
         "axioms": _prep_axioms,
         "ekeland": _prep_ekeland,
@@ -328,20 +425,17 @@ def _build_instance(kind: str, payload: dict) -> Callable[[int], dict]:
 
 
 def _prep_axioms(payload: dict):
-    cloud = _build_cloud(_require(payload, "cloud", "payload"), "payload.cloud")
-    space = _build_premetric(_require(payload, "premetric", "payload"),
-                             "payload.premetric", cloud)
-    sequences = payload.get("sequences")
+    cloud = _cloud(payload, "cloud", "payload")
+    space = _premetric(payload, "premetric", "payload", cloud)
+    sequences = _require(payload, "sequences", "payload", None, of=list)
     if sequences is not None:
-        if not isinstance(sequences, list):
-            raise _fail("payload.sequences", "must be a list of index lists")
+        sequences = [_numbers(sequences, i, "payload.sequences")
+                     for i in range(len(sequences))]
         for i, seq in enumerate(sequences):
-            if not isinstance(seq, list) or any(not isinstance(j, int) for j in seq):
-                raise _fail(f"payload.sequences[{i}]", "must be a list of integers")
-            if any(j < 0 or j >= len(cloud) for j in seq):
-                raise _fail(f"payload.sequences[{i}]", "index out of range")
-        sequences = [tuple(s) for s in sequences]
-    tol = float(payload.get("completeness_tol", 1e-6))
+            if any(not (j.is_integer() and 0 <= j < len(cloud)) for j in seq):
+                raise _fail(f"payload.sequences[{i}]", "must list indices of cloud points")
+        sequences = [tuple(int(j) for j in seq) for seq in sequences]
+    tol = _number(payload, "completeness_tol", "payload", 1e-6)
 
     def run(seed: int) -> dict:
         report = check_axioms(space, cloud, sequences=sequences,
@@ -355,28 +449,18 @@ def _prep_axioms(payload: dict):
 
 
 def _prep_ekeland(payload: dict):
-    cloud = _build_cloud(_require(payload, "cloud", "payload"), "payload.cloud")
-    space = _build_premetric(_require(payload, "premetric", "payload"),
-                             "payload.premetric", cloud)
-    objective = _build_objective(_require(payload, "objective", "payload"),
-                                 "payload.objective", cloud)
-    try:
-        start = as_point(_require(payload, "start", "payload"))
-    except (TypeError, ValueError) as exc:
-        raise _fail("payload.start", str(exc)) from None
-    if start not in set(cloud.points):
-        raise _fail("payload.start", "must be a cloud point")
-    mode = payload.get("mode", "trace")
-    if mode not in ("trace", "approx", "weak", "two_constant"):
-        raise _fail("payload.mode", f"unknown mode {mode!r}")
-    budget = payload.get("budget")
-    epsilon = payload.get("epsilon")
-    if mode == "approx" and epsilon is None:
-        raise _fail("payload.epsilon", "approx mode needs an epsilon")
-    if mode == "two_constant":
-        for k in ("delta", "r"):
-            if k not in payload:
-                raise _fail(f"payload.{k}", "two_constant mode needs delta and r")
+    cloud = _cloud(payload, "cloud", "payload")
+    space = _premetric(payload, "premetric", "payload", cloud)
+    objective = _objective(payload, "objective", "payload", cloud)
+    start = _point(payload, "start", "payload", cloud)
+    mode = _choice(payload, "mode", "payload", ("trace", "approx", "weak", "two_constant"),
+                   "trace")
+    budget = _number(payload, "budget", "payload", None, integer=True, positive=True)
+    epsilon = _number(payload, "epsilon", "payload",
+                      _MISSING if mode == "approx" else None, positive=True)
+    scale = _MISSING if mode == "two_constant" else None
+    delta = _number(payload, "delta", "payload", scale, positive=True)
+    r = _number(payload, "r", "payload", scale, positive=True)
 
     def run(seed: int) -> dict:
         trace = generate_trace(cloud, space, objective, start, budget=budget)
@@ -387,12 +471,11 @@ def _prep_ekeland(payload: dict):
             "termination": trace.termination,
         }
         if epsilon is not None:
-            ver = verify_trace(trace, cloud, space, objective, float(epsilon))
+            ver = verify_trace(trace, cloud, space, objective, epsilon)
             out["chain_ok"] = ver.chain_ok
             out["stationary_index"] = ver.stationary_index
         if mode == "approx":
-            cert = approx_point(cloud, space, objective, start,
-                                float(epsilon), budget=budget)
+            cert = approx_point(cloud, space, objective, start, epsilon, budget=budget)
             out.update(point=list(cert.point), descent_ok=cert.descent_ok,
                        stationarity_ok=cert.stationarity_ok)
         elif mode == "weak":
@@ -400,8 +483,7 @@ def _prep_ekeland(payload: dict):
             out.update(point=list(point), descent_ok=cert.descent_ok,
                        stationarity_ok=cert.stationarity_ok)
         elif mode == "two_constant":
-            res = two_constant_point(cloud, space, objective, start,
-                                     float(payload["delta"]), float(payload["r"]),
+            res = two_constant_point(cloud, space, objective, start, delta, r,
                                      budget=budget)
             out.update(point=list(res.point), descent_ok=res.descent_ok,
                        stationarity_ok=res.stationarity_ok,
@@ -411,71 +493,41 @@ def _prep_ekeland(payload: dict):
     return run
 
 
-def _regularity_instance(payload: dict, mapping: SampledMap) -> RegularityInstance:
-    region_x = _points_list(payload.get("region_x"), "payload.region_x",
-                            mapping.domain)
-    region_y = _points_list(payload.get("region_y"), "payload.region_y",
-                            mapping.codomain)
-    gamma = _gamma_spec(_require(payload, "gamma", "payload"), "payload.gamma")
-    if isinstance(gamma, tuple):
-        region = [as_point(q) for q in gamma[1]]
-        gamma = milyutin_gamma(mapping.domain, region, mapping.metric_x)
-    constant = _require(payload, "constant", "payload")
-    if not constant > 0:
-        raise _fail("payload.constant", "must be positive")
-    eps_schedule = tuple(payload.get("eps_schedule", ()))
-    closure_tol = payload.get("closure_tol")
-    try:
-        return RegularityInstance(
-            mapping=mapping,
-            region_x=region_x,
-            region_y=region_y,
-            gamma=gamma,
-            constant=float(constant),
-            eps_schedule=eps_schedule,
-            closure_tol=closure_tol,
-        )
-    except (ValueError, KeyError) as exc:
-        raise _fail("payload", str(exc)) from None
-
-
-def _modulus_cfg(payload: dict) -> ModulusSearchConfig:
-    raw = payload.get("search", {})
-    if not isinstance(raw, dict):
-        raise _fail("payload.search", "must be an object")
-    kwargs = {}
-    for k in ("gamma0", "gamma_floor_steps", "bisect_iters", "closure_tol",
-              "t_per_decade"):
-        if k in raw:
-            kwargs[k] = raw[k]
-    if "bracket" in raw:
-        kwargs["bracket"] = tuple(raw["bracket"])
-    if "eps_schedule" in raw:
-        kwargs["eps_schedule"] = tuple(raw["eps_schedule"])
-    return ModulusSearchConfig(**kwargs)
+_PROPERTY_CHECKS = {"openness": check_openness,
+                    "openness_closed": closed_ball_openness,
+                    "regularity_estimate": check_regularity_estimate,
+                    "inverse_lipschitz": check_inverse_lipschitz,
+                    "equivalence": equivalence_suite}
 
 
 def _prep_regularity(payload: dict):
-    mapping = _build_map(_require(payload, "map", "payload"), "payload.map")
-    check = _require(payload, "check", "payload")
-    if check in ("openness", "openness_closed", "regularity_estimate",
-                 "inverse_lipschitz", "equivalence"):
-        inst = _regularity_instance(payload, mapping)
+    mapping = _map(payload, "map", "payload")
+    check = _choice(payload, "check", "payload", (*_PROPERTY_CHECKS, "modulus", "product"))
+    if check in _PROPERTY_CHECKS:
+        fn = _PROPERTY_CHECKS[check]
+        instance = dict(
+            mapping=mapping,
+            region_x=_region(payload, "region_x", "payload", mapping.domain),
+            region_y=_region(payload, "region_y", "payload", mapping.codomain),
+            gamma=_gamma(payload, "gamma", "payload", mapping),
+            constant=_number(payload, "constant", "payload", positive=True),
+            eps_schedule=_numbers(payload, "eps_schedule", "payload", ()),
+            closure_tol=_number(payload, "closure_tol", "payload", None),
+        )
+        try:
+            inst = RegularityInstance(**instance)
+        except ValueError as exc:
+            raise _fail("payload", str(exc)) from None
 
         def run(seed: int) -> dict:
+            rep = fn(inst)
             if check == "equivalence":
-                rep = equivalence_suite(inst)
                 return {
                     "agree": rep.agree,
                     "openness_passed": rep.openness.passed,
                     "regularity_passed": rep.regularity.passed,
                     "inverse_passed": rep.inverse.passed,
                 }
-            fn = {"openness": check_openness,
-                  "openness_closed": closed_ball_openness,
-                  "regularity_estimate": check_regularity_estimate,
-                  "inverse_lipschitz": check_inverse_lipschitz}[check]
-            rep = fn(inst)
             return {
                 "passed": rep.passed,
                 "checked": rep.checked,
@@ -486,15 +538,20 @@ def _prep_regularity(payload: dict):
 
         return run
     if check == "modulus":
-        kind = _require(payload, "modulus_kind", "payload")
-        ref = _require(payload, "ref", "payload")
-        cfg = _modulus_cfg(payload)
-        ref_pair = (as_point(ref[0]), as_point(ref[1]))
-        if not mapping.geometry.on_graph(*ref_pair):
-            raise _fail("payload.ref", "must be a graph pair of the map")
+        kinds = (_choice(payload, "modulus_kind", "payload", MODULUS_KINDS),)
+    else:
+        kinds = _require(payload, "kinds", "payload", of=list)
+        if len(kinds) != 2:
+            raise _fail("payload.kinds", "must be a pair of modulus kinds")
+        kinds = tuple(_choice(kinds, i, "payload.kinds", MODULUS_KINDS) for i in range(2))
+    ref = _ref(payload, {"the map": mapping})
+    cfg = _search(payload)
+    tol = _number(payload, "tol", "payload", 0.05)
 
-        def run(seed: int) -> dict:
-            rep = estimate_modulus(mapping, ref_pair, kind, cfg)
+    def run(seed: int) -> dict:
+        reps = [estimate_modulus(mapping, ref, kind, cfg) for kind in kinds]
+        if check == "modulus":
+            rep = reps[0]
             return {
                 "kind": rep.kind,
                 "lower": rep.lower,
@@ -504,103 +561,83 @@ def _prep_regularity(payload: dict):
                 "resolution_limited": rep.resolution_limited,
                 "stabilized_gamma": rep.stabilized_gamma,
             }
+        r1, r2 = reps
+        law = verify_product_laws(r1, r2, tol=tol)
+        return {
+            "relation": law.relation,
+            "interval_low": law.interval_low,
+            "interval_high": _jsonable(law.interval_high),
+            "verdict": law.verdict,
+            "first_bracket": [r1.lower, _jsonable(r1.upper)],
+            "second_bracket": [r2.lower, _jsonable(r2.upper)],
+        }
 
-        return run
-    if check == "product":
-        kinds = _require(payload, "kinds", "payload")
-        if not isinstance(kinds, list) or len(kinds) != 2:
-            raise _fail("payload.kinds", "must be a pair of modulus kinds")
-        ref = _require(payload, "ref", "payload")
-        ref_pair = (as_point(ref[0]), as_point(ref[1]))
-        cfg = _modulus_cfg(payload)
-        tol = float(payload.get("tol", 0.05))
+    return run
 
-        def run(seed: int) -> dict:
-            r1 = estimate_modulus(mapping, ref_pair, kinds[0], cfg)
-            r2 = estimate_modulus(mapping, ref_pair, kinds[1], cfg)
-            law = verify_product_laws(r1, r2, tol=tol)
-            return {
-                "relation": law.relation,
-                "interval_low": law.interval_low,
-                "interval_high": _jsonable(law.interval_high),
-                "verdict": law.verdict,
-                "first_bracket": [r1.lower, _jsonable(r1.upper)],
-                "second_bracket": [r2.lower, _jsonable(r2.upper)],
-            }
 
-        return run
-    raise _fail("payload.check", f"unknown check {check!r}")
+def _prep_descent(payload: dict):
+    g_fn = _expr(payload, "g_expr", "payload")
+    start = _point(payload, "start", "payload")
+    target = _point(payload, "target", "payload")
+    c = _number(payload, "c", "payload", positive=True)
+    eps = _number(payload, "eps", "payload", positive=True)
+    budget = _number(payload, "budget", "payload", 100, integer=True, positive=True)
+    complete_space = _require(payload, "complete_space", "payload", False, of=bool)
+    g = scalar_map(g_fn)
+    oracle_kind = _choice(payload, "oracle", "payload", ("newton", "grid", "none"), "newton")
+    if oracle_kind == "newton":
+        oracle = newton_oracle(g_fn, _expr(payload, "dg_expr", "payload"))
+    elif oracle_kind == "grid":
+        oracle = grid_scan_oracle(_cloud(payload, "cloud", "payload"), g, c, min(1.0, eps))
+    else:
+        oracle = none_oracle()
+
+    def run(seed: int) -> dict:
+        rep = descent_solve(g, start, target, c, eps, oracle, budget=budget,
+                            complete_space=complete_space)
+        return {
+            "status": rep.status,
+            "steps": len(rep),
+            "final_residual": rep.residuals[-1],
+            "radius_bound": rep.radius_bound,
+            "within_radius": rep.within_radius,
+            "cauchy_ok": rep.cauchy_ok,
+        }
+
+    return run
 
 
 def _prep_ioffe(payload: dict):
-    check = _require(payload, "check", "payload")
+    check = _choice(payload, "check", "payload", ("descent", "criterion", "conclude",
+                                                  "setvalued"))
     if check == "descent":
-        for k in ("g_expr", "start", "target", "c", "eps"):
-            if k not in payload:
-                raise _fail(f"payload.{k}", "missing required field")
-        try:
-            g_fn = compile_expression(payload["g_expr"], ("x",))
-        except ExpressionError as exc:
-            raise _fail("payload.g_expr", str(exc)) from None
-        oracle_kind = payload.get("oracle", "newton")
-        if oracle_kind not in ("newton", "grid", "none"):
-            raise _fail("payload.oracle", f"unknown oracle {oracle_kind!r}")
-        if oracle_kind == "newton" and "dg_expr" not in payload:
-            raise _fail("payload.dg_expr", "newton oracle needs a derivative expression")
-        if oracle_kind == "grid" and "cloud" not in payload:
-            raise _fail("payload.cloud", "grid oracle needs a candidate cloud")
-
-        def run(seed: int) -> dict:
-            g = scalar_map(g_fn)
-            c = float(payload["c"])
-            eps = float(payload["eps"])
-            if oracle_kind == "newton":
-                dg = compile_expression(payload["dg_expr"], ("x",))
-                oracle = newton_oracle(g_fn, dg)
-            elif oracle_kind == "grid":
-                cloud = _build_cloud(payload["cloud"], "payload.cloud")
-                oracle = grid_scan_oracle(cloud, g, c, min(1.0, eps))
-            else:
-                oracle = none_oracle()
-            rep = descent_solve(g, as_point(payload["start"]),
-                                as_point(payload["target"]), c, eps, oracle,
-                                budget=int(payload.get("budget", 100)),
-                                complete_space=bool(payload.get("complete_space", False)))
-            return {
-                "status": rep.status,
-                "steps": len(rep),
-                "final_residual": rep.residuals[-1],
-                "radius_bound": rep.radius_bound,
-                "within_radius": rep.within_radius,
-                "cauchy_ok": rep.cauchy_ok,
-            }
-
-        return run
-
-    mapping = _build_map(_require(payload, "map", "payload"), "payload.map")
-    region_spec = _require(payload, "region", "payload")
-    if isinstance(region_spec, dict) and "product" in region_spec:
-        xs = _points_list(region_spec["product"].get("xs"),
-                          "payload.region.product.xs", mapping.domain)
-        ys = _points_list(region_spec["product"].get("ys"),
-                          "payload.region.product.ys", mapping.codomain)
-        region = PairRegion.product(xs, ys)
-    elif isinstance(region_spec, dict) and "pairs" in region_spec:
-        region = PairRegion.from_pairs(region_spec["pairs"])
+        return _prep_descent(payload)
+    mapping = _map(payload, "map", "payload")
+    spec = _require(payload, "region", "payload", of=dict)
+    if "product" in spec:
+        product = _require(spec, "product", "payload.region", of=dict)
+        xs = _region(product, "xs", "payload.region.product", mapping.domain)
+        ys = _region(product, "ys", "payload.region.product", mapping.codomain)
+        pairs = tuple((x, y) for x in xs for y in ys)
+    elif "pairs" in spec:
+        pairs = _pairs(spec, "pairs", "payload.region", mapping.domain, mapping.codomain)
     else:
         raise _fail("payload.region", "needs 'product' or 'pairs'")
-    c = _require(payload, "c", "payload")
-    if not c > 0:
-        raise _fail("payload.c", "must be positive")
-    gamma = _gamma_spec(_require(payload, "gamma", "payload"), "payload.gamma")
-    if isinstance(gamma, tuple):
-        gamma = milyutin_gamma(mapping.domain, [as_point(q) for q in gamma[1]],
-                               mapping.metric_x)
-    epsilons = payload.get("epsilons")
+    try:
+        region = PairRegion(pairs)
+    except ValueError as exc:
+        raise _fail("payload.region", str(exc)) from None
+    c = _number(payload, "c", "payload", positive=True)
+    gamma = _gamma(payload, "gamma", "payload", mapping)
+    epsilons = _numbers(payload, "epsilons", "payload", None, positive=True)
+    alpha = _number(payload, "alpha", "payload",
+                    _MISSING if check == "setvalued" else None, positive=True)
+    if alpha is not None and not alpha < 1.0 / c:
+        raise _fail("payload.alpha", "must lie in (0, 1 / c)")
 
-    if check == "criterion":
-        def run(seed: int) -> dict:
-            rep = check_criterion(mapping, region, float(c), gamma, epsilons)
+    def run(seed: int) -> dict:
+        if check == "criterion":
+            rep = check_criterion(mapping, region, c, gamma, epsilons)
             return {
                 "passed": rep.passed,
                 "checked": rep.checked,
@@ -608,11 +645,8 @@ def _prep_ioffe(payload: dict):
                 "vacuous": rep.vacuous,
                 "epsilons": list(rep.epsilons),
             }
-
-        return run
-    if check == "conclude":
-        def run(seed: int) -> dict:
-            rep = conclude_openness(mapping, region, float(c), gamma, epsilons)
+        if check == "conclude":
+            rep = conclude_openness(mapping, region, c, gamma, epsilons)
             return {
                 "criterion_passed": rep.criterion.passed,
                 "concluded": rep.concluded,
@@ -621,86 +655,64 @@ def _prep_ioffe(payload: dict):
                                     else rep.openness_check.passed),
                 "routes_agree": rep.routes_agree,
             }
+        rep = setvalued_criterion(mapping, region, c, gamma, alpha, epsilons)
+        return {
+            "direct_passed": rep.direct.passed,
+            "projected_passed": rep.projected.passed,
+            "agree": rep.agree,
+        }
 
-        return run
-    if check == "setvalued":
-        alpha = _require(payload, "alpha", "payload")
+    return run
 
-        def run(seed: int) -> dict:
-            rep = setvalued_criterion(mapping, region, float(c), gamma,
-                                      float(alpha), epsilons)
-            return {
-                "direct_passed": rep.direct.passed,
-                "projected_passed": rep.projected.passed,
-                "agree": rep.agree,
-            }
 
-        return run
-    raise _fail("payload.check", f"unknown check {check!r}")
+_SETVALUED_CONSTANTS = ("c", "c_prime", "ell", "a", "b", "r", "delta")
 
 
 def _prep_perturb(payload: dict):
-    check = _require(payload, "check", "payload")
+    check = _choice(payload, "check", "payload", ("beta_interval", "lg_single", "graves",
+                                                  "sum_stability", "lg_sumstable",
+                                                  "lg_setvalued"))
     if check == "beta_interval":
-        for k in ("c", "ell", "diam_h", "a", "b"):
-            if k not in payload:
-                raise _fail(f"payload.{k}", "missing required field")
+        args = tuple(_number(payload, k, "payload") for k in ("c", "ell", "diam_h", "a", "b"))
 
         def run(seed: int) -> dict:
-            interval = admissible_beta_interval(
-                float(payload["c"]), float(payload["ell"]),
-                float(payload["diam_h"]), float(payload["a"]), float(payload["b"]))
+            interval = admissible_beta_interval(*args)
             return {
                 "upper": interval.upper,
                 "empty": interval.empty,
-                "midpoint_recheck": interval.recheck(
-                    float(payload["c"]), float(payload["ell"]),
-                    float(payload["diam_h"]), float(payload["a"]),
-                    float(payload["b"])),
+                "midpoint_recheck": interval.recheck(*args),
             }
 
         return run
 
-    F = _build_map(_require(payload, "F", "payload"), "payload.F")
-    ref_raw = _require(payload, "ref", "payload")
-    if check in ("lg_single", "graves"):
-        expr_key = "h_expr" if check == "lg_single" else "g_expr"
-        src = _require(payload, expr_key, "payload")
-        try:
-            h_fn = compile_expression(src, ("x",))
-        except ExpressionError as exc:
-            raise _fail(f"payload.{expr_key}", str(exc)) from None
-        if check == "lg_single":
-            inst = PerturbationInstance(
-                F=F,
-                ref=(as_point(ref_raw[0]), as_point(ref_raw[1])),
-                h=lambda p: (h_fn(p[0]),),
-            )
-
-            def run(seed: int) -> dict:
-                rep = lg_single_check(inst, cfg=_modulus_cfg(payload))
-                return {
-                    "passed": rep.passed,
-                    "inconclusive": rep.inconclusive,
-                    "lower": rep.lower,
-                    "bound": rep.bound,
-                    "details": {k: v for k, v in rep.details},
-                }
-
-            return run
-
-        f_src = _require(payload, "f_expr", "payload")
-        try:
-            f_fn = compile_expression(f_src, ("x",))
-        except ExpressionError as exc:
-            raise _fail("payload.f_expr", str(exc)) from None
+    F = _map(payload, "F", "payload")
+    cfg = _search(payload)
+    if check == "lg_single":
+        h_fn = _expr(payload, "h_expr", "payload")
+        inst = PerturbationInstance(F=F, ref=_ref(payload, {"F": F}),
+                                    h=lambda p: (h_fn(p[0]),))
 
         def run(seed: int) -> dict:
-            rep = graves_check(lambda p: (f_fn(p[0]),), lambda p: (h_fn(p[0]),),
-                               as_point(ref_raw[0]),
-                               float(payload.get("radius", 0.5)), F.domain,
-                               threshold=float(payload.get("threshold", 0.05)),
-                               cfg=_modulus_cfg(payload))
+            rep = lg_single_check(inst, cfg=cfg)
+            return {
+                "passed": rep.passed,
+                "inconclusive": rep.inconclusive,
+                "lower": rep.lower,
+                "bound": rep.bound,
+                "details": {k: v for k, v in rep.details},
+            }
+
+        return run
+    if check == "graves":
+        center = _ref(payload, {"F": F})[0]
+        g_fn = _expr(payload, "g_expr", "payload")
+        f_fn = _expr(payload, "f_expr", "payload")
+        radius = _number(payload, "radius", "payload", 0.5, positive=True)
+        threshold = _number(payload, "threshold", "payload", 0.05)
+
+        def run(seed: int) -> dict:
+            rep = graves_check(lambda p: (f_fn(p[0]),), lambda p: (g_fn(p[0]),),
+                               center, radius, F.domain, threshold=threshold, cfg=cfg)
             return {
                 "status": rep.status,
                 "passed": rep.passed,
@@ -709,39 +721,15 @@ def _prep_perturb(payload: dict):
 
         return run
 
-    H = _build_map(_require(payload, "H", "payload"), "payload.H")
-    ref = tuple(as_point(q) for q in ref_raw)
-    if len(ref) != 3:
-        raise _fail("payload.ref", "set-valued checks need (x_bar, z_bar, w_bar)")
-    if check == "sum_stability":
-        def run(seed: int) -> dict:
-            rep = sum_stability_check(F, H, ref,
-                                      tuple(payload.get("xi_schedule", (1.0, 0.5, 0.25))))
-            return {
-                "verdict": rep.verdict,
-                "entries": [[xi, beta, ok] for xi, beta, ok in rep.entries],
-            }
-
-        return run
-    if check == "lg_sumstable":
-        def run(seed: int) -> dict:
-            rep = lg_sumstable_check(F, H, ref,
-                                     tuple(payload.get("xi_schedule", (1.0, 0.5, 0.25))),
-                                     cfg=_modulus_cfg(payload))
-            return {
-                "passed": rep.passed,
-                "inconclusive": rep.inconclusive,
-                "lower": rep.lower,
-                "bound": rep.bound,
-            }
-
-        return run
+    H = _map(payload, "H", "payload")
+    ref = _ref(payload, {"F": F, "H": H})
     if check == "lg_setvalued":
-        constants = _require(payload, "constants", "payload")
-        if not isinstance(constants, dict):
-            raise _fail("payload.constants", "must be an object")
-        consts = {k: (math.inf if v == "inf" else float(v))
-                  for k, v in constants.items()}
+        spec = _require(payload, "constants", "payload", of=dict)
+        _known(spec, "payload.constants", _SETVALUED_CONSTANTS)
+        consts = {k: _number(spec, k, "payload.constants", infinite=k in ("a", "b", "r"))
+                  for k in _SETVALUED_CONSTANTS}
+        if not consts["ell"] < consts["c"] < consts["c_prime"]:
+            raise _fail("payload.constants", "must satisfy ell < c < c_prime")
         inst = PerturbationInstance(F=F, ref=ref, H=H, constants=consts)
 
         def run(seed: int) -> dict:
@@ -758,41 +746,59 @@ def _prep_perturb(payload: dict):
             }
 
         return run
-    raise _fail("payload.check", f"unknown check {check!r}")
+    xi_schedule = _numbers(payload, "xi_schedule", "payload", (1.0, 0.5, 0.25), positive=True)
+
+    def run(seed: int) -> dict:
+        if check == "sum_stability":
+            rep = sum_stability_check(F, H, ref, xi_schedule)
+            return {
+                "verdict": rep.verdict,
+                "entries": [[xi, beta, ok] for xi, beta, ok in rep.entries],
+            }
+        rep = lg_sumstable_check(F, H, ref, xi_schedule, cfg=cfg)
+        return {
+            "passed": rep.passed,
+            "inconclusive": rep.inconclusive,
+            "lower": rep.lower,
+            "bound": rep.bound,
+        }
+
+    return run
 
 
-def _build_matrix(spec, path: str) -> DenseMatrix:
-    if not isinstance(spec, list) or not spec:
-        raise _fail(path, "matrix must be a nonempty nested list")
+def _matrix(data, key, path: str) -> DenseMatrix:
+    rows, where = _require(data, key, path, of=list), _at(path, key)
     try:
-        return DenseMatrix.from_rows(spec)
-    except (TypeError, ValueError) as exc:
-        raise _fail(path, str(exc)) from None
-
-
-def _build_norm(spec, path: str, dimension: int) -> NormSpec:
-    if spec is None:
-        return NormSpec("euclidean", dimension)
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise _fail(path, "norm spec needs a kind")
-    try:
-        return NormSpec(spec["kind"], int(spec.get("dimension", dimension)))
+        return DenseMatrix.from_rows([_numbers(rows, i, where) for i in range(len(rows))])
     except ValueError as exc:
-        raise _fail(path, str(exc)) from None
+        raise _fail(where, str(exc)) from None
+
+
+def _norm(data, key, path: str, dimension: int) -> NormSpec:
+    spec = _require(data, key, path, {"kind": "euclidean"}, of=dict)
+    path = _at(path, key)
+    kind = _choice(spec, "kind", path, ("euclidean", "sup", "one"))
+    if _number(spec, "dimension", path, dimension, integer=True) != dimension:
+        raise _fail(f"{path}.dimension", f"must be {dimension} to match the matrix")
+    return NormSpec(kind, dimension)
 
 
 def _prep_linear(payload: dict):
-    matrix = _build_matrix(_require(payload, "matrix", "payload"), "payload.matrix")
-    nx = _build_norm(payload.get("nx"), "payload.nx", matrix.cols)
-    ny = _build_norm(payload.get("ny"), "payload.ny", matrix.rows)
-    op = _require(payload, "op", "payload")
-    if op == "sur":
-        method = payload.get("method", "svd")
-        if method not in ("svd", "grid"):
-            raise _fail("payload.method", f"unknown method {method!r}")
-        mesh = int(payload.get("mesh_count", 3600))
+    matrix = _matrix(payload, "matrix", "payload")
+    nx = _norm(payload, "nx", "payload", matrix.cols)
+    ny = _norm(payload, "ny", "payload", matrix.rows)
+    op = _choice(payload, "op", "payload", ("sur", "injectivity", "opnorm", "harte",
+                                            "lipschitz", "open_set"))
+    method = _choice(payload, "method", "payload", ("svd", "grid"), "svd")
+    mesh = _number(payload, "mesh_count", "payload", 3600, integer=True, positive=True)
+    samples = _number(payload, "samples", "payload", 100, integer=True, positive=True)
+    if op == "lipschitz":
+        other = _matrix(payload, "matrix_b", "payload")
+        if (other.rows, other.cols) != (matrix.rows, matrix.cols):
+            raise _fail("payload.matrix_b", "shape must match payload.matrix")
 
-        def run(seed: int) -> dict:
+    def run(seed: int) -> dict:
+        if op == "sur":
             rep = sur_modulus(matrix, nx, ny, method=method, mesh_count=mesh)
             return {
                 "sur": rep.estimate,
@@ -800,45 +806,21 @@ def _prep_linear(payload: dict):
                 "upper": _jsonable(rep.upper),
                 "bracket": [rep.lower, _jsonable(rep.upper)],
             }
-
-        return run
-    if op == "injectivity":
-        def run(seed: int) -> dict:
+        if op == "injectivity":
             return {"alpha": injectivity_bound(matrix, nx, ny)}
-
-        return run
-    if op == "opnorm":
-        def run(seed: int) -> dict:
+        if op == "opnorm":
             return {"opnorm": opnorm(matrix, nx, ny)}
-
-        return run
-    if op == "harte":
-        def run(seed: int) -> dict:
+        if op == "harte":
             rep = harte_check(matrix, nx, ny)
             return {"passed": rep.passed, "skipped": rep.skipped,
                     "data": {k: v for k, v in rep.data}}
-
-        return run
-    if op == "lipschitz":
-        other = _build_matrix(_require(payload, "matrix_b", "payload"),
-                              "payload.matrix_b")
-        if (other.rows, other.cols) != (matrix.rows, matrix.cols):
-            raise _fail("payload.matrix_b", "shape must match payload.matrix")
-
-        def run(seed: int) -> dict:
+        if op == "lipschitz":
             rep = sur_lipschitz_check(matrix, other, nx, ny)
-            return {"passed": rep.passed, "data": {k: v for k, v in rep.data}}
-
-        return run
-    if op == "open_set":
-        samples = int(payload.get("samples", 100))
-
-        def run(seed: int) -> dict:
+        else:
             rep = open_set_check(matrix, nx, ny, samples=samples, seed=seed)
-            return {"passed": rep.passed, "data": {k: v for k, v in rep.data}}
+        return {"passed": rep.passed, "data": {k: v for k, v in rep.data}}
 
-        return run
-    raise _fail("payload.op", f"unknown op {op!r}")
+    return run
 
 
 # --- suite orchestration ------------------------------------------------------
@@ -847,8 +829,7 @@ def _prep_linear(payload: dict):
 def _execute(scenario: Scenario, seed: int, tolerance_scale: float) -> RunReport:
     start = perf_counter()
     try:
-        run = scenario.run or _build_instance(scenario.kind, scenario.payload)
-        quantities = run(seed)
+        quantities = scenario.run(seed)
         error = None
     except Exception as exc:  # captured per scenario, never aborts the suite
         quantities = {}
@@ -915,6 +896,8 @@ def run_suite(scenarios: Sequence[Scenario | str | Path], seed: int = 0,
     for s in scenarios:
         loaded.append(s if isinstance(s, Scenario) else load_scenario(s))
     if jobs > 1 and len(loaded) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         args = [(s.source, seed, tolerance_scale) for s in loaded]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             reports = list(pool.map(_execute_by_path, args))

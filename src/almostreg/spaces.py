@@ -89,9 +89,9 @@ class PointCloud:
 
     def index_of(self, point: float | Sequence[float]) -> int:
         """Index of the first exactly equal point (a dict lookup), else of the
-        one point whose every coordinate lies within _INDEX_TOL of the
-        target's (math.isclose with that relative and absolute tolerance).
-        KeyError on no match or several."""
+        first copy of the one point whose every coordinate lies within
+        _INDEX_TOL of the target's (math.isclose with that relative and
+        absolute tolerance). KeyError on no match or on several distinct ones."""
         found = self._find(point)
         if found is None:
             raise KeyError(f"point {as_point(point)} not in cloud")
@@ -102,12 +102,13 @@ class PointCloud:
         target = as_point(point)
         if target in self._positions:
             return self._positions[target]
-        near = [i for i, p in enumerate(self.points) if len(p) == len(target)
+        # Distinct stored values, so copies of one point are one match.
+        near = {p for p in self.points if len(p) == len(target)
                 and all(math.isclose(a, b, rel_tol=_INDEX_TOL, abs_tol=_INDEX_TOL)
-                        for a, b in zip(p, target))]
+                        for a, b in zip(p, target))}
         if len(near) > 1:
             raise KeyError(f"point {target} matches {len(near)} cloud points")
-        return near[0] if near else None
+        return self._positions[near.pop()] if near else None
 
 
 def _scalar_table(fn: Callable[[Point, Point], float], a: np.ndarray,

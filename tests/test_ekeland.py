@@ -101,6 +101,19 @@ def test_chain_law_detects_forged_trace():
     assert ver.chain_violations == (((1.0,), (0.0,)),)
 
 
+def test_verify_trace_cutoff_needs_a_strict_margin():
+    # From 0.0 (value 2) the trace moves to 0.5 (value 1) and stops. At the
+    # first point, u' = 0.5 gives 1.0 + 0.5 = 1.5, exactly value - epsilon
+    # = 2.0 - 0.5: not above it, so the cutoff is the second point.
+    cloud = PointCloud(((0.0,), (0.5,)))
+    obj = Objective.from_table(cloud, [2.0, 1.0])
+    trace = generate_trace(cloud, EUCLID, obj, 0.0)
+    assert trace.points == ((0.0,), (0.5,))
+    ver = verify_trace(trace, cloud, EUCLID, obj, 0.5)
+    assert ver.point_ok == (False, True)
+    assert ver.stationary_index == 2
+
+
 def test_trace_validation_guards():
     with pytest.raises(ValueError, match="strictly decreasing"):
         EkelandTrace(points=((0.0,), (1.0,)), values=(1.0, 1.0),

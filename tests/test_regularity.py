@@ -27,6 +27,7 @@ from almostreg.regularity import (
     SampledMap,
     TGrid,
     _ModulusEngine,
+    _estimate_violations,
     check_inverse_lipschitz,
     check_modulus_property,
     check_openness,
@@ -132,6 +133,15 @@ def test_estimate_checks_use_reciprocal_rate():
                                   gamma=0.5, constant=mu)
         assert check_regularity_estimate(inst).passed is expected
         assert check_inverse_lipschitz(inst).passed is expected
+
+
+def test_estimate_window_excludes_rate_times_rho_equal_to_gamma():
+    # constant * rho = 2.0 * 1.0 equals gamma = 2.0: the entry lies outside
+    # the open window constant * rho < gamma, so its surrogate 5.0, far above
+    # the bound 2.0, is no violation.
+    scan = _estimate_violations(np.array([[1.0]]), np.array([[5.0]]), np.array([True]),
+                                np.array([2.0]), 2.0, 0.0)
+    assert (scan.window, scan.count, scan.hits) == (0, 0, ())
 
 
 def test_instance_validation():

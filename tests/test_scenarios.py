@@ -81,6 +81,13 @@ def test_load_schema_errors(tmp_path):
             {"quantity": "sur", "value": 1.0}])))
 
 
+def test_expectation_numbers_checked_at_load(tmp_path):
+    # A non-numeric tol used to load and then crash the suite run.
+    doc = linear_doc(expectations=[{"quantity": "sur", "value": 1.0, "tol": "x"}])
+    with pytest.raises(ScenarioError, match=r"^scenario\.expectations\[0\]\.tol: "):
+        load_scenario(write_scenario(tmp_path, doc))
+
+
 def test_load_validates_payload_eagerly():
     with pytest.raises(ScenarioError,
                        match="payload.gamma: missing required field"):
@@ -94,6 +101,84 @@ def test_demo_suite_all_pass():
     assert all_expectations_met(reports)
     ids = [r.scenario_id for r in reports]
     assert ids == sorted(ids)
+
+
+_DELETE = object()
+
+# One field of a bundled scenario changed, and the field path the load error
+# must start with. Each was once accepted at load: most then failed at run
+# time, two ran without an error, and some crashed the loader with a bare
+# TypeError, ValueError, IndexError or KeyError.
+LOAD_ERRORS = [
+    ("ioffe_descent_newton", {"dg_expr": "2 +"}, "payload.dg_expr"),
+    ("ioffe_descent_newton", {"c": "fast"}, "payload.c"),
+    ("regularity_modulus_sur", {"modulus_kind": "bogus"}, "payload.modulus_kind"),
+    ("regularity_modulus_sur", {"search": {"bisect_iters": "ten"}},
+     "payload.search.bisect_iters"),
+    ("ioffe_descent_newton", {"oracle": "grid", "cloud": {"grid": {"start": 0.0, "step": 0.1}}},
+     "payload.cloud.grid.stop"),
+    ("ioffe_descent_newton", {"eps": "tiny"}, "payload.eps"),
+    ("ioffe_descent_newton", {"budget": "many"}, "payload.budget"),
+    ("perturb_beta_interval", {"a": "ten"}, "payload.a"),
+    ("regularity_product_sur_reg", {"kinds": ["sur", "bogus"]}, "payload.kinds[1]"),
+    ("ekeland_three_point_trace", {"epsilon": "small"}, "payload.epsilon"),
+    ("ekeland_two_constant", {"delta": "half"}, "payload.delta"),
+    ("ioffe_criterion_identity", {"epsilons": ["a"]}, "payload.epsilons[0]"),
+    ("perturb_lg_single", {"search": {"gamma0": "big"}}, "payload.search.gamma0"),
+    ("linear_diag_svd", {"nx": {"kind": "euclidean", "dimension": 3}}, "payload.nx.dimension"),
+    ("regularity_openness_pass", {"eps_schedule": ["a"]}, "payload.eps_schedule[0]"),
+    ("regularity_modulus_sur", {"search": {"bogus": 1}}, "payload.search.bogus"),
+    ("regularity_openness_pass", {"constant": "one"}, "payload.constant"),
+    ("regularity_modulus_sur", {"ref": "abc"}, "payload.ref"),
+    ("regularity_modulus_sur", {"ref": [[0.0]]}, "payload.ref"),
+    ("regularity_openness_pass", {"gamma": {"milyutin": [[5.0]]}}, "payload.gamma.milyutin[0]"),
+    ("linear_wide_grid", {"mesh_count": "lots"}, "payload.mesh_count"),
+    ("regularity_openness_pass", {"closure_tol": "x"}, "payload.closure_tol"),
+    ("regularity_product_sur_reg", {"tol": "loose"}, "payload.tol"),
+    ("perturb_lg_single", {"ref": [[0.0], [1.0]]}, "payload.ref"),
+    ("regularity_openness_pass", {"gamma": _DELETE}, "payload.gamma"),
+    ("regularity_modulus_sur", {"ref": [[0.3], [0.64]]}, "payload.ref"),
+]
+
+
+def corrupted(tmp_path: Path, stem: str, changes: dict) -> Path:
+    doc = json.loads((DEMO / f"{stem}.json").read_text())
+    for key, value in changes.items():
+        if value is _DELETE:
+            del doc["payload"][key]
+        else:
+            doc["payload"][key] = value
+    return write_scenario(tmp_path, doc)
+
+
+@pytest.mark.parametrize("stem, changes, field_path", LOAD_ERRORS,
+                         ids=[f"{stem}:{path}" for stem, _, path in LOAD_ERRORS])
+def test_payload_error_surfaces_at_load_with_field_path(tmp_path, stem, changes, field_path):
+    with pytest.raises(ScenarioError) as exc:
+        load_scenario(corrupted(tmp_path, stem, changes))
+    assert str(exc.value).startswith(f"{field_path}: ")
+
+
+def test_payload_error_texts_kept(tmp_path):
+    for stem, changes, text in (
+            ("regularity_openness_pass", {"gamma": _DELETE},
+             "payload.gamma: missing required field"),
+            ("regularity_modulus_sur", {"ref": [[0.3], [0.64]]},
+             "payload.ref: must be a graph pair"),
+            ("axioms_euclidean_grid", {"premetric": {"kind": "directional",
+                                                     "directions": [[0.6, 0.8]]}},
+             "payload.premetric.directions: dimension mismatch")):
+        with pytest.raises(ScenarioError) as exc:
+            load_scenario(corrupted(tmp_path, stem, changes))
+        assert str(exc.value).startswith(text)
+
+
+@pytest.mark.parametrize("case", [0, 15, 16, 19], ids=lambda i: LOAD_ERRORS[i][2])
+def test_cli_exits_2_on_payload_error(tmp_path, capsys, case):
+    # A run-time failure, a silently ignored field and two loader crashes.
+    stem, changes, field_path = LOAD_ERRORS[case]
+    assert main(["run", str(corrupted(tmp_path, stem, changes))]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {field_path}: ")
 
 
 def test_scenarios_are_built_once_at_load(monkeypatch):

@@ -77,6 +77,17 @@ def test_point_cloud_index_of_tolerates_grid_roundoff():
         close.index_of(5e-13)
 
 
+def test_point_cloud_index_of_resolves_roundoff_to_a_duplicated_point():
+    # A point held twice is one match: round-off resolves to its first copy.
+    cloud = PointCloud(((0.0,), (0.30000000000000004,), (1.0,), (0.30000000000000004,)))
+    assert cloud.index_of((0.3,)) == 1
+    assert cloud.index_of((0.30000000000000004,)) == 1
+    # Two distinct points near the target still make it ambiguous.
+    near_two = PointCloud(((0.0,), (1e-12,), (1e-12,), (1.0,)))
+    with pytest.raises(KeyError, match="matches 2"):
+        near_two.index_of(5e-13)
+
+
 def test_point_cloud_validation():
     with pytest.raises(ValueError, match="nonempty"):
         PointCloud(())
