@@ -252,7 +252,7 @@ def approx_point(cloud: PointCloud, space: QuasiPremetric, objective: Objective,
     itself, otherwise the iterate at max(2, n(epsilon)) is returned, where
     n(epsilon) is the least stationary cutoff of the trace.
     """
-    x = as_point(start)
+    x = cloud.points[cloud.index_of(start)]
     if not float(space(x, x)) < math.inf:
         raise ValueError("start self-distance must be finite")
     phi_x = float(objective(x))
@@ -280,7 +280,7 @@ def weak_point(cloud: PointCloud, space: QuasiPremetric, objective: Objective,
     On a finite cloud the construction must stop by exhaustion; a budget
     stop means the certificate cannot be issued and is reported as an error.
     """
-    x = as_point(start)
+    x = cloud.points[cloud.index_of(start)]
     if not float(space(x, x)) < math.inf:
         raise ValueError("start self-distance must be finite")
     trace = generate_trace(cloud, space, objective, x, budget=budget)
@@ -302,7 +302,7 @@ def two_constant_point(cloud: PointCloud, space: QuasiPremetric, objective: Obje
     """
     if delta <= 0.0 or r <= 0.0:
         raise ValueError("delta and r must be positive")
-    x = as_point(start)
+    x = cloud.points[cloud.index_of(start)]
     vals = _values(objective, cloud)
     low = min(vals)
     if math.isinf(low):

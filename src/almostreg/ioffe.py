@@ -21,6 +21,7 @@ from .regularity import (
     RegularityInstance,
     SampledMap,
     check_openness,
+    _WITNESS_CAP,
     _estimate_violations,
     _gamma_array,
     _graph_map,
@@ -151,9 +152,8 @@ def check_criterion(mapping: SampledMap, region: PairRegion, c: float,
         if any(e <= 0.0 for e in eps_list):
             raise ValueError("probe levels must be positive")
 
-    checked = 0
+    checked = violations = 0
     witnesses: list[tuple] = []
-    vacuous = True
     cdx = c * g.DX
     for yi, fiber_idx in fibers.items():
         y = mapping.codomain.points[yi]
@@ -171,20 +171,18 @@ def check_criterion(mapping: SampledMap, region: PairRegion, c: float,
         for eps in eps_list:
             required = lam(eps)
             active = np.isfinite(r) & (r > eps) & (r <= ub)
-            n_active = int(active.sum())
-            checked += n_active
-            if n_active:
-                vacuous = False
-            bad = active & ~(best >= required)
-            for ui in np.nonzero(bad)[0]:
+            checked += int(active.sum())
+            bad = np.flatnonzero(active & ~(best >= required))
+            violations += len(bad)
+            for ui in bad[:_WITNESS_CAP - len(witnesses)]:
                 witnesses.append((eps, y, mapping.domain.points[int(ui)],
                                   float(best[ui]), required))
     return CriterionReport(
-        passed=not witnesses,
+        passed=violations == 0,
         checked=checked,
-        violation_count=len(witnesses),
-        witnesses=tuple(witnesses[:20]),
-        vacuous=vacuous,
+        violation_count=violations,
+        witnesses=tuple(witnesses),
+        vacuous=checked == 0,
         epsilons=tuple(eps_list),
     )
 
@@ -239,28 +237,28 @@ def conclude_openness(mapping: SampledMap, region: PairRegion, c: float,
 def _fiber_conclusion(geom: MapGeometry, region: PairRegion, c: float,
                       gamma: object, tol: float) -> CheckReport:
     gam = _gamma_array(gamma, geom.domain)
-    checked = 0
+    checked = violations = 0
     witnesses: list[tuple] = []
-    vacuous = True
     for x, y in region.pairs:
         xi, yi = geom.locate(x, y)
         x, y = geom.domain.points[xi], geom.codomain.points[yi]
         r = float(geom.DYG[xi, yi])
         if not (0.0 < r < c * gam[xi]):
             continue
-        vacuous = False
         checked += 1
         radius = r / c
         near = (geom.DX[xi] <= radius + tol) & (geom.DYG[:, yi] <= tol)
         if not near.any():
-            witnesses.append((x, y, r, radius))
+            violations += 1
+            if len(witnesses) < _WITNESS_CAP:
+                witnesses.append((x, y, r, radius))
     return CheckReport(
         name="criterion-conclusion",
-        passed=not witnesses,
+        passed=violations == 0,
         checked=checked,
-        violation_count=len(witnesses),
-        witnesses=tuple(witnesses[:20]),
-        vacuous=vacuous,
+        violation_count=violations,
+        witnesses=tuple(witnesses),
+        vacuous=checked == 0,
     )
 
 
@@ -534,9 +532,8 @@ def setvalued_criterion(mapping: SampledMap, region: PairRegion, c: float,
         eps_list = _default_epsilons(geom.DYG[:, list(fibers)], c, geom.step_x)
     else:
         eps_list = tuple(float(e) for e in epsilons)
-    checked = 0
+    checked = violations = 0
     witnesses: list[tuple] = []
-    vacuous = True
     for yi, fiber_idx in fibers.items():
         y, fiber = mapping.codomain.points[yi], set(fiber_idx)
         trig = [(xi, zi) for (xi, zi) in index if xi in fiber and DY[zi][yi] < c * gam[xi]]
@@ -555,7 +552,6 @@ def setvalued_criterion(mapping: SampledMap, region: PairRegion, c: float,
             for eps in eps_list:
                 if not r_uv > eps:
                     continue
-                vacuous = False
                 checked += 1
                 required = lam(eps)
                 best = -math.inf
@@ -563,13 +559,15 @@ def setvalued_criterion(mapping: SampledMap, region: PairRegion, c: float,
                     move = max(DX[ui][ui2], alpha * DY[vi][vi2])
                     best = max(best, r_uv - DY[vi2][yi] - c * move)
                 if not best >= required:
-                    witnesses.append((eps, y, (u, v), best, required))
+                    violations += 1
+                    if len(witnesses) < _WITNESS_CAP:
+                        witnesses.append((eps, y, (u, v), best, required))
     direct = CriterionReport(
-        passed=not witnesses,
+        passed=violations == 0,
         checked=checked,
-        violation_count=len(witnesses),
-        witnesses=tuple(witnesses[:20]),
-        vacuous=vacuous,
+        violation_count=violations,
+        witnesses=tuple(witnesses),
+        vacuous=checked == 0,
         epsilons=tuple(eps_list),
     )
 

@@ -24,6 +24,7 @@ from .regularity import (
     RegularityInstance,
     SampledMap,
     TGrid,
+    _WITNESS_CAP,
     _estimate_violations,
     _image_cloud,
     _openness_violations,
@@ -59,39 +60,41 @@ class PerturbationInstance:
     constants: dict | None = None
 
     def __post_init__(self) -> None:
-        if not self.F.geometry.on_graph(self.ref[0], self.ref[1]):
-            raise ValueError("reference value must belong to F(reference point)")
-        if self.H is not None:
-            if len(self.ref) < 3 or self.ref[2] is None:
-                raise ValueError("set-valued perturbation needs a reference value w_bar")
-            if not self.H.geometry.on_graph(self.ref[0], self.ref[2]):
-                raise ValueError("w_bar must belong to H(reference point)")
-        c = (self.constants or {}).get("c")
-        c_prime = (self.constants or {}).get("c_prime")
-        ell = (self.constants or {}).get("ell")
-        if c is not None and c_prime is not None and ell is not None:
-            if not ell < c < c_prime:
-                raise ValueError("constants must satisfy ell < c < c_prime")
+        object.__setattr__(self, "_stored_ref", _reference(self.F, self.H, self.ref))
+        c, c_prime, ell = ((self.constants or {}).get(k) for k in ("c", "c_prime", "ell"))
+        if None not in (c, c_prime, ell) and not ell < c < c_prime:
+            raise ValueError("constants must satisfy ell < c < c_prime")
 
-    # The reference points as the clouds store them (PointCloud.index_of), so
-    # that grid round-off in a user's coordinates moves no window.
     @property
     def x_bar(self) -> Point:
-        return _stored(self.F.domain, self.ref[0])
+        return self._stored_ref[0]
 
     @property
     def z_bar(self) -> Point:
-        return _stored(self.F.codomain, self.ref[1])
+        return self._stored_ref[1]
 
     @property
     def w_bar(self) -> Point | None:
-        if self.H is None or len(self.ref) < 3 or self.ref[2] is None:
-            return None
-        return _stored(self.H.codomain, self.ref[2])
+        return self._stored_ref[2]
 
 
-def _stored(cloud: PointCloud, point) -> Point:
-    return cloud.points[cloud.index_of(point)]
+def _reference(F: SampledMap, H: SampledMap | None,
+               ref: tuple) -> tuple[Point, Point, Point | None]:
+    """The reference triple (x_bar, z_bar, w_bar) as the clouds store it
+    (PointCloud.index_of), so that grid round-off in a user's coordinates
+    moves no window; w_bar is None without H. ValueError unless (x_bar,
+    z_bar) is a pair of F and, given H, (x_bar, w_bar) a pair of H."""
+    if not F.geometry.on_graph(ref[0], ref[1]):
+        raise ValueError("reference value z_bar must belong to F(x_bar)")
+    xi, zi = F.geometry.locate(ref[0], ref[1])
+    x_bar, z_bar = F.domain.points[xi], F.codomain.points[zi]
+    if H is None:
+        return x_bar, z_bar, None
+    if len(ref) < 3 or ref[2] is None:
+        raise ValueError("set-valued perturbation needs a reference value w_bar")
+    if not H.geometry.on_graph(ref[0], ref[2]):
+        raise ValueError("w_bar must belong to H(x_bar)")
+    return x_bar, z_bar, H.codomain.points[H.codomain.index_of(ref[2])]
 
 
 def estimate_lip(h, center, radius: float, cloud: PointCloud | None = None,
@@ -126,42 +129,43 @@ def estimate_lip(h, center, radius: float, cloud: PointCloud | None = None,
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = metric_y.unchecked_pairwise(values, values) / d
         live = np.triu(d != 0.0, k=1) & (ratio > 0.0)
-    best = float(np.max(ratio, where=live, initial=0.0))
-    if best == 0.0:
-        return LipschitzEstimate(value=0.0, radius=radius, witness_pair=None)
-    i, j = np.argwhere(live & (ratio == best))[0]
-    return LipschitzEstimate(value=best, radius=radius, witness_pair=(pts[i], pts[j]))
+    return _largest_ratio(ratio, live, pts, radius)
 
 
 def _aubin_estimate(H: SampledMap, center: Point, anchor: Point,
                     radius: float) -> LipschitzEstimate:
     geom = H.geometry
-    xi_all = np.flatnonzero(_distances(H.metric_x, center, H.domain) <= radius).tolist()
-    if len(xi_all) < 2:
+    ball = np.flatnonzero(_distances(H.metric_x, center, H.domain) <= radius)
+    if len(ball) < 2:
         raise ValueError("degenerate cloud: need at least two points in the ball")
     try:
         anchor_idx = H.codomain.index_of(anchor)
     except KeyError as exc:
         raise KeyError(f"anchor value: {exc.args[0]}") from None
     near_anchor = geom.DY[anchor_idx] <= radius
-    best = 0.0
-    witness: tuple[Point, Point] | None = None
-    for ui in xi_all:
-        vals = [vi for vi in geom.images[ui] if near_anchor[vi]]
-        if not vals:
-            continue
-        for xi in xi_all:
-            if xi == ui:
-                continue
-            d = float(geom.DX[ui, xi])
-            if d == 0.0:
-                continue
-            excess = max(float(geom.DYG[xi, vi]) for vi in vals)
-            ratio = excess / d
-            if ratio > best:
-                best = ratio
-                witness = (H.domain.points[ui], H.domain.points[xi])
-    return LipschitzEstimate(value=best, radius=radius, witness_pair=witness)
+    # excess[i, j]: the largest distance from a value of H(ball[i]) near the
+    # anchor to H(ball[j]); -inf when H(ball[i]) has no value near the anchor.
+    excess = np.full((len(ball), len(ball)), -np.inf)
+    for i, ui in enumerate(ball):
+        vals = geom.images[ui][near_anchor[geom.images[ui]]]
+        if len(vals):
+            excess[i] = geom.DYG[np.ix_(ball, vals)].max(axis=1)
+    d = geom.DX[np.ix_(ball, ball)]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = excess / d
+        live = (d != 0.0) & ~np.eye(len(ball), dtype=bool) & (ratio > 0.0)
+    return _largest_ratio(ratio, live, [H.domain.points[i] for i in ball], radius)
+
+
+def _largest_ratio(ratio: np.ndarray, live: np.ndarray, points: Sequence[Point],
+                   radius: float) -> LipschitzEstimate:
+    """The largest live ratio, witnessed by the first (row-major) pair of
+    points that attains it; 0 with no witness when no live ratio exceeds 0."""
+    best = float(np.max(ratio, where=live, initial=0.0))
+    if best == 0.0:
+        return LipschitzEstimate(value=0.0, radius=radius, witness_pair=None)
+    i, j = np.argwhere(live & (ratio == best))[0]
+    return LipschitzEstimate(value=best, radius=radius, witness_pair=(points[i], points[j]))
 
 
 def perturbed_map(F: SampledMap, h: Callable[[Point], Point]) -> SampledMap:
@@ -172,40 +176,42 @@ def perturbed_map(F: SampledMap, h: Callable[[Point], Point]) -> SampledMap:
         if len(shift) != len(y):
             raise ValueError("perturbation value dimension mismatch")
         pairs.append((x, tuple(a + b for a, b in zip(y, shift))))
-    return SampledMap(
-        domain=F.domain,
-        codomain=_image_cloud(pairs),
-        pairs=tuple(pairs),
-        metric_x=F.metric_x,
-        metric_y=F.metric_y,
-    )
+    return SampledMap(F.domain, _image_cloud(pairs), tuple(pairs), F.metric_x, F.metric_y)
 
 
 def minkowski_sum_map(F: SampledMap, H: SampledMap,
                       dedup_tol: float = 0.0) -> SampledMap:
     """Graph of F + H: values are pointwise sums, deduplicated per point."""
+    return _sum_map(F, H, dedup_tol)[0]
+
+
+def _sum_map(F: SampledMap, H: SampledMap, dedup_tol: float = 0.0
+             ) -> tuple[SampledMap, list[list[tuple[Point, Point]]]]:
+    """minkowski_sum_map's graph, and for each of its pairs (u, v) the splits:
+    the (z, w) in F(u) x H(u), z outer and w inner, with z + w = v up to 1e-12."""
     if F.domain.points != H.domain.points:
         raise ValueError("summands must share the same domain cloud")
-    pairs: list[tuple[Point, Point]] = []
+    # Each summand's values per domain point, in pair order, as image_of reads them.
+    images: dict[Point, tuple[list[Point], list[Point]]] = {x: ([], []) for x in F.domain}
+    for side, summand in enumerate((F, H)):
+        for x, y in summand.pairs:
+            images[x][side].append(y)
+    pairs, splits = [], []
     for x in F.domain.points:
+        sums = [(z, w, tuple(a + b for a, b in zip(z, w)))
+                for z in images[x][0] for w in images[x][1]]
         kept: list[Point] = []
-        for z in F.image_of(x):
-            for w in H.image_of(x):
-                v = tuple(a + b for a, b in zip(z, w))
-                if dedup_tol > 0.0:
-                    if any(math.dist(v, k) <= dedup_tol for k in kept):
-                        continue
-                elif v in kept:
+        for _, _, v in sums:
+            if dedup_tol > 0.0:
+                if any(math.dist(v, k) <= dedup_tol for k in kept):
                     continue
-                kept.append(v)
+            elif v in kept:
+                continue
+            kept.append(v)
         pairs.extend((x, v) for v in kept)
-    return SampledMap(
-        domain=F.domain,
-        codomain=_image_cloud(pairs),
-        pairs=tuple(pairs),
-        metric_x=F.metric_x,
-        metric_y=F.metric_y,
-    )
+        splits.extend([(z, w) for z, w, s in sums if math.dist(s, v) <= 1e-12] for v in kept)
+    sum_map = SampledMap(F.domain, _image_cloud(pairs), tuple(pairs), F.metric_x, F.metric_y)
+    return sum_map, splits
 
 
 @dataclass(frozen=True)
@@ -344,8 +350,6 @@ def lg_setvalued_check(inst: PerturbationInstance,
     b = float(as_ext(consts["b"]))
     r = float(as_ext(consts["r"]))
     delta = float(consts["delta"])
-    if not ell < c < c_prime:
-        raise ValueError("constants must satisfy ell < c < c_prime")
 
     lam = (c_prime - c) / (2.0 * c_prime)
     alpha = 1.0 / (2.0 * c_prime)
@@ -364,18 +368,15 @@ def lg_setvalued_check(inst: PerturbationInstance,
     premise_a, sensitive = _premise_a(geom_f, x_bar, z_bar, c, c_prime,
                                       a, b, r, delta, tol)
     premise_b = _premise_b(H, x_bar, w_bar, ell, a, r, delta, tol)
-    sum_map = minkowski_sum_map(F, H)
-    premise_c = _premise_c(F, H, sum_map, x_bar, z_bar, w_bar,
-                           c, ell, a, b, r, delta)
+    sum_map, splits = _sum_map(F, H)
+    du, dv, dz, dw = _sum_distances(F, H, sum_map, x_bar, z_bar, w_bar)
+    premise_c = _premise_c(sum_map, splits, du, dv, dz, dw, c, ell, a, b, r, delta)
 
     conclusion: CheckReport | None = None
     all_premises = premise_a.passed and premise_b.passed and premise_c.passed
     if all_premises:
-        v_bar = tuple(p + q for p, q in zip(z_bar, w_bar))
-        near_x = _distances(sum_map.metric_x, x_bar, sum_map.domain) < a
-        near_y = _distances(sum_map.metric_y, v_bar, sum_map.codomain) < b
-        region_x = tuple(p for p, near in zip(sum_map.domain.points, near_x) if near)
-        region_y = tuple(q for q, near in zip(sum_map.codomain.points, near_y) if near)
+        region_x = tuple(p for p in sum_map.domain.points if du[p] < a)
+        region_y = tuple(q for q in sum_map.codomain.points if dv[q] < b)
         conclusion = check_openness(RegularityInstance(
             mapping=sum_map,
             region_x=region_x,
@@ -460,43 +461,40 @@ def _premise_b(H: SampledMap, x_bar: Point, w_bar: Point, ell: float,
     )
 
 
-def _premise_c(F: SampledMap, H: SampledMap, sum_map: SampledMap,
-               x_bar: Point, z_bar: Point, w_bar: Point, c: float, ell: float,
+def _premise_c(sum_map: SampledMap, splits: list[list[tuple[Point, Point]]],
+               du: dict, dv: dict, dz: dict, dw: dict, c: float, ell: float,
                a: float, b: float, r: float, delta: float) -> CheckReport:
-    v_bar = tuple(p + q for p, q in zip(z_bar, w_bar))
-    # The windows are balls of each map's own metrics.
-    near_u = dict(zip(sum_map.domain.points,
-                      _distances(sum_map.metric_x, x_bar, sum_map.domain) < a + 2.0 * r))
-    near_v = dict(zip(sum_map.codomain.points,
-                      _distances(sum_map.metric_y, v_bar, sum_map.codomain) < b))
-    near_z = dict(zip(F.codomain.points,
-                      _distances(F.metric_y, z_bar, F.codomain) < c * (a + r) + b + delta))
-    near_w = dict(zip(H.codomain.points,
-                      _distances(H.metric_y, w_bar, H.codomain) < (a + r) * ell + delta))
-    checked = 0
+    checked = violations = 0
     witnesses: list[tuple] = []
-    for (u, v), pieces in zip(sum_map.pairs, _splits(F, H, sum_map)):
-        if near_u[u] and near_v[v]:
+    for (u, v), pieces in zip(sum_map.pairs, splits):
+        if du[u] < a + 2.0 * r and dv[v] < b:
             checked += 1
-            if not any(near_z[z] and near_w[w] for z, w in pieces):
-                witnesses.append((u, v))
+            if not any(dz[z] < c * (a + r) + b + delta and dw[w] < (a + r) * ell + delta
+                       for z, w in pieces):
+                violations += 1
+                if len(witnesses) < _WITNESS_CAP:
+                    witnesses.append((u, v))
     return CheckReport(
         name="setvalued-premise-C",
-        passed=not witnesses,
+        passed=violations == 0,
         checked=checked,
-        violation_count=len(witnesses),
-        witnesses=tuple(witnesses[:20]),
+        violation_count=violations,
+        witnesses=tuple(witnesses),
         vacuous=checked == 0,
     )
 
 
-def _splits(F: SampledMap, H: SampledMap,
-            sum_map: SampledMap) -> list[list[tuple[Point, Point]]]:
-    """For each pair (u, v) of the sum map, the (z, w) in F(u) x H(u) with
-    z + w = v up to 1e-12."""
-    return [[(z, w) for z in F.image_of(u) for w in H.image_of(u)
-             if math.dist(tuple(p + q for p, q in zip(z, w)), v) <= 1e-12]
-            for u, v in sum_map.pairs]
+def _sum_distances(F: SampledMap, H: SampledMap, sum_map: SampledMap, x_bar: Point,
+                   z_bar: Point, w_bar: Point) -> list[dict[Point, float]]:
+    """Distances keyed by point, each in its map's own metric: from x_bar to
+    the sum map's domain, from z_bar + w_bar to its values, and from z_bar and
+    w_bar to the values of F and of H."""
+    v_bar = tuple(p + q for p, q in zip(z_bar, w_bar))
+    return [dict(zip(cloud.points, _distances(metric, center, cloud)))
+            for metric, center, cloud in ((sum_map.metric_x, x_bar, sum_map.domain),
+                                          (sum_map.metric_y, v_bar, sum_map.codomain),
+                                          (F.metric_y, z_bar, F.codomain),
+                                          (H.metric_y, w_bar, H.codomain))]
 
 
 @dataclass(frozen=True)
@@ -540,16 +538,6 @@ class SumStabilityReport:
     grid_step: float
 
 
-def _stored_sum_ref(F: SampledMap, H: SampledMap, ref: tuple) -> tuple[Point, Point, Point]:
-    """The reference triple (x_bar, z_bar, w_bar) as the clouds store it,
-    once (x_bar, z_bar) is on F's graph and (x_bar, w_bar) on H's."""
-    if not F.geometry.on_graph(ref[0], ref[1]):
-        raise ValueError("z_bar must belong to F(x_bar)")
-    if not H.geometry.on_graph(ref[0], ref[2]):
-        raise ValueError("w_bar must belong to H(x_bar)")
-    return _stored(F.domain, ref[0]), _stored(F.codomain, ref[1]), _stored(H.codomain, ref[2])
-
-
 def sum_stability_check(F: SampledMap, H: SampledMap, ref: tuple,
                         xi_schedule: Sequence[float] = (1.0, 0.5, 0.25)
                         ) -> SumStabilityReport:
@@ -560,16 +548,15 @@ def sum_stability_check(F: SampledMap, H: SampledMap, ref: tuple,
     v = z + w with z within xi of z_bar in F(u) and w within xi of w_bar in
     H(u). Verdict: every xi admits beta above the domain grid step.
     """
-    x_bar, z_bar, w_bar = _stored_sum_ref(F, H, ref)
-    sum_map = minkowski_sum_map(F, H)
-    geom = sum_map.geometry
-    v_bar = tuple(p + q for p, q in zip(z_bar, w_bar))
-    # Distances are measured from the reference points in each map's metrics.
-    du = dict(zip(sum_map.domain.points, _distances(sum_map.metric_x, x_bar, sum_map.domain)))
-    dv = dict(zip(sum_map.codomain.points,
-                  _distances(sum_map.metric_y, v_bar, sum_map.codomain)))
-    dz = dict(zip(F.codomain.points, _distances(F.metric_y, z_bar, F.codomain)))
-    dw = dict(zip(H.codomain.points, _distances(H.metric_y, w_bar, H.codomain)))
+    return _sum_stability(F, H, ref, xi_schedule)[0]
+
+
+def _sum_stability(F: SampledMap, H: SampledMap, ref: tuple, xi_schedule: Sequence[float]
+                   ) -> tuple[SumStabilityReport, SampledMap, tuple[Point, Point, Point]]:
+    """sum_stability_check's report, with the sum map and stored reference."""
+    x_bar, z_bar, w_bar = stored_ref = _reference(F, H, ref)
+    sum_map, splits = _sum_map(F, H)
+    du, dv, dz, dw = _sum_distances(F, H, sum_map, x_bar, z_bar, w_bar)
     candidates = sorted({float(d) for d in (*du.values(), *dv.values()) if d > 0.0},
                         reverse=True)
 
@@ -578,16 +565,18 @@ def sum_stability_check(F: SampledMap, H: SampledMap, ref: tuple,
     # holds iff no pair failing at xi has max(du, dv) < beta.
     reach_arr = np.array([max(du[u], dv[v]) for u, v in sum_map.pairs])
     need_arr = np.array([min((max(dz[z], dw[w]) for z, w in pieces), default=math.inf)
-                         for pieces in _splits(F, H, sum_map)])
+                         for pieces in splits])
 
+    # The sum map has F's domain and metric_x, so F's grid step is its own.
+    step = F.geometry.step_x
     entries = []
     for xi in xi_schedule:
         limit = float(np.min(reach_arr, where=~(need_arr < xi), initial=math.inf))
         best = next((beta for beta in candidates if beta <= limit), 0.0)
-        entries.append((float(xi), best, best > geom.step_x))
+        entries.append((float(xi), best, best > step))
     verdict = all(ok for _, _, ok in entries)
-    return SumStabilityReport(entries=tuple(entries), verdict=verdict,
-                              grid_step=geom.step_x)
+    report = SumStabilityReport(entries=tuple(entries), verdict=verdict, grid_step=step)
+    return report, sum_map, stored_ref
 
 
 def lg_sumstable_check(F: SampledMap, H: SampledMap, ref: tuple,
@@ -595,15 +584,13 @@ def lg_sumstable_check(F: SampledMap, H: SampledMap, ref: tuple,
                        lip_radius: float | None = None,
                        cfg: ModulusSearchConfig | None = None) -> InequalityReport:
     """Rate stability for sum-stable pairs: sur(F+H) >= sur F - lip H - tol."""
-    stability = sum_stability_check(F, H, ref, xi_schedule)
+    stability, sum_map, (x_bar, z_bar, w_bar) = _sum_stability(F, H, ref, xi_schedule)
     if not stability.verdict:
         raise ValueError("instance is not sum-stable on the sampled schedule")
-    x_bar, z_bar, w_bar = _stored_sum_ref(F, H, ref)
     geom = F.geometry
     radius = lip_radius if lip_radius is not None else 0.5 * geom.diam_x
     sur_f = estimate_modulus(F, (x_bar, z_bar), "sur", cfg)
     lip = estimate_lip(H, x_bar, radius, anchor=w_bar)
-    sum_map = minkowski_sum_map(F, H)
     v_bar = tuple(p + q for p, q in zip(z_bar, w_bar))
     sur_s = estimate_modulus(sum_map, (x_bar, v_bar), "sur", cfg)
     return _rate_inequality("rate-stability-sum", geom.step_x, sur_f, lip.value, sur_s, (

@@ -249,6 +249,18 @@ def _expr(data, key, path: str, variables: Sequence[str] = ("x",)) -> Callable[.
         raise _fail(where, str(exc)) from None
 
 
+def _sampled(fn: Callable[[float], float], where: str) -> Callable[[Point], Point]:
+    """fn on 1-D points, for sampling a payload expression at load: a failed
+    evaluation raises ScenarioError at where."""
+    def sample(p: Point) -> Point:
+        try:
+            return (fn(p[0]),)
+        except (ArithmeticError, TypeError, ValueError) as exc:
+            raise _fail(where, f"cannot be evaluated at x = {p[0]!r}: {exc}") from None
+
+    return sample
+
+
 def _gamma(data, key, path: str, mapping: SampledMap):
     """A reach: a positive number, "inf", or {"milyutin": region}, the
     distance to the region's complement in the map's domain metric."""
@@ -383,12 +395,12 @@ def _map(data, key, path: str) -> SampledMap:
             raise _fail(path, "expression maps need a 1-D domain")
         if "graph_expr" in spec:
             fn = _expr(spec, "graph_expr", path)
-            return SampledMap.from_function(domain, lambda p: (fn(p[0]),))
+            return SampledMap.from_function(domain, _sampled(fn, f"{path}.graph_expr"))
         sources, where = _require(spec, "graph_exprs", path, of=list), f"{path}.graph_exprs"
         if not sources:
             raise _fail(where, "must be a nonempty list")
-        fns = [_expr(sources, i, where) for i in range(len(sources))]
-        return SampledMap.from_branches(domain, [(lambda p, f=f: (f(p[0]),)) for f in fns])
+        fns = [_sampled(_expr(sources, i, where), _at(where, i)) for i in range(len(sources))]
+        return SampledMap.from_branches(domain, fns)
     if "pairs" not in spec:
         raise _fail(path, "map spec needs 'graph_expr', 'graph_exprs', or 'pairs'")
     codomain = _cloud(spec, "codomain", path) if "codomain" in spec else None
@@ -588,7 +600,8 @@ def _prep_descent(payload: dict):
     if oracle_kind == "newton":
         oracle = newton_oracle(g_fn, _expr(payload, "dg_expr", "payload"))
     elif oracle_kind == "grid":
-        oracle = grid_scan_oracle(_cloud(payload, "cloud", "payload"), g, c, min(1.0, eps))
+        oracle = grid_scan_oracle(_cloud(payload, "cloud", "payload"),
+                                  _sampled(g_fn, "payload.g_expr"), c, min(1.0, eps))
     else:
         oracle = none_oracle()
 

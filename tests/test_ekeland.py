@@ -297,3 +297,22 @@ def test_directional_ekeland_outputs_frozen():
         "stationarity_ok=True, radius_ok=True, certificate=EkelandCertificate("
         "point=(0.06999999999999984,), epsilon=0.0, descent_ok=True, stationarity_ok=True, "
         "descent_gap=1.9399999999999984, witness=None))")
+
+
+def test_selectors_resolve_start_through_the_cloud():
+    # On the 0.1 grid, 0.3 names the stored 0.30000000000000004, as it does
+    # for generate_trace. A table objective has no entry for 0.3 itself, so
+    # each selector must read the value, the self-distance and the
+    # certificate at the stored point, and give the stored point's result.
+    cloud = PointCloud.from_grid(0.0, 1.0, 0.1)
+    stored = cloud.points[3]
+    assert stored == (0.30000000000000004,)
+    obj = Objective.from_table(cloud, [abs(k - 7) * 0.2 + 0.05 for k in range(11)])
+    assert generate_trace(cloud, EUCLID, obj, (0.3,)).points[0] == stored
+    cert = approx_point(cloud, EUCLID, obj, (0.3,), 0.01)
+    assert cert == approx_point(cloud, EUCLID, obj, stored, 0.01)
+    assert cert.point != stored
+    assert weak_point(cloud, EUCLID, obj, (0.3,)) == weak_point(cloud, EUCLID, obj, stored)
+    res = two_constant_point(cloud, EUCLID, obj, (0.3,), delta=1.0, r=1.0)
+    assert res == two_constant_point(cloud, EUCLID, obj, stored, delta=1.0, r=1.0)
+    assert res.radius_ok

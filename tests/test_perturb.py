@@ -486,3 +486,75 @@ def test_sum_stability_and_aubin_anchor_tolerate_grid_roundoff():
             == estimate_lip(H_SIN, (0.3,), 0.2, anchor=w_stored))
     with pytest.raises(ValueError, match="z_bar"):
         sum_stability_check(F_2X, H_SIN, ((0.3,), (0.64,), typed[2]))
+
+
+def _tie_maps():
+    # At u = 0 the sums 0.1 + 0.2 = 0.30000000000000004 and 0.15 + 0.15 = 0.3
+    # are two values of F + H that tie within 1e-12, so each splits both
+    # ways; so do 1.3 and 1.2999999999999998 at u = 1.
+    dom = PointCloud.from_grid(0.0, 1.0, 0.25)
+    F = SampledMap.from_branches(dom, [lambda p: (p[0] + 0.1,), lambda p: (p[0] + 0.15,)])
+    H = SampledMap.from_branches(dom, [lambda p: (0.2,), lambda p: (0.15,)])
+    return F, H, ((0.0,), (0.1,), (0.2,))
+
+
+def test_sum_reports_frozen_where_sums_tie():
+    F, H, ref = _tie_maps()
+    assert repr(sum_stability_check(F, H, ref, (1.0, 0.5, 0.04))) == (
+        "SumStabilityReport(entries=((1.0, 1.0, True), (0.5, 0.5, True), "
+        "(0.04, 0.04999999999999993, False)), verdict=False, grid_step=0.25)")
+    inst = PerturbationInstance(F=F, ref=ref, H=H, constants=dict(
+        c=0.5, c_prime=0.9, ell=0.0, a=0.3, b=0.3, r=0.15, delta=0.01))
+    assert repr(lg_setvalued_check(inst)) == (
+        "SetValuedStabilityReport("
+        "premise_a=CheckReport(name='setvalued-premise-A', passed=True, checked=4, "
+        "violation_count=0, witnesses=(), vacuous=False, stabilized=None), "
+        "premise_b=CheckReport(name='setvalued-premise-B', passed=True, checked=9, "
+        "violation_count=0, witnesses=(), vacuous=False, stabilized=None), "
+        "premise_c=CheckReport(name='setvalued-premise-C', passed=False, checked=6, "
+        "violation_count=2, witnesses=(((0.0,), (0.25,)), ((0.25,), (0.5,))), "
+        "vacuous=False, stabilized=None), conclusion=None, "
+        "constants=(('lambda', 0.22222222222222224), ('alpha', 0.5555555555555556), "
+        "('c_minus_ell_alpha', 0.2777777777777778)), reading_sensitive=False, passed=False)")
+
+
+def test_split_tolerance_is_1e_12():
+    # H(u) = {1, 1 + 5e-10}: the sum value 1 lies within 1e-9, but not within
+    # 1e-12, of 0 + (1 + 5e-10), so its only split is 0 + 1, and that w is
+    # 5e-10 from w_bar = 1 + 5e-10. At xi = 2.5e-10 the pair (x_bar, 1) does
+    # not split near the reference, and the largest beta is the distance
+    # from v_bar to 1; with a looser tolerance every pair would split.
+    dom = PointCloud(((0.0,), (1.0,), (2.0,)))
+    F = SampledMap.from_function(dom, lambda p: (0.0,))
+    H = SampledMap.from_branches(dom, [lambda p: (1.0,), lambda p: (1.0 + 5e-10,)])
+    ref = ((0.0,), (0.0,), (1.0 + 5e-10,))
+    rep = sum_stability_check(F, H, ref, (2.5e-10, 1e-9))
+    assert rep.entries == ((2.5e-10, 5.000000413701855e-10, False), (1e-9, 2.0, True))
+    inst = PerturbationInstance(F=F, ref=ref, H=H, constants=dict(
+        c=1.2, c_prime=1.5, ell=0.0, a=0.3, b=0.3, r=0.15, delta=2.5e-10))
+    premise = lg_setvalued_check(inst).premise_c
+    assert (premise.checked, premise.violation_count) == (2, 1)
+    assert premise.witnesses == (((0.0,), (1.0,)),)
+
+
+def test_sum_checks_build_no_geometry_of_their_own(monkeypatch):
+    # sum_stability_check reads the grid step from F's tables, and
+    # lg_sumstable_check reuses the sum map its stability check built: once
+    # F's and H's tables exist, only the modulus search on F + H builds one.
+    from almostreg import regularity
+
+    built = []
+    init = regularity.MapGeometry.__init__
+
+    def counting(self, mapping):
+        built.append(mapping)
+        init(self, mapping)
+
+    F = SampledMap.from_function(DOM, lambda p: (2.0 * p[0],))
+    H = SampledMap.from_function(DOM, h_sin)
+    _ = F.geometry, H.geometry
+    monkeypatch.setattr(regularity.MapGeometry, "__init__", counting)
+    sum_stability_check(F, H, REF3)
+    assert built == []
+    lg_sumstable_check(F, H, REF3)
+    assert len(built) == 1 and built[0] not in (F, H)

@@ -138,6 +138,16 @@ LOAD_ERRORS = [
     ("perturb_lg_single", {"ref": [[0.0], [1.0]]}, "payload.ref"),
     ("regularity_openness_pass", {"gamma": _DELETE}, "payload.gamma"),
     ("regularity_modulus_sur", {"ref": [[0.3], [0.64]]}, "payload.ref"),
+    ("regularity_openness_pass", {"map": {"domain": {"grid": {"start": -1.0, "stop": 1.0,
+                                                              "step": 0.05}},
+                                          "graph_expr": "1 / x"}}, "payload.map.graph_expr"),
+    ("regularity_openness_pass", {"map": {"domain": {"grid": {"start": -1.0, "stop": 1.0,
+                                                              "step": 0.5}},
+                                          "graph_exprs": ["2 * x", "(x - 1) ** 0.5"]}},
+     "payload.map.graph_exprs[1]"),
+    ("ioffe_descent_newton", {"oracle": "grid", "g_expr": "1 / x",
+                              "cloud": {"grid": {"start": -1.0, "stop": 1.0, "step": 0.5}}},
+     "payload.g_expr"),
 ]
 
 
@@ -173,9 +183,10 @@ def test_payload_error_texts_kept(tmp_path):
         assert str(exc.value).startswith(text)
 
 
-@pytest.mark.parametrize("case", [0, 15, 16, 19], ids=lambda i: LOAD_ERRORS[i][2])
+@pytest.mark.parametrize("case", [0, 15, 16, 19, 26], ids=lambda i: LOAD_ERRORS[i][2])
 def test_cli_exits_2_on_payload_error(tmp_path, capsys, case):
-    # A run-time failure, a silently ignored field and two loader crashes.
+    # A run-time failure, a silently ignored field, two loader crashes and a
+    # map expression that fails where it is sampled.
     stem, changes, field_path = LOAD_ERRORS[case]
     assert main(["run", str(corrupted(tmp_path, stem, changes))]) == 2
     assert capsys.readouterr().err.startswith(f"error: {field_path}: ")
