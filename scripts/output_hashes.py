@@ -1,12 +1,13 @@
 """Hash the outputs of the benchmark workloads, to show a change kept them.
 
-Runs every case of the chosen workloads once per seed, from the checkout at
-ROOT (its `src/` and `perfbench/workloads.py`), runs each case's own check,
-and prints one sha256 of the outputs' `repr`s per (workload, seed). Run it on
-two checkouts and compare the lines:
+Runs every case of the chosen workloads (all four by default: suite,
+moduli, premetric, linear) once per seed, from the checkout at ROOT (its
+`src/` and `perfbench/workloads.py`), runs each case's own check, and prints
+one sha256 of the outputs' `repr`s per (workload, seed). Run it on two
+checkouts and compare the lines:
 
-    python3 scripts/output_hashes.py --workload moduli --seeds 1 2 3
-    python3 scripts/output_hashes.py ../parent --workload suite --seeds 1 2
+    python3 scripts/output_hashes.py --seeds 1 2 3
+    python3 scripts/output_hashes.py ../parent --workload linear --workload suite --seeds 1 2
 
 Hashes of `repr`s of sets and dicts depend on string hashing, so the script
 runs with PYTHONHASHSEED=0, restarting itself when it is not set. It writes
@@ -40,7 +41,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("root", nargs="?", default=".", help="checkout root (default: .)")
     parser.add_argument("--workload", action="append", choices=NAMES,
-                        help="workload to hash; repeat for several (default: moduli, suite)")
+                        help="workload to hash; repeat for several (default: all four)")
     parser.add_argument("--seeds", type=int, nargs="+", default=[1])
     args = parser.parse_args(argv)
     if sys.flags.hash_randomization:
@@ -49,7 +50,7 @@ def main(argv: list[str] | None = None) -> int:
     root = Path(args.root).resolve()
     workloads = _load_workloads(root)
     failed = False
-    for name in args.workload or ["moduli", "suite"]:
+    for name in args.workload or NAMES:
         for seed in args.seeds:
             digest = hashlib.sha256()
             errors = 0

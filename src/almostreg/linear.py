@@ -1,14 +1,16 @@
 """Openness moduli of linear operators between small normed spaces.
 
-The rate of a matrix A is the largest c with c B_Y inside A(B_X): for
-euclidean norms this is the smallest singular value of the transposed
-operator, taken from LAPACK through numpy.linalg.svd. An independent
-sphere-mesh oracle evaluates the same quantity by brute force; the two
-routes are kept separate so each can audit the other. Non-euclidean norms
-are handled by the mesh route only, with refinement until stable, and always
-reported as a bracket. On a 2-D sup- or one-norm domain the mesh route's
-inner max, and the operator norm, read the 4 vertices of the domain ball,
-where a linear functional or a norm attains its max over the ball.
+A DenseMatrix is one read-only float array, built and checked once. The
+rate of a matrix A is the largest c with c B_Y inside A(B_X): for euclidean
+norms this is the smallest singular value of the transposed operator, read
+by LAPACK (numpy.linalg.svd) from the matrix's array or its transposed view.
+An independent sphere-mesh oracle evaluates the same quantity by brute
+force; the two routes are kept separate so each can audit the other.
+Non-euclidean norms are handled by the mesh route only, with refinement
+until stable, and always reported as a bracket. The mesh route walks the
+dual sphere one part (a polyhedral edge) at a time. On a 2-D sup- or
+one-norm domain its inner max, and the operator norm, read the 4 vertices
+of the domain ball, where a linear functional or a norm attains its max.
 """
 from __future__ import annotations
 
@@ -27,19 +29,26 @@ _RANK_TOL = 1e-10
 _MESH_STABLE_TOL = 1e-6
 
 
-@dataclass(frozen=True)
 class DenseMatrix:
-    rows: int
-    cols: int
-    entries: tuple[float, ...]  # row-major
+    """A real matrix held as one read-only float array of shape (rows, cols).
 
-    def __post_init__(self) -> None:
-        if self.rows < 1 or self.cols < 1:
+    The constructor takes the rows * cols entries row by row, reads each as
+    float() does, and rejects a non-finite one; scaled, plus and minus check
+    their results the same way, so an overflow to inf is an error.
+    """
+
+    __slots__ = ("_array",)
+
+    def __init__(self, rows: int, cols: int, entries: Sequence[float]) -> None:
+        if rows < 1 or cols < 1:
             raise ValueError("matrix dimensions must be positive")
-        if len(self.entries) != self.rows * self.cols:
+        if len(entries) != rows * cols:
             raise ValueError("entry count must equal rows * cols")
-        if not all(math.isfinite(e) for e in self.entries):
+        a = np.array(entries, dtype=float).reshape(rows, cols)
+        if not np.isfinite(a).all():
             raise ValueError("matrix entries must be finite")
+        a.flags.writeable = False
+        self._array = a
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[float]]) -> "DenseMatrix":
@@ -49,29 +58,49 @@ class DenseMatrix:
         c = len(rows[0])
         if any(len(row) != c for row in rows):
             raise ValueError("ragged rows")
-        return cls(r, c, tuple(float(v) for row in rows for v in row))
+        return cls(r, c, np.array(rows, dtype=float).ravel())
+
+    @property
+    def rows(self) -> int:
+        return self._array.shape[0]
+
+    @property
+    def cols(self) -> int:
+        return self._array.shape[1]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, DenseMatrix):
+            return NotImplemented
+        return np.array_equal(self._array, other._array)
+
+    def __hash__(self) -> int:
+        return hash((self._array.shape, tuple(self._array.ravel().tolist())))
+
+    def __repr__(self) -> str:
+        return f"DenseMatrix({self.rows}, {self.cols}, {tuple(self._array.ravel().tolist())})"
 
     def as_array(self) -> np.ndarray:
-        return np.asarray(self.entries, dtype=float).reshape(self.rows, self.cols)
+        """The matrix's own read-only array; no copy is made."""
+        return self._array
 
     def transpose(self) -> "DenseMatrix":
-        return DenseMatrix.from_rows(self.as_array().T.tolist())
+        return DenseMatrix(self.cols, self.rows, self._array.T.ravel())
 
     def scaled(self, factor: float) -> "DenseMatrix":
-        return DenseMatrix(self.rows, self.cols,
-                           tuple(factor * e for e in self.entries))
+        with np.errstate(all="ignore"):
+            return DenseMatrix(self.rows, self.cols, (factor * self._array).ravel())
 
     def minus(self, other: "DenseMatrix") -> "DenseMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
+        if self._array.shape != other._array.shape:
             raise ValueError("shape mismatch")
-        return DenseMatrix(self.rows, self.cols,
-                           tuple(a - b for a, b in zip(self.entries, other.entries)))
+        with np.errstate(all="ignore"):
+            return DenseMatrix(self.rows, self.cols, (self._array - other._array).ravel())
 
     def plus(self, other: "DenseMatrix") -> "DenseMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
+        if self._array.shape != other._array.shape:
             raise ValueError("shape mismatch")
-        return DenseMatrix(self.rows, self.cols,
-                           tuple(a + b for a, b in zip(self.entries, other.entries)))
+        with np.errstate(all="ignore"):
+            return DenseMatrix(self.rows, self.cols, (self._array + other._array).ravel())
 
 
 @dataclass(frozen=True)
@@ -161,58 +190,75 @@ def jacobi_column_norms(a: np.ndarray) -> np.ndarray:
 def singular_values(m: DenseMatrix) -> np.ndarray:
     """All singular values of m (length = cols), descending.
 
-    LAPACK's values through numpy.linalg.svd, padded with zeros when
+    LAPACK's values through numpy.linalg.svd, with zeros appended when
     rows < cols.
     """
     sigmas = np.linalg.svd(m.as_array(), compute_uv=False)
-    return np.pad(sigmas, (0, m.cols - len(sigmas)))
+    return sigmas if m.rows >= m.cols else np.pad(sigmas, (0, m.cols - m.rows))
 
 
-def _check_dims(m: DenseMatrix, nx: NormSpec, ny: NormSpec) -> None:
+def _spaces(m: DenseMatrix, nx: NormSpec | None,
+            ny: NormSpec | None) -> tuple[NormSpec, NormSpec]:
+    """The domain and codomain norms, euclidean by default, checked against
+    the shape of m."""
+    nx = nx or euclidean_space(m.cols)
+    ny = ny or euclidean_space(m.rows)
     if nx.dimension != m.cols:
         raise ValueError("domain norm dimension must equal matrix cols")
     if ny.dimension != m.rows:
         raise ValueError("codomain norm dimension must equal matrix rows")
+    return nx, ny
 
 
-def _sphere_mesh(space: NormSpec, count: int) -> np.ndarray:
-    """Points on the unit sphere of the norm; deterministic, anchored meshes.
+def _sphere_parts(space: NormSpec, count: int) -> Iterator[np.ndarray]:
+    """Points on the unit sphere of the norm, one part at a time;
+    deterministic, anchored meshes.
 
-    Euclidean: angle grid anchored at angle 0 (2-D) or a Fibonacci spiral
-    (3-D). Polyhedral norms (sup, one) are meshed edge by edge with vertices
-    always included, so linear maxima over the ball are hit exactly.
+    Euclidean: one part, an angle grid anchored at angle 0 (2-D) or a
+    Fibonacci spiral (3-D). Polyhedral norms (sup, one): one part per edge,
+    each with both its vertices, so linear maxima over the ball are hit
+    exactly.
     """
     d = space.dimension
     if d == 1:
-        return np.array([[1.0], [-1.0]])
+        yield np.array([[1.0], [-1.0]])
+        return
     if space.kind == "euclidean":
         if d == 2:
             angles = np.arange(count) * (2.0 * math.pi / count)
-            return np.stack([np.cos(angles), np.sin(angles)], axis=1)
+            yield np.stack([np.cos(angles), np.sin(angles)], axis=1)
+            return
         if d == 3:
             k = np.arange(count) + 0.5
             phi = math.pi * (1.0 + math.sqrt(5.0)) * k
             z = 1.0 - 2.0 * k / count
             rad = np.sqrt(np.maximum(1.0 - z * z, 0.0))
-            return np.stack([rad * np.cos(phi), rad * np.sin(phi), z], axis=1)
+            yield np.stack([rad * np.cos(phi), rad * np.sin(phi), z], axis=1)
+            return
         raise NotImplementedError("euclidean sphere meshes only for dimensions 1-3")
     if d != 2:
         raise NotImplementedError("polyhedral sphere meshes only for dimensions 1-2")
     per_edge = max(count // 4, 3) | 1  # odd: includes endpoints and midpoint
     s = np.linspace(-1.0, 1.0, per_edge)
     if space.kind == "sup":
-        edges = [np.stack([np.full(per_edge, 1.0), s], axis=1),
-                 np.stack([np.full(per_edge, -1.0), s], axis=1),
-                 np.stack([s, np.full(per_edge, 1.0)], axis=1),
-                 np.stack([s, np.full(per_edge, -1.0)], axis=1)]
-        return np.concatenate(edges, axis=0)
+        yield np.stack([np.full(per_edge, 1.0), s], axis=1)
+        yield np.stack([np.full(per_edge, -1.0), s], axis=1)
+        yield np.stack([s, np.full(per_edge, 1.0)], axis=1)
+        yield np.stack([s, np.full(per_edge, -1.0)], axis=1)
+        return
     # one-norm: diamond with vertices (+-1, 0), (0, +-1)
     t = 0.5 * (s + 1.0)  # in [0, 1]
-    edges = [np.stack([1.0 - t, t], axis=1),
-             np.stack([-t, 1.0 - t], axis=1),
-             np.stack([t - 1.0, -t], axis=1),
-             np.stack([t, t - 1.0], axis=1)]
-    return np.concatenate(edges, axis=0)
+    yield np.stack([1.0 - t, t], axis=1)
+    yield np.stack([-t, 1.0 - t], axis=1)
+    yield np.stack([t - 1.0, -t], axis=1)
+    yield np.stack([t, t - 1.0], axis=1)
+
+
+def _sphere_mesh(space: NormSpec, count: int) -> np.ndarray:
+    """The whole sphere mesh of _sphere_parts as one array; a mesh of one part
+    is returned as it is, not copied."""
+    parts = list(_sphere_parts(space, count))
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 # Vertices of the 2-D polyhedral unit balls. Every polyhedral sphere mesh
@@ -232,13 +278,6 @@ def _ball_vertices(space: NormSpec) -> np.ndarray | None:
     return None
 
 
-def _mesh_counts(start: int = 360) -> Iterator[int]:
-    c = start
-    while True:
-        yield c
-        c *= 2
-
-
 def _mesh_min_support(m: DenseMatrix, nx: NormSpec, ny: NormSpec,
                       count: int) -> float:
     """min over dual-sphere mesh of max over the domain ball of <v, Ax>.
@@ -248,35 +287,31 @@ def _mesh_min_support(m: DenseMatrix, nx: NormSpec, ny: NormSpec,
     space, so the outer min runs over the dual unit sphere and yields the
     certified covering radius. The inner max reads the ball's vertices on a
     polyhedral 2-D domain, where it is exact, and the domain-sphere mesh
-    otherwise. Computed in chunks to bound memory.
+    otherwise. The dual mesh is walked one part (an edge of a polyhedral
+    sphere) at a time, in chunks, to bound memory; min and max are exact, so
+    the walk gives the value of the whole mesh.
     """
-    a = m.as_array()
-    targets = _sphere_mesh(_dual_space(ny), count)
     sources = _ball_vertices(nx)
     if sources is None:
         sources = _sphere_mesh(nx, count)
-    imgs = sources @ a.T  # (n_src, rows)
+    imgs = sources @ m.as_array().T  # (n_src, rows)
     best = math.inf
-    for lo in range(0, len(targets), 1024):
-        chunk = targets[lo:lo + 1024]
-        support = chunk @ imgs.T  # (chunk, n_src)
-        best = min(best, float(support.max(axis=1).min()))
+    for part in _sphere_parts(_dual_space(ny), count):
+        for lo in range(0, len(part), 1024):
+            support = part[lo:lo + 1024] @ imgs.T  # (chunk, n_src)
+            best = min(best, float(support.max(axis=1).min()))
     return best
 
 
 def _refine_until_stable(m: DenseMatrix, nx: NormSpec, ny: NormSpec,
                          evaluate) -> tuple[float, float, int]:
-    """Run the mesh evaluation on doubling meshes until three values agree."""
+    """Run the mesh evaluation on doubling meshes, from 360 points up to the
+    cap of 360 * 2**7 = 46,080, until three values agree."""
     values: list[float] = []
-    count = 0
-    for count in _mesh_counts():
+    for count in (360 * 2 ** k for k in range(8)):
         values.append(evaluate(m, nx, ny, count))
-        if count >= 360 * 2 ** 7:
+        if len(values) >= 3 and max(values[-3:]) - min(values[-3:]) <= _MESH_STABLE_TOL:
             break
-        if len(values) >= 3:
-            tail = values[-3:]
-            if max(tail) - min(tail) <= _MESH_STABLE_TOL:
-                break
     spread = (max(values[-3:]) - min(values[-3:])) if len(values) >= 3 else math.inf
     return values[-1], spread, count
 
@@ -286,19 +321,15 @@ def opnorm(m: DenseMatrix, nx: NormSpec | None = None,
     """Operator norm: the largest singular value for euclidean norms, the
     max over the ball's vertices on a polyhedral 2-D domain, and otherwise
     the max over refined domain-sphere meshes."""
-    nx = nx or euclidean_space(m.cols)
-    ny = ny or euclidean_space(m.rows)
-    _check_dims(m, nx, ny)
+    nx, ny = _spaces(m, nx, ny)
     if nx.kind == "euclidean" and ny.kind == "euclidean":
-        return float(singular_values(m)[0])
+        return float(np.linalg.svd(m.as_array(), compute_uv=False)[0])
     vertices = _ball_vertices(nx)
     if vertices is not None:
         return float(ny.norms(vertices @ m.as_array().T).max())
 
     def evaluate(mm: DenseMatrix, nnx: NormSpec, nny: NormSpec, count: int) -> float:
-        a = mm.as_array()
-        sources = _sphere_mesh(nnx, count)
-        return float(nny.norms(sources @ a.T).max())
+        return float(nny.norms(_sphere_mesh(nnx, count) @ mm.as_array().T).max())
 
     value, _, _ = _refine_until_stable(m, nx, ny, evaluate)
     return value
@@ -309,55 +340,34 @@ def sur_modulus(m: DenseMatrix, nx: NormSpec | None = None,
                 mesh_count: int = 3600) -> ModulusReport:
     """Largest rate c with c B_Y covered by A(B_X).
 
-    method="svd" (euclidean only): smallest of the rows-many singular values
-    of the transposed operator (singular_values); zero when rank < rows.
+    method="svd" (euclidean only): smallest singular value of the transposed
+    operator, read by LAPACK from a view of m's array; zero when rank < rows.
     method="grid": sphere-mesh brute force, reported with the mesh step as
     resolution. Non-euclidean norms force the mesh route and a bracket.
     """
-    nx = nx or euclidean_space(m.cols)
-    ny = ny or euclidean_space(m.rows)
-    _check_dims(m, nx, ny)
+    nx, ny = _spaces(m, nx, ny)
     euclid = nx.kind == "euclidean" and ny.kind == "euclidean"
     if method not in ("svd", "grid"):
         raise ValueError(f"unknown method {method!r}")
+    limited = False
     if method == "svd":
         if not euclid:
             raise ValueError("svd route applies to euclidean norms only")
-        sigmas = singular_values(m.transpose())
+        sigmas = np.linalg.svd(m.as_array().T, compute_uv=False)
         value = float(sigmas[-1])
         if m.rows > m.cols or value <= _RANK_TOL * max(1.0, float(sigmas[0])):
             value = 0.0
-        return ModulusReport(
-            kind="sur",
-            lower=value,
-            upper=as_ext(value),
-            estimate=value,
-            grid_resolution=0.0,
-            stabilized_gamma=None,
-            resolution_limited=False,
-            witness_ok=None,
-            witness_fail=None,
-        )
-    if euclid:
-        value = _mesh_min_support(m, nx, ny, mesh_count)
-        value = max(value, 0.0)
+        err = step = 0.0
+    elif euclid:
+        value = max(_mesh_min_support(m, nx, ny, mesh_count), 0.0)
         step = 2.0 * math.pi / mesh_count
         err = 2.0 * step * opnorm(m)
-        return ModulusReport(
-            kind="sur",
-            lower=max(value - err, 0.0),
-            upper=as_ext(value + err),
-            estimate=value,
-            grid_resolution=step,
-            stabilized_gamma=None,
-            resolution_limited=False,
-            witness_ok=None,
-            witness_fail=None,
-        )
-    value, spread, count = _refine_until_stable(m, nx, ny, _mesh_min_support)
-    value = max(value, 0.0)
-    step = 2.0 * math.pi / count
-    err = max(spread, _MESH_STABLE_TOL) + 2.0 * step * opnorm(m)
+    else:
+        value, spread, count = _refine_until_stable(m, nx, ny, _mesh_min_support)
+        value = max(value, 0.0)
+        step = 2.0 * math.pi / count
+        err = max(spread, _MESH_STABLE_TOL) + 2.0 * step * opnorm(m)
+        limited = spread > _MESH_STABLE_TOL
     return ModulusReport(
         kind="sur",
         lower=max(value - err, 0.0),
@@ -365,7 +375,7 @@ def sur_modulus(m: DenseMatrix, nx: NormSpec | None = None,
         estimate=value,
         grid_resolution=step,
         stabilized_gamma=None,
-        resolution_limited=spread > _MESH_STABLE_TOL,
+        resolution_limited=limited,
         witness_ok=None,
         witness_fail=None,
     )
@@ -374,20 +384,17 @@ def sur_modulus(m: DenseMatrix, nx: NormSpec | None = None,
 def injectivity_bound(m: DenseMatrix, nx: NormSpec | None = None,
                       ny: NormSpec | None = None) -> float:
     """inf over the unit domain sphere of the codomain norm of Ax."""
-    nx = nx or euclidean_space(m.cols)
-    ny = ny or euclidean_space(m.rows)
-    _check_dims(m, nx, ny)
+    nx, ny = _spaces(m, nx, ny)
     if nx.kind == "euclidean" and ny.kind == "euclidean":
-        sigmas = singular_values(m)
-        # Zero-padded when cols > rows; floored at the rank tolerance as in
-        # sur_modulus, so a rank-deficient m reads 0, not LAPACK's noise.
-        value = float(sigmas[-1])
+        # Zero when cols > rows (m has a kernel); floored at the rank
+        # tolerance as in sur_modulus, so a rank-deficient m reads 0, not
+        # LAPACK's noise.
+        sigmas = np.linalg.svd(m.as_array(), compute_uv=False)
+        value = float(sigmas[-1]) if m.rows >= m.cols else 0.0
         return 0.0 if value <= _RANK_TOL * max(1.0, float(sigmas[0])) else value
 
     def evaluate(mm: DenseMatrix, nnx: NormSpec, nny: NormSpec, count: int) -> float:
-        a = mm.as_array()
-        sources = _sphere_mesh(nnx, count)
-        return float(nny.norms(sources @ a.T).min())
+        return float(nny.norms(_sphere_mesh(nnx, count) @ mm.as_array().T).min())
 
     value, _, _ = _refine_until_stable(m, nx, ny, evaluate)
     return max(value, 0.0)
@@ -405,10 +412,8 @@ class LinearVerdict:
 def harte_check(m: DenseMatrix, nx: NormSpec | None = None,
                 ny: NormSpec | None = None, tol: float = 1e-9) -> LinearVerdict:
     """Rate at least the injectivity bound, for full-row-rank operators."""
-    nx = nx or euclidean_space(m.cols)
-    ny = ny or euclidean_space(m.rows)
-    _check_dims(m, nx, ny)
-    sigmas = singular_values(m.transpose())
+    nx, ny = _spaces(m, nx, ny)
+    sigmas = np.linalg.svd(m.as_array().T, compute_uv=False)
     rank = int((sigmas > _RANK_TOL).sum())
     if rank < m.rows:
         return LinearVerdict(
@@ -443,14 +448,12 @@ def sur_lipschitz_check(a: DenseMatrix, b: DenseMatrix,
                         nx: NormSpec | None = None, ny: NormSpec | None = None,
                         tol: float = 1e-8) -> LinearVerdict:
     """|sur A - sur B| <= opnorm(A - B) + tol."""
-    if (a.rows, a.cols) != (b.rows, b.cols):
-        raise ValueError("shape mismatch")
-    nx = nx or euclidean_space(a.cols)
-    ny = ny or euclidean_space(a.rows)
+    diff = a.minus(b)  # raises on a shape mismatch
+    nx, ny = _spaces(a, nx, ny)
     method = "svd" if nx.kind == "euclidean" and ny.kind == "euclidean" else "grid"
     sur_a = sur_modulus(a, nx, ny, method=method).estimate
     sur_b = sur_modulus(b, nx, ny, method=method).estimate
-    gap = opnorm(a.minus(b), nx, ny)
+    gap = opnorm(diff, nx, ny)
     ok = abs(sur_a - sur_b) <= gap + tol
     return LinearVerdict(
         name="sur-lipschitz",
@@ -469,9 +472,7 @@ def open_set_check(m: DenseMatrix, nx: NormSpec | None = None,
     Samples matrices E with opnorm(E) < 0.99 * sur(A) and asserts
     sur(A + E) > 0 on each.
     """
-    nx = nx or euclidean_space(m.cols)
-    ny = ny or euclidean_space(m.rows)
-    _check_dims(m, nx, ny)
+    nx, ny = _spaces(m, nx, ny)
     method = "svd" if nx.kind == "euclidean" and ny.kind == "euclidean" else "grid"
     base = sur_modulus(m, nx, ny, method=method).estimate
     if not base > 0.0:
@@ -479,8 +480,7 @@ def open_set_check(m: DenseMatrix, nx: NormSpec | None = None,
     rng = np.random.default_rng(seed)
     worst = math.inf
     for _ in range(samples):
-        e = rng.standard_normal((m.rows, m.cols))
-        em = DenseMatrix.from_rows(e.tolist())
+        em = DenseMatrix(m.rows, m.cols, rng.standard_normal((m.rows, m.cols)).ravel())
         scale = float(rng.uniform(0.05, 0.99)) * base / max(opnorm(em, nx, ny), 1e-300)
         em = em.scaled(scale)
         perturbed = sur_modulus(m.plus(em), nx, ny, method=method).estimate

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from types import MappingProxyType
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -50,16 +51,19 @@ class PerturbationInstance:
     `h` is a single-valued perturbation (callable on points); `H` a sampled
     set-valued one. `ref` is (x_bar, z_bar, w_bar); w_bar may be None when H
     is absent. Constants may include c, c_prime, ell, a, b, r, delta; a, b,
-    and r may be +inf.
+    and r may be +inf. They are kept as a read-only copy, so the check of
+    ell < c < c_prime made here holds for the instance's whole life.
     """
 
     F: SampledMap
     ref: tuple
     h: Callable[[Point], Point] | None = None
     H: SampledMap | None = None
-    constants: dict | None = None
+    constants: Mapping[str, float] | None = None
 
     def __post_init__(self) -> None:
+        if self.constants is not None:
+            object.__setattr__(self, "constants", MappingProxyType(dict(self.constants)))
         object.__setattr__(self, "_stored_ref", _reference(self.F, self.H, self.ref))
         c, c_prime, ell = ((self.constants or {}).get(k) for k in ("c", "c_prime", "ell"))
         if None not in (c, c_prime, ell) and not ell < c < c_prime:

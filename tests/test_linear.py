@@ -275,12 +275,45 @@ def test_rotation_invariance_of_euclidean_quantities():
 def test_matrix_and_norm_validation():
     with pytest.raises(ValueError, match="ragged"):
         DenseMatrix.from_rows([[1.0, 2.0], [3.0]])
-    with pytest.raises(ValueError, match="finite"):
-        DenseMatrix.from_rows([[math.inf]])
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            DenseMatrix.from_rows([[1.0, bad]])
+        with pytest.raises(ValueError, match="finite"):
+            DenseMatrix(1, 2, (bad, 1.0))
     with pytest.raises(ValueError, match="entry count"):
         DenseMatrix(2, 2, (1.0, 2.0))
-    with pytest.raises(ValueError, match="dimensions must be positive"):
-        DenseMatrix(0, 1, ())
+    with pytest.raises(ValueError, match="entry count"):
+        DenseMatrix(1, 2, (1.0, 2.0, 3.0))
+    for rows, cols in ((0, 1), (1, 0), (-1, -1)):
+        with pytest.raises(ValueError, match="dimensions must be positive"):
+            DenseMatrix(rows, cols, ())
+    with pytest.raises(ValueError, match="convert string"):
+        DenseMatrix(1, 2, ("a", 1.0))
+    with pytest.raises(ValueError, match="convert string"):
+        DenseMatrix.from_rows([["x"]])
+    for bad in (None, 1j, object()):
+        with pytest.raises((TypeError, ValueError)):
+            DenseMatrix(1, 1, (bad,))
+    # Arithmetic whose result overflows to inf is rejected, not warned about.
+    big = DenseMatrix.from_rows([[1e308, 1.0]])
+    for make in (lambda: big.scaled(10.0), lambda: big.scaled(math.inf),
+                 lambda: big.plus(big), lambda: big.minus(big.scaled(-1.0))):
+        with pytest.raises(ValueError, match="finite"):
+            make()
+    with pytest.raises(ValueError, match="shape"):
+        DIAG31.plus(WIDE)
+    # The matrix's array is its own and read-only: no caller can change it.
+    with pytest.raises(ValueError, match="read-only"):
+        SHEAR.as_array()[0, 0] = 5.0
+    with pytest.raises(ValueError, match="read-only"):
+        SHEAR.transpose().as_array()[0, 0] = 5.0
+    entries = [1.0, 2.0, 0.0, 1.0]
+    copied = DenseMatrix(2, 2, entries)
+    entries[0] = 9.0
+    assert copied == SHEAR and hash(copied) == hash(SHEAR)
+    assert SHEAR.transpose().transpose() == SHEAR and SHEAR.transpose() != SHEAR
+    assert SHEAR.as_array().tolist() == [[1.0, 2.0], [0.0, 1.0]]
+    assert repr(WIDE) == "DenseMatrix(1, 2, (1.0, 1.0))"
     with pytest.raises(ValueError, match="unknown norm kind"):
         NormSpec("taxicab", 2)
     with pytest.raises(ValueError, match="at least 1"):
@@ -342,3 +375,70 @@ def test_injectivity_bound_rank_floor():
         assert sur_modulus(m).lower == 0.0
     tall = DenseMatrix.from_rows([[3.0, 0.0], [0.0, 1e-6], [0.0, 0.0]])
     assert injectivity_bound(tall) == pytest.approx(1e-6, rel=1e-9)
+
+
+def _lapack_on_copy(a: np.ndarray) -> np.ndarray:
+    """Singular values of a as the routes once computed them: LAPACK on a
+    C-contiguous copy, zeros appended up to the column count."""
+    sigmas = np.linalg.svd(np.ascontiguousarray(a), compute_uv=False)
+    return np.pad(sigmas, (0, a.shape[1] - len(sigmas)))
+
+
+def test_svd_routes_equal_lapack_on_contiguous_copies():
+    # The SVD routes hand LAPACK the matrix's own array or its transposed
+    # view. Every value must equal, bit for bit, the one read from a
+    # C-contiguous copy of the matrix or of its transpose.
+    rng = np.random.default_rng(20261019)
+    shapes = ((2, 2), (3, 3), (7, 7), (20, 20), (2, 5), (3, 8), (5, 2), (8, 3))
+    mats = [rng.standard_normal(shape) for shape in shapes]
+    mats += [np.outer(rng.standard_normal(r), rng.standard_normal(c))  # rank 1
+             for r, c in ((4, 4), (3, 5), (5, 3))]
+    tol = linear._RANK_TOL
+    outcomes = set()
+    for a in mats:
+        m = DenseMatrix.from_rows(a.tolist())
+        rows, cols = a.shape
+        sig, sig_t = _lapack_on_copy(a), _lapack_on_copy(a.T)
+        assert np.array_equal(singular_values(m), sig)
+        assert opnorm(m) == float(sig[0])
+        sur = float(sig_t[-1])
+        if rows > cols or sur <= tol * max(1.0, float(sig_t[0])):
+            sur = 0.0
+        rep = sur_modulus(m)
+        assert (rep.estimate, rep.lower, float(rep.upper)) == (sur, sur, sur)
+        alpha = float(sig[-1])
+        alpha = 0.0 if alpha <= tol * max(1.0, float(sig[0])) else alpha
+        assert injectivity_bound(m) == alpha
+        rank = int((sig_t > tol).sum())
+        verdict = harte_check(m)
+        if rank < rows:
+            expected = (("rank", float(rank)),)
+        else:
+            expected = (("alpha", alpha), ("sur", sur))
+        assert verdict.data == expected
+        outcomes.add((verdict.skipped, alpha > 0.0))
+    # skipped (tall, rank 1), applied with alpha > 0 (square), vacuous (wide)
+    assert outcomes == {(True, False), (True, True), (False, True), (False, False)}
+
+
+def test_mesh_walk_equals_whole_mesh_minimum():
+    # _mesh_min_support walks the dual sphere mesh edge by edge; min and max
+    # are exact, so at every mesh count up to the cap its value must equal
+    # the minimum over the whole mesh at once. Matrices: acceptance 9's
+    # identity, diagonal and wide pins, and the linear workload's generic
+    # 2x2 (the second 2x2 draw of default_rng(0)), whose refinement runs to
+    # the cap.
+    generic = np.random.default_rng(0).standard_normal((2, 2, 2))[1]
+    mats = ([[1.0, 0.0], [0.0, 1.0]], [[3.0, 0.0], [0.0, 1.0]], [[1.0, 1.0]],
+            generic.tolist())
+    for rows in mats:
+        m = DenseMatrix.from_rows(rows)
+        a = m.as_array()
+        for kx in ("sup", "one"):
+            for ky in ("sup", "one"):
+                nx, ny = NormSpec(kx, m.cols), NormSpec(ky, m.rows)
+                imgs = linear._ball_vertices(nx) @ a.T
+                for count in (360 * 2 ** k for k in range(8)):
+                    targets = _sphere_mesh(_dual_space(ny), count)
+                    whole = float((targets @ imgs.T).max(axis=1).min())
+                    assert _mesh_min_support(m, nx, ny, count) == whole

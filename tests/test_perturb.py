@@ -428,6 +428,20 @@ def test_lg_setvalued_validation():
         lg_setvalued_check(inst)
 
 
+def test_perturbation_constants_are_frozen():
+    # The instance keeps a read-only copy of its constants, so the
+    # ell < c < c_prime check made at construction cannot be undone later:
+    # writing ell = 2.0 (> c) through the instance raises, and writing it into
+    # the caller's dict leaves the instance as it was.
+    consts = dict(c=1.2, c_prime=1.5, ell=0.4, a=0.3, b=0.3, r=0.15, delta=0.05)
+    inst = PerturbationInstance(F=F_2X, ref=REF3, H=H_SIN, constants=consts)
+    with pytest.raises(TypeError):
+        inst.constants["ell"] = 2.0
+    consts["ell"] = 2.0
+    assert inst.constants["ell"] == 0.4
+    assert lg_setvalued_check(inst).passed
+
+
 def test_admissible_beta_interval_closed_form():
     # c=2, ell=1: a-side gives 10/5 = 2, b-side gives 19/9 > 2
     bi = admissible_beta_interval(2.0, 1.0, 1.0, 10.0, 20.0)
