@@ -14,7 +14,7 @@ from __future__ import annotations
 
 __version__ = "0.1.0"
 
-from .extreal import INF, ZERO, ExtReal, as_ext, inf_over, sup_over
+from .extreal import INF, ZERO, ExtReal, as_ext
 from .spaces import (
     AxiomReport,
     DirectionSet,

@@ -135,8 +135,10 @@ def generate_trace(cloud: PointCloud, space: QuasiPremetric, objective: Objectiv
     Each step gathers candidates u' with value(u') + eta(u', current) <
     value(current); the recorded infimum over candidates is exact, the next
     iterate is the candidate of minimal value (ties broken by cloud order).
-    Stops when no candidate remains, or when the budget (default ten times
-    the cloud size) is reached.
+    Stops when no candidate remains, or when a given budget of points is
+    reached. Each step strictly lowers the value (eta >= 0), so a trace
+    visits each cloud point at most once: without a budget (the default) it
+    stops by exhaustion within len(cloud) points.
     """
     _require_triangle(space)
     i0 = cloud.index_of(start)
@@ -145,9 +147,7 @@ def generate_trace(cloud: PointCloud, space: QuasiPremetric, objective: Objectiv
     value_arr = np.array(vals)
     if not 0.0 < vals[i0] < math.inf:
         raise ValueError(f"start value must be finite positive, got {vals[i0]}")
-    if budget is None:
-        budget = 10 * len(cloud)
-    if budget < 1:
+    if budget is not None and budget < 1:
         raise ValueError("budget must allow at least one point")
 
     idx = [i0]
@@ -164,7 +164,7 @@ def generate_trace(cloud: PointCloud, space: QuasiPremetric, objective: Objectiv
         cand_vals = value_arr[candidates]
         alpha = float(cand_vals.min())
         infima.append(as_ext(alpha))
-        if len(idx) >= budget:
+        if budget is not None and len(idx) >= budget:
             termination = BUDGET_EXHAUSTED
             break
         slack.append(1.0 / len(idx))

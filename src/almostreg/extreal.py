@@ -1,13 +1,12 @@
-"""Nonnegative extended reals with the conventions used throughout the toolkit.
+"""Nonnegative extended reals with the convention used throughout the toolkit.
 
-The conventions are global and exact: the infimum of an empty set is +infinity,
-the supremum of an empty set is 0, and the product 0 * infinity equals 1.
+The convention is global and exact: the product 0 * infinity equals 1.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Union
 
 Real = Union[int, float, "ExtReal"]
 
@@ -94,22 +93,3 @@ def as_ext(value: Real) -> ExtReal:
         return value
     return ExtReal(float(value))
 
-
-def inf_over(values: Iterable[Real]) -> ExtReal:
-    """Infimum with inf(empty) = +inf."""
-    best = math.inf
-    for v in values:
-        r = _raw(v)
-        if r < best:
-            best = r
-    return ExtReal(best)
-
-
-def sup_over(values: Iterable[Real]) -> ExtReal:
-    """Supremum with sup(empty) = 0."""
-    best = 0.0
-    for v in values:
-        r = _raw(v)
-        if r > best:
-            best = r
-    return ExtReal(best)

@@ -74,10 +74,6 @@ class PairRegion:
     def y_points(self) -> tuple[Point, ...]:
         return tuple(dict.fromkeys(y for _, y in self.pairs))
 
-    def fiber(self, y: Point) -> tuple[Point, ...]:
-        q = as_point(y)
-        return tuple(x for x, v in self.pairs if v == q)
-
 
 @dataclass(frozen=True)
 class CriterionReport:
@@ -209,7 +205,7 @@ def conclude_openness(mapping: SampledMap, region: PairRegion, c: float,
     """
     geom = mapping.geometry
     crit = check_criterion(mapping, region, c, gamma, epsilons, lam)
-    tol = closure_tol if closure_tol is not None else 2.0 * geom.step_x
+    tol = geom.closure_tolerance(closure_tol)
     fiber = _fiber_conclusion(geom, region, c, gamma, tol)
     openness: CheckReport | None = None
     agree: bool | None = None
@@ -454,7 +450,7 @@ def check_unconditional_estimate(mapping: SampledMap, ref: tuple, mu: float,
     """Distance estimate on beta-balls with no proviso on dist(y, G(x))."""
     geom = mapping.geometry
     rx, ry = geom.locate(ref[0], ref[1])
-    tol = closure_tol if closure_tol is not None else 2.0 * geom.step_x
+    tol = geom.closure_tolerance(closure_tol)
     eps = eps_schedule or (2.0 * geom.step_y, geom.step_y, 0.5 * geom.step_y)
     surrogate = geom.preimage_distance(eps[-1])
     # An infinite reach drops the proviso: only dist(y, G(x)) = inf is left

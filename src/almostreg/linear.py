@@ -83,9 +83,6 @@ class DenseMatrix:
         """The matrix's own read-only array; no copy is made."""
         return self._array
 
-    def transpose(self) -> "DenseMatrix":
-        return DenseMatrix(self.cols, self.rows, self._array.T.ravel())
-
     def scaled(self, factor: float) -> "DenseMatrix":
         with np.errstate(all="ignore"):
             return DenseMatrix(self.rows, self.cols, (factor * self._array).ravel())
@@ -113,13 +110,6 @@ class NormSpec:
             raise ValueError(f"unknown norm kind {self.kind!r}")
         if self.dimension < 1:
             raise ValueError("dimension must be at least 1")
-
-    def norm(self, v: np.ndarray) -> float:
-        if self.kind == "euclidean":
-            return float(np.sqrt((v * v).sum()))
-        if self.kind == "sup":
-            return float(np.abs(v).max())
-        return float(np.abs(v).sum())
 
     def norms(self, vs: np.ndarray) -> np.ndarray:
         if self.kind == "euclidean":

@@ -16,7 +16,6 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .extreal import as_ext
 from .regularity import (
     CheckReport,
     MapGeometry,
@@ -50,9 +49,10 @@ class PerturbationInstance:
 
     `h` is a single-valued perturbation (callable on points); `H` a sampled
     set-valued one. `ref` is (x_bar, z_bar, w_bar); w_bar may be None when H
-    is absent. Constants may include c, c_prime, ell, a, b, r, delta; a, b,
-    and r may be +inf. They are kept as a read-only copy, so the check of
-    ell < c < c_prime made here holds for the instance's whole life.
+    is absent. Constants may include c, c_prime, ell, a, b, r, delta: each of
+    c, c_prime, a, b, r and delta must be positive (a, b and r may be +inf),
+    and 0 <= ell < c < c_prime. They are kept as a read-only copy, so the
+    checks made here hold for the instance's whole life.
     """
 
     F: SampledMap
@@ -65,9 +65,13 @@ class PerturbationInstance:
         if self.constants is not None:
             object.__setattr__(self, "constants", MappingProxyType(dict(self.constants)))
         object.__setattr__(self, "_stored_ref", _reference(self.F, self.H, self.ref))
-        c, c_prime, ell = ((self.constants or {}).get(k) for k in ("c", "c_prime", "ell"))
-        if None not in (c, c_prime, ell) and not ell < c < c_prime:
-            raise ValueError("constants must satisfy ell < c < c_prime")
+        consts = self.constants or {}
+        for k in ("c", "c_prime", "a", "b", "r", "delta"):
+            if k in consts and not consts[k] > 0.0:
+                raise ValueError(f"constant {k} must be positive, not {consts[k]!r}")
+        c, c_prime, ell = (consts.get(k) for k in ("c", "c_prime", "ell"))
+        if None not in (c, c_prime, ell) and not 0.0 <= ell < c < c_prime:
+            raise ValueError("constants must satisfy 0 <= ell < c < c_prime")
 
     @property
     def x_bar(self) -> Point:
@@ -350,9 +354,9 @@ def lg_setvalued_check(inst: PerturbationInstance,
     c = float(consts["c"])
     c_prime = float(consts["c_prime"])
     ell = float(consts["ell"])
-    a = float(as_ext(consts["a"]))
-    b = float(as_ext(consts["b"]))
-    r = float(as_ext(consts["r"]))
+    a = float(consts["a"])
+    b = float(consts["b"])
+    r = float(consts["r"])
     delta = float(consts["delta"])
 
     lam = (c_prime - c) / (2.0 * c_prime)
@@ -367,7 +371,7 @@ def lg_setvalued_check(inst: PerturbationInstance,
     F, H = inst.F, inst.H
     x_bar, z_bar, w_bar = inst.x_bar, inst.z_bar, inst.w_bar
     geom_f = F.geometry
-    tol = closure_tol if closure_tol is not None else 2.0 * geom_f.step_x
+    tol = geom_f.closure_tolerance(closure_tol)
 
     premise_a, sensitive = _premise_a(geom_f, x_bar, z_bar, c, c_prime,
                                       a, b, r, delta, tol)

@@ -192,6 +192,11 @@ class MapGeometry:
             return False
         return bool(((self.pair_xi == xi) & (self.pair_yi == yi)).any())
 
+    def closure_tolerance(self, closure_tol: float | None) -> float:
+        """closure_tol when given, else twice the domain step: the tolerance
+        within which a sampled set counts as reaching a point."""
+        return closure_tol if closure_tol is not None else 2.0 * self.step_x
+
     def cover_radius(self, tol: float) -> np.ndarray:
         """S[v, x] = least radius whose open domain ball covers v within tol.
 
@@ -333,29 +338,6 @@ class TGrid:
 
 
 @dataclass(frozen=True)
-class OpennessWitness:
-    x: Point
-    y: Point
-    t: float
-    target: Point
-    gap: float
-
-    def as_tuple(self) -> tuple:
-        return (self.x, self.y, self.t, self.target, self.gap)
-
-
-@dataclass(frozen=True)
-class EstimateWitness:
-    x: Point
-    y: Point
-    value: float
-    bound: float
-
-    def as_tuple(self) -> tuple:
-        return (self.x, self.y, self.value, self.bound)
-
-
-@dataclass(frozen=True)
 class CheckReport:
     name: str
     passed: bool
@@ -400,10 +382,7 @@ def _gamma_array(gamma: object, domain: PointCloud) -> np.ndarray:
             raise KeyError(f"gamma table missing domain point {exc}") from None
     else:
         vals = [float(as_ext(gamma))] * len(domain)
-    arr = np.array(vals, dtype=float)
-    if (arr < 0.0).any():
-        raise ValueError("gamma must be nonnegative")
-    return arr
+    return np.array(vals, dtype=float)
 
 
 def _region_mask(points: Sequence[Point], cloud: PointCloud) -> np.ndarray:
@@ -429,7 +408,7 @@ class _Prepared:
 
 def _prepare(inst: RegularityInstance) -> _Prepared:
     g = inst.mapping.geometry
-    tol = inst.closure_tol if inst.closure_tol is not None else 2.0 * g.step_x
+    tol = g.closure_tolerance(inst.closure_tol)
     eps = inst.eps_schedule or _default_eps_schedule(g)
     gam = _gamma_array(inst.gamma, inst.mapping.domain)
     u_mask = _region_mask(inst.region_x, g.domain)
@@ -523,19 +502,15 @@ def _estimate_violations(rho: np.ndarray, surrogate: np.ndarray, cols: np.ndarra
 
 
 def _openness_witness(geom: MapGeometry, xi: int, yi: int, v: int,
-                      t: float, closed: bool) -> OpennessWitness:
+                      t: float, closed: bool) -> tuple:
+    """The witness (x, y, t, target, gap) of one openness violation."""
     if closed:
         ball = geom.DX[:, xi] <= t
     else:
         ball = geom.DX[:, xi] < t
     gap = float(geom.DYG[ball, v].min()) if ball.any() else math.inf
-    return OpennessWitness(
-        x=geom.domain.points[xi],
-        y=geom.codomain.points[yi],
-        t=t,
-        target=geom.codomain.points[v],
-        gap=gap,
-    )
+    return (geom.domain.points[xi], geom.codomain.points[yi], t,
+            geom.codomain.points[v], gap)
 
 
 def _openness_check(inst: RegularityInstance, closed: bool, name: str) -> CheckReport:
@@ -551,7 +526,7 @@ def _openness_check(inst: RegularityInstance, closed: bool, name: str) -> CheckR
         passed=scan.count == 0,
         checked=len(rows),
         violation_count=scan.count,
-        witnesses=tuple(_openness_witness(geom, x[r], y[r], v, t_hit, closed).as_tuple()
+        witnesses=tuple(_openness_witness(geom, x[r], y[r], v, t_hit, closed)
                         for r, v, t_hit in scan.hits),
         vacuous=scan.window == 0,
     )
@@ -604,12 +579,8 @@ def _estimate_check(inst: RegularityInstance, from_pairs: bool, name: str) -> Ch
         passed=scan.count == 0,
         checked=scan.window,
         violation_count=scan.count,
-        witnesses=tuple(EstimateWitness(
-            x=geom.domain.points[x[r]],
-            y=geom.codomain.points[v],
-            value=value,
-            bound=bound,
-        ).as_tuple() for r, v, value, bound in scan.hits),
+        witnesses=tuple((geom.domain.points[x[r]], geom.codomain.points[v], value, bound)
+                        for r, v, value, bound in scan.hits),
         vacuous=scan.window == 0,
         stabilized=stabilized,
     )
@@ -789,7 +760,7 @@ class _ModulusEngine:
             raise ValueError(f"reference pair ({as_point(ref[0])}, {as_point(ref[1])}) "
                              "must lie on the graph")
         self.rx, self.ry = geom.locate(ref[0], ref[1])
-        self.tol = cfg.closure_tol if cfg.closure_tol is not None else 2.0 * self.geom.step_x
+        self.tol = geom.closure_tolerance(cfg.closure_tol)
         self.tgrid = TGrid(self.geom.step_x, cfg.t_per_decade)
         self.eps = cfg.eps_schedule or _default_eps_schedule(self.geom)
         self.gamma0 = cfg.gamma0 if cfg.gamma0 is not None else self.geom.diam_x
@@ -856,8 +827,7 @@ class _ModulusEngine:
         r, c = box.r0 + r, box.c0 + c
         xi, v = int(b.x[r]), int(b.cols[c])
         if b.open_scan:
-            return False, _openness_witness(self.geom, xi, int(b.y[r]), v, values[0],
-                                            False).as_tuple()
+            return False, _openness_witness(self.geom, xi, int(b.y[r]), v, values[0], False)
         return False, (self.geom.domain.points[xi], self.geom.codomain.points[v], *values)
 
     def band(self, kind: str, gamma: float) -> tuple[float, float]:
@@ -1112,7 +1082,7 @@ def sequence_characterization(mapping: SampledMap, x: float | Sequence[float],
         raise ValueError("kappa and eps must be positive")
     geom = mapping.geometry
     xi, yi = geom.locate(x, y)
-    tol = closure_tol if closure_tol is not None else 2.0 * geom.step_x
+    tol = geom.closure_tolerance(closure_tol)
     d0 = float(geom.DYG[xi, yi])
     bound = kappa * (d0 + eps)
     pre0 = geom.exact_preimage_distance()

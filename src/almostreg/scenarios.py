@@ -739,10 +739,11 @@ def _prep_perturb(payload: dict):
     if check == "lg_setvalued":
         spec = _require(payload, "constants", "payload", of=dict)
         _known(spec, "payload.constants", _SETVALUED_CONSTANTS)
-        consts = {k: _number(spec, k, "payload.constants", infinite=k in ("a", "b", "r"))
+        consts = {k: _number(spec, k, "payload.constants", positive=k != "ell",
+                             infinite=k in ("a", "b", "r"))
                   for k in _SETVALUED_CONSTANTS}
-        if not consts["ell"] < consts["c"] < consts["c_prime"]:
-            raise _fail("payload.constants", "must satisfy ell < c < c_prime")
+        if not 0.0 <= consts["ell"] < consts["c"] < consts["c_prime"]:
+            raise _fail("payload.constants", "must satisfy 0 <= ell < c < c_prime")
         inst = PerturbationInstance(F=F, ref=ref, H=H, constants=consts)
 
         def run(seed: int) -> dict:

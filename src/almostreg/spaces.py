@@ -254,9 +254,6 @@ class DirectionSet:
             out.append(tuple(c / norm for c in p))
         return cls(tuple(out))
 
-    def negated(self) -> "DirectionSet":
-        return DirectionSet(tuple(tuple(-c for c in d) for d in self.directions))
-
 
 def directional_time(directions: DirectionSet, x: float | Sequence[float],
                      u: float | Sequence[float]) -> ExtReal:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from almostreg.extreal import INF, ZERO, ExtReal, as_ext, inf_over, sup_over
+from almostreg.extreal import INF, ZERO, ExtReal, as_ext
 
 finite_nonneg = st.floats(min_value=0.0, max_value=1e12,
                           allow_nan=False, allow_infinity=False)
@@ -19,20 +19,6 @@ def test_zero_times_infinity_is_one():
     assert ExtReal(0.0) * math.inf == 1.0
     assert INF * 0.0 == 1.0
     assert 0.0 * INF == 1.0
-
-
-def test_empty_bounds_conventions():
-    assert inf_over([]) == INF
-    assert inf_over([]).is_infinite
-    assert sup_over([]) == ZERO
-    assert float(sup_over([])) == 0.0
-
-
-def test_nonempty_bounds():
-    assert inf_over([3.0, 1.0, 2.0]) == 1.0
-    assert sup_over([3.0, 1.0, 2.0]) == 3.0
-    assert inf_over([math.inf]) == INF
-    assert sup_over([0.0, math.inf]) == INF
 
 
 def test_rejects_invalid_values():
@@ -94,9 +80,3 @@ def test_order_total_and_antisymmetric(a, b):
     if x <= y and y <= x:
         assert x == y
 
-
-@given(st.lists(finite_nonneg, min_size=1))
-def test_inf_never_exceeds_sup(vals):
-    assert inf_over(vals) <= sup_over(vals)
-    assert float(inf_over(vals)) == min(vals)
-    assert float(sup_over(vals)) == max(vals)

@@ -42,10 +42,8 @@ def test_pair_region_shapes():
     assert reg.is_product
     assert reg.x_points() == ((0.0,), (1.0,))
     assert reg.y_points() == ((0.5,),)
-    assert reg.fiber((0.5,)) == ((0.0,), (1.0,))
     partial = PairRegion.from_pairs([((0.0,), (0.0,)), ((1.0,), (0.5,))])
     assert not partial.is_product
-    assert partial.fiber((0.5,)) == ((1.0,),)
     with pytest.raises(ValueError, match="duplicate"):
         PairRegion.from_pairs([((0.0,), (0.0,)), ((0.0,), (0.0,))])
     with pytest.raises(ValueError, match="nonempty"):

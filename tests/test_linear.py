@@ -206,6 +206,16 @@ def test_harte_three_outcomes():
     assert "hypothesis empty" in vacuous.reason
 
 
+def test_harte_rank_counts_singular_values_above_the_tolerance_only():
+    # The second singular value of diag(1, 1e-10) is exactly 1e-10, the rank
+    # tolerance, so it does not count toward rank: the check is skipped with
+    # rank 1.
+    m = DenseMatrix.from_rows([[1.0, 0.0], [0.0, 1e-10]])
+    assert singular_values(m).tolist() == [1.0, 1e-10]
+    verdict = harte_check(m)
+    assert verdict.skipped and verdict.passed and verdict.data == (("rank", 1.0),)
+
+
 def test_sur_lipschitz_check():
     other = DenseMatrix.from_rows([[3.0, 0.0], [0.0, 1.2]])
     rep = sur_lipschitz_check(DIAG31, other)
@@ -306,12 +316,12 @@ def test_matrix_and_norm_validation():
     with pytest.raises(ValueError, match="read-only"):
         SHEAR.as_array()[0, 0] = 5.0
     with pytest.raises(ValueError, match="read-only"):
-        SHEAR.transpose().as_array()[0, 0] = 5.0
+        SHEAR.scaled(2.0).as_array()[0, 0] = 5.0
     entries = [1.0, 2.0, 0.0, 1.0]
     copied = DenseMatrix(2, 2, entries)
     entries[0] = 9.0
     assert copied == SHEAR and hash(copied) == hash(SHEAR)
-    assert SHEAR.transpose().transpose() == SHEAR and SHEAR.transpose() != SHEAR
+    assert SHEAR.scaled(1.0) == SHEAR and SHEAR.scaled(2.0) != SHEAR
     assert SHEAR.as_array().tolist() == [[1.0, 2.0], [0.0, 1.0]]
     assert repr(WIDE) == "DenseMatrix(1, 2, (1.0, 1.0))"
     with pytest.raises(ValueError, match="unknown norm kind"):

@@ -188,6 +188,16 @@ def test_minkowski_sum_map_hand_checked():
     assert len(minkowski_sum_map(g, close, dedup_tol=1e-12).image_of((0.0,))) == 1
 
 
+def test_minkowski_dedup_drops_a_value_exactly_dedup_tol_away():
+    # H's values 0 and 0.25 are exactly dedup_tol = 0.25 apart (both dyadic),
+    # so at each point the second sum is dropped: one value per point.
+    dom = PointCloud(((0.0,), (1.0,)))
+    zero = SampledMap.from_function(dom, lambda p: (0.0,))
+    two = SampledMap.from_branches(dom, [lambda p: (0.0,), lambda p: (0.25,)])
+    assert minkowski_sum_map(zero, two, dedup_tol=0.25).pairs == (
+        ((0.0,), (0.0,)), ((1.0,), (0.0,)))
+
+
 def test_instance_validation():
     with pytest.raises(ValueError, match="reference value"):
         PerturbationInstance(F=F_2X, ref=((0.0,), (0.5,)))
@@ -198,6 +208,18 @@ def test_instance_validation():
     with pytest.raises(ValueError, match="ell < c < c_prime"):
         PerturbationInstance(F=F_2X, ref=((0.0,), (0.0,)),
                              constants=dict(c=1.0, c_prime=2.0, ell=1.5))
+
+
+@pytest.mark.parametrize("changes", [
+    dict(a=-0.3), dict(c=-1.0, ell=-2.0, c_prime=1.0), dict(r=0.0), dict(delta=-0.05),
+    dict(ell=-0.1), dict(b=math.nan)], ids=str)
+def test_instance_rejects_setvalued_constants_out_of_range(changes):
+    # Each of the first four once built an instance whose check then failed
+    # (a negative extended real, an internal lambda outside (0, 1), a gamma
+    # that vanishes) or, for a negative delta, passed.
+    consts = dict(c=1.2, c_prime=1.5, ell=0.4, a=0.3, b=0.3, r=0.15, delta=0.05)
+    with pytest.raises(ValueError, match="must be positive|0 <= ell < c < c_prime"):
+        PerturbationInstance(F=F_2X, ref=REF3, H=H_SIN, constants={**consts, **changes})
 
 
 def test_lg_single_frozen():

@@ -656,7 +656,7 @@ def _unsliced_holds(engine, kind, constant, gamma):
     xi, v = int(b.x[r]), int(b.cols[c])
     if b.open_scan:
         return False, regularity._openness_witness(engine.geom, xi, int(b.y[r]), v, values[0],
-                                                   False).as_tuple()
+                                                   False)
     return False, (engine.geom.domain.points[xi], engine.geom.codomain.points[v], *values)
 
 

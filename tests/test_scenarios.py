@@ -192,6 +192,51 @@ def test_cli_exits_2_on_payload_error(tmp_path, capsys, case):
     assert capsys.readouterr().err.startswith(f"error: {field_path}: ")
 
 
+def _setvalued_doc(**changes) -> dict:
+    """An lg_setvalued scenario (F = 2x, H = 0.3 sin x on the 0.05 grid over
+    [-1, 1]) with some of its constants changed."""
+    grid = {"grid": {"start": -1.0, "stop": 1.0, "step": 0.05}}
+    constants = dict(c=1.2, c_prime=1.5, ell=0.4, a=0.3, b=0.3, r=0.15, delta=0.05)
+    return {"id": "setvalued", "kind": "perturb", "payload": {
+        "check": "lg_setvalued",
+        "F": {"domain": grid, "graph_expr": "2 * x"},
+        "H": {"domain": grid, "graph_expr": "0.3 * sin(x)"},
+        "ref": [[0.0], [0.0], [0.0]],
+        "constants": {**constants, **changes}}}
+
+
+# Each was once accepted at load. The first three then failed at run time
+# (a negative extended real, an internal lambda outside (0, 1), a gamma that
+# vanishes); a negative delta, and a negative ell, ran without an error.
+SETVALUED_LOAD_ERRORS = [
+    ({"a": -0.3}, "payload.constants.a"),
+    ({"c": -1.0, "ell": -2.0, "c_prime": 1.0}, "payload.constants.c"),
+    ({"r": 0.0}, "payload.constants.r"),
+    ({"delta": -0.05}, "payload.constants.delta"),
+    ({"ell": -0.1}, "payload.constants"),
+]
+
+
+@pytest.mark.parametrize("changes, field_path", SETVALUED_LOAD_ERRORS,
+                         ids=[str(changes) for changes, _ in SETVALUED_LOAD_ERRORS])
+def test_setvalued_constants_checked_at_load(tmp_path, capsys, changes, field_path):
+    path = write_scenario(tmp_path, _setvalued_doc(**changes))
+    with pytest.raises(ScenarioError) as exc:
+        load_scenario(path)
+    assert str(exc.value).startswith(f"{field_path}: ")
+    assert main(["run", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {field_path}: ")
+
+
+def test_setvalued_constants_at_their_bounds_load(tmp_path):
+    # The unchanged scenario passes; ell = 0 and infinite a, b and r are
+    # admissible constants, which run without an error.
+    for changes, passed in (({}, True), ({"ell": 0.0, "a": "inf", "b": "inf", "r": "inf"},
+                                         False)):
+        report, = run_suite([load_scenario(write_scenario(tmp_path, _setvalued_doc(**changes)))])
+        assert report.error is None and report.quantities["passed"] is passed
+
+
 def test_scenarios_are_built_once_at_load(monkeypatch):
     # load_scenario builds the instance to validate it and keeps it; running
     # the scenario, again and again, reuses that instance.

@@ -239,8 +239,7 @@ def test_direction_set_validation():
         DirectionSet(((0.5, 0.0),))
     with pytest.raises(ValueError, match="zero vector"):
         DirectionSet.normalized([(0.0, 0.0)])
-    neg = DirectionSet.normalized([(3.0, 4.0)]).negated()
-    assert neg.directions[0] == (-0.6, -0.8)
+    assert DirectionSet.normalized([(-3.0, -4.0)]).directions[0] == (-0.6, -0.8)
 
 
 def test_directional_gauge_axioms_on_line():
