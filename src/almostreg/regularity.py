@@ -177,6 +177,8 @@ class MapGeometry:
         self.diam_y = _max_finite(self.DY)
         self._reach: dict[tuple[float, TGrid, bool], np.ndarray] = {}
         self._preimage: dict[float, np.ndarray] = {}
+        # _ModulusEngine's threshold bands, keyed by everything a band reads.
+        self._bands: dict[tuple, tuple[float, float]] = {}
 
     def locate(self, x: float | Sequence[float],
                y: float | Sequence[float]) -> tuple[int, int]:
@@ -752,6 +754,16 @@ class _ModulusEngine:
     re-evaluates a bracket endpoint and yields its witness, and otherwise
     only for the rare probe that lands inside a band. Each kernel verdict is
     kept, so an endpoint such a probe already scanned is not scanned again.
+
+    Blocks and bands are keyed by content, not by kind. When the map's pairs
+    list each domain point once, in domain order, the pair rows of an
+    estimate scan are the domain rows (DY[pair_yi] equals DYG row for row),
+    and an estimate witness never reads a row's codomain point; so lip_inv,
+    calm and incalm share the blocks and bands of reg, subreg and semireg.
+    Blocks and kernel verdicts are kept per engine, so each call scans its
+    own endpoints. Bands are kept on the MapGeometry, beside the reach and
+    preimage tables, under everything a band reads, so each distinct band
+    is computed once per map, reference and configuration.
     """
 
     def __init__(self, mapping: SampledMap, ref: tuple, cfg: ModulusSearchConfig):
@@ -771,13 +783,18 @@ class _ModulusEngine:
             schedule.append(g)
             g *= 0.5
         self.gamma_schedule = tuple(schedule) or (self.gamma0,)
-        self._blocks: dict[str, _KindBlock] = {}
-        self._bands: dict[tuple[str, float], tuple[float, float]] = {}
+        one_per_point = np.array_equal(geom.pair_xi, np.arange(len(geom.X)))
+        self._content = {
+            kind: (scan, "domain" if scan == "estimate" and one_per_point else source,
+                   rows, targets)
+            for kind, (scan, source, rows, targets) in _KIND_SCANS.items()}
+        self._blocks: dict[tuple[str, str, str, str], _KindBlock] = {}
         self._verdicts: dict[tuple[str, float, float], tuple[bool, tuple | None]] = {}
 
     def block(self, kind: str) -> _KindBlock:
-        if kind not in self._blocks:
-            scan, source, rows, targets = _KIND_SCANS[kind]
+        content = self._content[kind]
+        if content not in self._blocks:
+            scan, source, rows, targets = content
             geom = self.geom
             if source == "pairs":
                 x, y = geom.pair_xi, geom.pair_yi
@@ -795,13 +812,13 @@ class _ModulusEngine:
                 fixed = geom.reach(self.tol, self.tgrid)
             else:
                 fixed = geom.preimage_distance(self.eps[-1])
-            self._blocks[kind] = _KindBlock(
+            self._blocks[content] = _KindBlock(
                 open_scan=scan == "open", x=x, y=y,
                 cols=np.arange(len(geom.Y))[cols], rho=rho[:, cols],
                 fixed=_take_rows(fixed, x)[:, cols],
                 row_dist=geom.DX[self.rx, x] if rows == "near" else np.zeros(len(x)),
                 col_dist=geom.DY[self.ry, cols] if targets == "ball" else np.zeros(1))
-        return self._blocks[kind]
+        return self._blocks[content]
 
     def holds_at(self, kind: str, constant: float, gamma: float) -> tuple[bool, tuple | None]:
         """The kernel's verdict and first violation, kept per (kind,
@@ -836,16 +853,18 @@ class _ModulusEngine:
         A rate kind holds below `below` and fails above `above`; a bound kind
         fails below `below` and holds above `above`.
         """
-        key = (kind, gamma)
-        if key not in self._bands:
+        key = (self._content[kind], self.rx, self.ry, self.tol, self.tgrid, self.eps[-1],
+               gamma)
+        bands = self.geom._bands
+        if key not in bands:
             b = self.block(kind)
             box = b.box(gamma)
             window = box.row_in[:, None] & box.col_in
             if b.open_scan:
-                self._bands[key] = self._rate_band(box, window, gamma)
+                bands[key] = self._rate_band(box, window, gamma)
             else:
-                self._bands[key] = self._bound_band(box, window, gamma)
-        return self._bands[key]
+                bands[key] = self._bound_band(box, window, gamma)
+        return bands[key]
 
     def _rate_band(self, b: _Box, window: np.ndarray,
                    gamma: float) -> tuple[float, float]:
@@ -870,11 +889,18 @@ class _ModulusEngine:
         if (live & (b.rho == 0.0)).any():
             return math.inf, math.inf
         live &= np.isfinite(b.rho)
-        rho = b.rho[live]
-        num = np.minimum(b.fixed[live] - self.tol, gamma)
+        # Divided over the whole box and reduced over the live entries only,
+        # which max reads in any order.
+        num = b.fixed - self.tol
+        np.minimum(num, gamma, out=num)
         slack = _BOUND_SLACK * (gamma + self.tol)
-        return (float(np.max((num - slack) / rho, initial=-math.inf)),
-                float(np.max((num + slack) / rho, initial=-math.inf)))
+        below = num - slack
+        num += slack
+        with np.errstate(divide="ignore", invalid="ignore"):
+            below /= b.rho
+            num /= b.rho
+        return (float(np.max(below, where=live, initial=-math.inf)),
+                float(np.max(num, where=live, initial=-math.inf)))
 
     def sure_verdict(self, kind: str, constant: float, gamma: float) -> bool | None:
         """holds_at's verdict when the constant lies outside the band, else None."""
@@ -936,12 +962,15 @@ def estimate_modulus(mapping: SampledMap, ref: tuple, kind: str,
     For rate-type kinds (sur, popen, lopen) the modulus is the supremum of
     passing constants; for bound-type kinds it is the infimum. Each probe
     walks the gamma schedule until a verdict repeats. At each gamma the
-    verdict comes from the kind's threshold constant, computed once per
-    gamma. The scan kernel evaluates the sample at the two reported bracket
-    endpoints, and otherwise only in the rare probe that lies within a few
-    ulps of a threshold. So the endpoints always carry verdicts actually
-    evaluated on the sample, and witness_fail is the kernel's first
-    violation.
+    verdict comes from the kind's threshold constant. Thresholds are kept on
+    the map's geometry, so a later call with the same reference and
+    configuration reads them, and on a map with one pair per domain point
+    lip_inv, calm and incalm read those of reg, subreg and semireg (see
+    _ModulusEngine). The scan kernel evaluates the sample, in each call, at
+    the two reported bracket endpoints, and otherwise only in the rare probe
+    that lies within a few ulps of a threshold. So the endpoints always
+    carry verdicts actually evaluated on the sample, and witness_fail is the
+    kernel's first violation.
     """
     if kind not in MODULUS_KINDS:
         raise ValueError(f"unknown modulus kind {kind!r}")

@@ -167,23 +167,32 @@ def load_scenario(path: str | Path) -> Scenario:
 
 def _number(data, key, path: str, default=_MISSING, *, positive: bool = False,
             integer: bool = False, infinite: bool = False):
-    """A JSON number as a float, or as an int when integer; with infinite,
-    the string "inf" reads as +inf."""
+    """A finite JSON number as a float, or as an int when integer; with
+    infinite, also an infinite one, and the string "inf" reads as +inf."""
     value = _require(data, key, path, default)
     if value is default:
         return value
     where = _at(path, key)
     if infinite and value == "inf":
         value = math.inf
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or math.isnan(value):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise _fail(where, f"must be a number, not {value!r}")
-    if positive and not value > 0:
+    try:
+        number = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        number = math.inf if value > 0 else -math.inf
+    if math.isnan(number):
+        raise _fail(where, f"must be a number, not {value!r}")
+    # JSON Infinity and overflowing literals such as 1e999 parse to inf.
+    if math.isinf(number) and not infinite:
+        raise _fail(where, f"must be finite, not {number!r}")
+    if positive and not number > 0:
         raise _fail(where, "must be positive")
     if integer:
-        if not float(value).is_integer():
+        if not number.is_integer():
             raise _fail(where, "must be an integer")
         return int(value)
-    return float(value)
+    return number
 
 
 def _numbers(data, key, path: str, default=_MISSING, *, positive: bool = False):

@@ -121,6 +121,19 @@ def test_mesh_refinement_reports_last_evaluated_count():
     assert value == 8.0 and spread == 2.0
 
 
+def test_mesh_refinement_stops_at_a_spread_equal_to_the_tolerance():
+    # The values 0, 1e-6, 0 spread by exactly _MESH_STABLE_TOL, which counts
+    # as settled: the refinement stops at the third mesh, 360 * 2**2.
+    values = iter([0.0, 1e-6, 0.0, 5.0, 5.0, 5.0, 5.0, 5.0])
+
+    def settles_at_the_tolerance(m, nx, ny, count):
+        return next(values)
+
+    assert linear._MESH_STABLE_TOL == 1e-6
+    assert _refine_until_stable(DIAG31, SUP2, SUP2, settles_at_the_tolerance) == (
+        0.0, 1e-6, 1440)
+
+
 def test_vertex_supports_match_full_domain_mesh():
     # The inner max of <v, Ax> over a polyhedral domain is read at the 4
     # vertices of the ball, which every domain-sphere mesh contains. It is
@@ -214,6 +227,37 @@ def test_harte_rank_counts_singular_values_above_the_tolerance_only():
     assert singular_values(m).tolist() == [1.0, 1e-10]
     verdict = harte_check(m)
     assert verdict.skipped and verdict.passed and verdict.data == (("rank", 1.0),)
+
+
+def test_harte_reads_sur_from_its_rank_test(monkeypatch):
+    # Under euclidean norms harte_check takes two SVDs: the rank test's on
+    # the transposed view, whose values also give sur, and
+    # injectivity_bound's on A. Its data equal the public routes' values bit
+    # for bit, and the hand-derived ones: diag(3, 1) has alpha = sur = 1, the
+    # shear sqrt(2) - 1, and the wide [1, 1] sur = sqrt(2) with alpha 0.
+    rng = np.random.default_rng(20261020)
+    mats = [DIAG31, SHEAR, WIDE] + [DenseMatrix.from_rows(rng.standard_normal(shape).tolist())
+                                    for shape in ((5, 5), (3, 6), (20, 20))]
+    expected = [(("alpha", injectivity_bound(m)), ("sur", sur_modulus(m).estimate))
+                for m in mats]
+    assert expected[0] == (("alpha", 1.0), ("sur", 1.0))
+    (_, alpha), (_, sur) = expected[1]
+    assert alpha == pytest.approx(math.sqrt(2.0) - 1.0, abs=1e-12)
+    assert sur == pytest.approx(math.sqrt(2.0) - 1.0, abs=1e-12)
+    assert expected[2][0] == ("alpha", 0.0)
+    assert expected[2][1][1] == pytest.approx(math.sqrt(2.0), abs=1e-12)
+    shapes = []
+    svd = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    for m, data in zip(mats, expected):
+        shapes.clear()
+        assert harte_check(m).data == data
+        assert shapes == [(m.cols, m.rows), (m.rows, m.cols)], shapes
 
 
 def test_sur_lipschitz_check():

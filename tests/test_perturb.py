@@ -573,6 +573,20 @@ def test_split_tolerance_is_1e_12():
     assert premise.witnesses == (((0.0,), (1.0,)),)
 
 
+def test_split_exactly_1e_12_off_counts():
+    # H(u) = {0, 1e-12}: the sum values 0 and 1e-12 lie exactly 1e-12 apart
+    # (0 and the float 1e-12, so the distance is exact), and the split
+    # 0 + 1e-12 counts for the value 0. Against w_bar = 1e-12 every pair then
+    # has a split at distance 0, so at xi = 5e-13 every pair splits and the
+    # largest beta is the largest candidate; were that split dropped, the
+    # pairs (u, 0) would need xi above 1e-12 and cap beta at 1e-12.
+    dom = PointCloud(((0.0,), (1.0,), (2.0,)))
+    F = SampledMap.from_function(dom, lambda p: (0.0,))
+    H = SampledMap.from_branches(dom, [lambda p: (0.0,), lambda p: (1e-12,)])
+    rep = sum_stability_check(F, H, ((0.0,), (0.0,), (1e-12,)), (5e-13,))
+    assert rep.entries == ((5e-13, 2.0, True),)
+
+
 def test_sum_checks_build_no_geometry_of_their_own(monkeypatch):
     # sum_stability_check reads the grid step from F's tables, and
     # lg_sumstable_check reuses the sum map its stability check built: once

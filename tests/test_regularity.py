@@ -761,6 +761,83 @@ def test_modulus_search_memory_per_block_entry():
     assert peak <= 48 * entries, peak / entries
 
 
+def _count_band_builds(monkeypatch) -> list[float]:
+    """Patch both band builders to log the gamma of each band they build."""
+    builds: list[float] = []
+    for name in ("_rate_band", "_bound_band"):
+        def counted(self, box, window, gamma, build=getattr(_ModulusEngine, name)):
+            builds.append(gamma)
+            return build(self, box, window, gamma)
+
+        monkeypatch.setattr(_ModulusEngine, name, counted)
+    return builds
+
+
+def test_sweep_builds_each_band_once(monkeypatch):
+    # x -> -2.3x has one pair per domain point, in domain order, so the
+    # estimate kinds read domain rows whatever their source: a nine-kind
+    # sweep builds bands of six contents, each (content, gamma) once, and a
+    # second sweep reads them all from the geometry.
+    builds = _count_band_builds(monkeypatch)
+    mapping = SampledMap.from_function(PointCloud.from_grid(-1.0, 1.0, 0.005),
+                                       lambda p: (-2.3 * p[0],))
+    bands = mapping.geometry._bands
+    for sweep in (1, 2):
+        for kind in MODULUS_KINDS:
+            estimate_modulus(mapping, REF0, kind)
+        assert builds and len(builds) == len(bands), (sweep, builds)
+    contents = {key[0] for key in bands}
+    assert len(contents) == 6, contents
+    assert {source for scan, source, *_ in contents if scan == "estimate"} == {"domain"}
+    assert sorted(builds) == sorted(key[-1] for key in bands)
+
+
+def test_reg_and_lip_inv_share_bands_only_with_one_pair_per_point(monkeypatch):
+    # Fresh copies of the endpoint maps, so no earlier test's bands are kept.
+    # On the single-valued map lip_inv reads every band reg built; on the
+    # two-branch map its pair rows are not the domain rows, and it builds
+    # its own.
+    builds = _count_band_builds(monkeypatch)
+    for mapping, shared in ((replace(ENDPOINT_MAPS[0]), True),
+                            (replace(ENDPOINT_MAPS[2]), False)):
+        estimate_modulus(mapping, REF0, "reg")
+        before = len(builds)
+        estimate_modulus(mapping, REF0, "lip_inv")
+        assert (len(builds) == before) == shared, (shared, before, len(builds))
+
+
+def test_coincident_kinds_report_equal_on_single_valued_maps():
+    # Sharing rests on DY[pair_yi] equalling DYG row for row when each
+    # domain point has one image; the reports then agree field for field.
+    for mapping in (TWO_X, ENDPOINT_MAPS[0], ENDPOINT_MAPS[1]):
+        geom = mapping.geometry
+        assert np.array_equal(geom.pair_xi, np.arange(len(geom.X)))
+        assert np.array_equal(geom.DY[geom.pair_yi], geom.DYG)
+        for kind, partner in (("reg", "lip_inv"), ("subreg", "calm"), ("semireg", "incalm")):
+            report = estimate_modulus(mapping, REF0, kind)
+            assert replace(estimate_modulus(mapping, REF0, partner), kind=kind) == report
+
+
+def test_reg_search_memory_per_block_entry():
+    # The reg block of x -> 2x on 801 points reads the kept DYG and
+    # preimage tables through views, and its bound bands take no gathered
+    # copies, so a cold search peaks at the few full-box temporaries of one
+    # band or scan.
+    mapping = SampledMap.from_function(PointCloud.from_grid(-1.0, 1.0, 0.0025),
+                                       lambda p: (2.0 * p[0],))
+    geom = mapping.geometry
+    geom.preimage_distance(regularity._default_eps_schedule(geom)[-1])
+    entries = len(geom.X) * len(geom.Y)
+    assert entries == 641_601
+    tracemalloc.start()
+    try:
+        estimate_modulus(mapping, REF0, "reg")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24 * entries, peak / entries
+
+
 def _tstar_oracle(tgrid, rho, constant, cover, cols, gam, closed):
     """The openness scan through t*, the least grid radius reaching each entry."""
     t = tgrid.first_reaching(rho, constant, closed=closed)

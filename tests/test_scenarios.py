@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -235,6 +236,32 @@ def test_setvalued_constants_at_their_bounds_load(tmp_path):
                                          False)):
         report, = run_suite([load_scenario(write_scenario(tmp_path, _setvalued_doc(**changes)))])
         assert report.error is None and report.quantities["passed"] is passed
+
+
+@pytest.mark.parametrize("literal", ["Infinity", "-Infinity", "1e999", "1" + "0" * 400],
+                         ids=["Infinity", "-Infinity", "1e999", "int 10**400"])
+def test_infinite_number_fails_at_load(tmp_path, capsys, literal):
+    # json.loads reads Infinity and overflowing literals as infinite floats
+    # (or an int beyond the float range). c_prime = Infinity once loaded and
+    # then failed at run with an internal lambda outside (0, 1).
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps(_setvalued_doc(c_prime="@")).replace('"@"', literal))
+    with pytest.raises(ScenarioError) as exc:
+        load_scenario(path)
+    assert str(exc.value).startswith("payload.constants.c_prime: must be finite")
+    assert main(["run", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: payload.constants.c_prime: ")
+
+
+def test_infinite_numbers_load_where_the_reader_allows_them(tmp_path):
+    # a, b and r read infinite values, as JSON Infinity or "inf", and so does
+    # the bundled "gamma": "inf".
+    doc = _setvalued_doc(a=math.inf, b="inf", r=math.inf)
+    assert "Infinity" in json.dumps(doc)
+    report, = run_suite([load_scenario(write_scenario(tmp_path, doc))])
+    assert report.error is None
+    scenario = load_scenario(DEMO / "ioffe_criterion_identity.json")
+    assert scenario.payload["gamma"] == "inf"
 
 
 def test_scenarios_are_built_once_at_load(monkeypatch):

@@ -2,11 +2,14 @@
 from __future__ import annotations
 
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 from almostreg.regularity import MODULUS_KINDS
 
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPTS = ROOT / "scripts"
 
 
 def _script(name: str):
@@ -25,3 +28,16 @@ def test_moduli_sweep_reference_tolerates_grid_roundoff(capsys):
     assert code in (0, 1)
     rows = [line.split()[0] for line in capsys.readouterr().out.splitlines()[2:11]]
     assert rows == list(MODULUS_KINDS)
+
+
+def test_output_hashes_runs_a_workload_and_its_checks():
+    # Every output-preservation claim rests on this script: it must run a
+    # workload's cases from this checkout, check each, and print one line
+    # per (workload, seed).
+    done = subprocess.run([sys.executable, str(SCRIPTS / "output_hashes.py"), str(ROOT),
+                           "--workload", "linear", "--seeds", "1"],
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("linear seed=1 sha256="), lines
+    assert lines[0].endswith(" failed_checks=0"), lines
