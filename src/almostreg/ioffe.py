@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -62,17 +63,25 @@ class PairRegion:
 
     @property
     def is_product(self) -> bool:
-        xs = self.x_points()
-        ys = self.y_points()
-        return len(self.pairs) == len(xs) * len(ys) and set(self.pairs) == {
-            (x, y) for x in xs for y in ys
-        }
+        # The pairs are distinct, so as many as the product's cells cover it.
+        return len(self.pairs) == len(self.x_points()) * len(self.y_points())
 
     def x_points(self) -> tuple[Point, ...]:
-        return tuple(dict.fromkeys(x for x, _ in self.pairs))
+        return self._codes[0]
 
     def y_points(self) -> tuple[Point, ...]:
-        return tuple(dict.fromkeys(y for _, y in self.pairs))
+        return self._codes[1]
+
+    @cached_property
+    def _codes(self) -> tuple[tuple[Point, ...], tuple[Point, ...], np.ndarray, np.ndarray]:
+        """The distinct x and y points, each in first-appearance order, and
+        each pair's positions in those two tuples."""
+        xs: dict[Point, int] = {}
+        ys: dict[Point, int] = {}
+        n = len(self.pairs)
+        xcode = np.fromiter((xs.setdefault(x, len(xs)) for x, _ in self.pairs), np.int32, n)
+        ycode = np.fromiter((ys.setdefault(y, len(ys)) for _, y in self.pairs), np.int32, n)
+        return tuple(xs), tuple(ys), xcode, ycode
 
 
 @dataclass(frozen=True)
@@ -102,25 +111,92 @@ def _default_epsilons(residuals: np.ndarray, c: float, step: float) -> tuple[flo
     return (0.5 * margin if margin > 0.0 else 0.5 * minres,)
 
 
-def _region_indices(geom: MapGeometry, region: PairRegion) -> dict[int, list[int]]:
-    """The region as codomain index -> domain indices of its fiber, both in
-    first-appearance order, with every point resolved through
-    PointCloud.index_of. KeyError names the first target, then the first
-    point, that is not in its cloud."""
+def _region_indices(geom: MapGeometry, region: PairRegion) -> tuple[np.ndarray, np.ndarray]:
+    """The region's targets as codomain indices, in first-appearance order,
+    and member[f, x]: whether domain index x is in the fiber of target f.
+    Points resolve through PointCloud.index_of; KeyError names the first
+    target, then the first point, that is not in its cloud."""
     def lookup(cloud: PointCloud, p: Point, message: str) -> int:
         try:
             return cloud.index_of(p)
         except KeyError:
             raise KeyError(message.format(p)) from None
 
-    ys = {y: lookup(geom.codomain, y, "region target {} not in codomain cloud")
-          for y in region.y_points()}
-    xs = {x: lookup(geom.domain, x, "region point {} not in domain cloud")
-          for x in region.x_points()}
-    fibers: dict[int, list[int]] = {}
-    for x, y in region.pairs:
-        fibers.setdefault(ys[y], []).append(xs[x])
-    return fibers
+    xs, ys, xcode, ycode = region._codes
+    ys_i = [lookup(geom.codomain, y, "region target {} not in codomain cloud") for y in ys]
+    xs_i = np.array([lookup(geom.domain, x, "region point {} not in domain cloud") for x in xs])
+    rows: dict[int, int] = {}
+    row_of = np.array([rows.setdefault(yi, len(rows)) for yi in ys_i])
+    member = np.zeros((len(rows), len(geom.domain)), dtype=bool)
+    member[row_of[ycode], xs_i[xcode]] = True
+    return np.array(list(rows), dtype=int), member
+
+
+def _criterion_epsilons(epsilons: Sequence[float] | None, geom: MapGeometry,
+                        ys: np.ndarray, c: float) -> tuple[float, ...]:
+    if epsilons is None:
+        return _default_epsilons(geom.DYG[:, ys], c, geom.step_x)
+    eps_list = tuple(float(e) for e in epsilons)
+    if any(e <= 0.0 for e in eps_list):
+        raise ValueError("probe levels must be positive")
+    return eps_list
+
+
+# Entries of one tile of fibers: k fibers over n scan points take k * n * n,
+# and a fiber above the budget is a tile of its own.
+_TILE_ENTRIES = 2 ** 14
+
+
+def _trigger_tiles(ys: np.ndarray, member: np.ndarray, residuals: np.ndarray,
+                   bound: np.ndarray):
+    """The fibers holding a trigger, in order and in tiles: each tile's
+    targets, residuals R[f, p] = residuals[p, ys[f]] and triggers
+    member & (R < bound), with the triggered columns of the whole tile."""
+    n = len(residuals)
+    trig = member & (residuals.T[ys] < bound)
+    keep = np.flatnonzero(trig.any(axis=1))
+    step = max(1, _TILE_ENTRIES // (n * n))
+    for start in range(0, len(keep), step):
+        t = keep[start:start + step]
+        yield ys[t], residuals.T[ys[t]], trig[t], np.flatnonzero(trig[t].any(axis=0))
+
+
+def _descent_scan(g: MapGeometry, ys: np.ndarray, member: np.ndarray, c: float,
+                  gam: np.ndarray, eps_list: tuple[float, ...],
+                  lam: Callable[[float], float]) -> CriterionReport:
+    """check_criterion over the fibers member[f] of targets ys[f].
+
+    With r = DYG[:, y], u's descent bound is max(r[x] - c * DX[u, x]) over
+    the fiber's triggered x, and its best margin max((r[u] - r[u']) -
+    c * DX[u, u']) over u' with r[u'] finite, nan ignored. Max is order-free,
+    so a tile gives each fiber's floats; hits run in (fiber, eps, u) order.
+    """
+    cdx = c * g.DX
+    eps = np.array(eps_list)[:, None]
+    required = [lam(e) for e in eps_list]
+    req = np.array(required, dtype=float)[:, None]
+    checked = violations = 0
+    witnesses: list[tuple] = []
+    for t_ys, R, trig, cols in _trigger_tiles(ys, member, g.DYG, c * gam):
+        fin = np.isfinite(R)
+        with np.errstate(invalid="ignore"):
+            ub = np.max(R[:, None, cols] - cdx[:, cols], axis=2,
+                        where=trig[:, None, cols], initial=-np.inf)
+            margin = R[:, :, None] - R[:, None, :]
+            margin -= cdx
+        if not fin.all():
+            np.copyto(margin, -np.inf, where=~fin[:, None, :])
+        best = np.nanmax(margin, axis=2)
+        active = (fin & (R <= ub))[:, None, :] & (R[:, None, :] > eps)
+        bad = active & ~(best[:, None, :] >= req)
+        checked += int(active.sum())
+        violations += int(bad.sum())
+        for h in np.flatnonzero(bad)[:_WITNESS_CAP - len(witnesses)]:
+            f, e, u = np.unravel_index(h, bad.shape)
+            witnesses.append((eps_list[e], g.codomain.points[t_ys[f]], g.domain.points[u],
+                              float(best[f, u]), required[e]))
+    return CriterionReport(violations == 0, checked, violations, tuple(witnesses),
+                           checked == 0, eps_list)
 
 
 def check_criterion(mapping: SampledMap, region: PairRegion, c: float,
@@ -132,6 +208,9 @@ def check_criterion(mapping: SampledMap, region: PairRegion, c: float,
     region point x over y satisfies rho(g(x), y) < c * gamma(x) and
     eps < rho(g(u), y) <= rho(g(x), y) - c * d(u, x). Every active u must
     admit u' with c * d(u, u') <= rho(g(u), y) - rho(g(u'), y) - lam(eps).
+
+    One scan covers the fibers in tiles of about _TILE_ENTRIES (fiber, u, u')
+    entries; a larger fiber is a tile of its own.
     """
     if not c > 0.0:
         raise ValueError("rate c must be positive")
@@ -139,48 +218,8 @@ def check_criterion(mapping: SampledMap, region: PairRegion, c: float,
         raise ValueError("criterion check needs a single-valued sampled map")
     g = mapping.geometry
     gam = _gamma_array(gamma, mapping.domain)
-    fibers = _region_indices(g, region)
-
-    if epsilons is None:
-        eps_list = _default_epsilons(g.DYG[:, list(fibers)], c, g.step_x)
-    else:
-        eps_list = tuple(float(e) for e in epsilons)
-        if any(e <= 0.0 for e in eps_list):
-            raise ValueError("probe levels must be positive")
-
-    checked = violations = 0
-    witnesses: list[tuple] = []
-    cdx = c * g.DX
-    for yi, fiber_idx in fibers.items():
-        y = mapping.codomain.points[yi]
-        r = g.DYG[:, yi]
-        trig = [xi for xi in fiber_idx if r[xi] < c * gam[xi]]
-        if not trig:
-            continue
-        # Largest descent bound reachable from any triggered region point.
-        ub = np.max(r[trig] - cdx[:, trig], axis=1)
-        with np.errstate(invalid="ignore"):
-            margin = r[:, None] - r[None, :]
-            margin -= cdx
-        margin[:, ~np.isfinite(r)] = -np.inf
-        best = np.where(np.isfinite(r), np.nanmax(margin, axis=1), -np.inf)
-        for eps in eps_list:
-            required = lam(eps)
-            active = np.isfinite(r) & (r > eps) & (r <= ub)
-            checked += int(active.sum())
-            bad = np.flatnonzero(active & ~(best >= required))
-            violations += len(bad)
-            for ui in bad[:_WITNESS_CAP - len(witnesses)]:
-                witnesses.append((eps, y, mapping.domain.points[int(ui)],
-                                  float(best[ui]), required))
-    return CriterionReport(
-        passed=violations == 0,
-        checked=checked,
-        violation_count=violations,
-        witnesses=tuple(witnesses),
-        vacuous=checked == 0,
-        epsilons=tuple(eps_list),
-    )
+    ys, member = _region_indices(g, region)
+    return _descent_scan(g, ys, member, c, gam, _criterion_epsilons(epsilons, g, ys, c), lam)
 
 
 @dataclass(frozen=True)
@@ -509,75 +548,55 @@ def setvalued_criterion(mapping: SampledMap, region: PairRegion, c: float,
                         ) -> SetValuedCriterionReport:
     """Criterion for set-valued maps, run through two independent routes.
 
-    The direct route scans graph pairs with explicit loops, measuring moves
-    by max(d(u, x), alpha * rho(v, z)) in the map's own metrics. The
-    projected route rebuilds the map over its graph cloud and reuses the
-    single-valued criterion. Verdicts must agree.
+    The direct route scans graph pairs on pair tables, measuring moves by
+    max(d(u, x), alpha * rho(v, z)) in the map's own metrics. The projected
+    route rebuilds the map over its graph cloud and runs the single-valued
+    criterion's scan there. Verdicts must agree. The tests keep the direct
+    route's loop form as its oracle.
     """
+    if not c > 0.0:
+        raise ValueError("rate c must be positive")
     if not 0.0 < alpha < 1.0 / c:
         raise ValueError("alpha must lie in (0, 1 / rate)")
     geom = mapping.geometry
-    gam = _gamma_array(gamma, mapping.domain)
+    pxi, pyi = geom.pair_xi, geom.pair_yi
+    gam = _gamma_array(gamma, mapping.domain)[pxi]
+    ys, member = _region_indices(geom, region)
+    eps_list = _criterion_epsilons(epsilons, geom, ys, c)
+    member = member[:, pxi]  # fibers as pair (graph point) indices
+    if not member.any():
+        raise ValueError("pair region must be nonempty")
 
-    # Direct route: explicit loops over graph pairs, by index into the tables.
-    pairs = mapping.pairs
-    index = list(zip(geom.pair_xi.tolist(), geom.pair_yi.tolist()))
-    DX, DY = geom.DX.tolist(), geom.DY.tolist()
-    fibers = _region_indices(geom, region)
-    if epsilons is None:
-        eps_list = _default_epsilons(geom.DYG[:, list(fibers)], c, geom.step_x)
-    else:
-        eps_list = tuple(float(e) for e in epsilons)
+    # Direct route: pair p = (u, v) has residual r[p] = rho(v, y); it is
+    # reachable when r[p] <= r[t] - cmove[p, t] for a triggered pair t, and
+    # its best margin is max((r[p] - r[q]) - cmove[p, q]), a nan never
+    # winning. Hits run in (fiber, pair, eps) order.
+    cmove = c * np.maximum(geom.DX[pxi][:, pxi], alpha * geom.DY[pyi][:, pyi])
+    eps = np.array(eps_list)
+    required = [lam(e) for e in eps_list]
+    req = np.array(required, dtype=float)
     checked = violations = 0
     witnesses: list[tuple] = []
-    for yi, fiber_idx in fibers.items():
-        y, fiber = mapping.codomain.points[yi], set(fiber_idx)
-        trig = [(xi, zi) for (xi, zi) in index if xi in fiber and DY[zi][yi] < c * gam[xi]]
-        if not trig:
-            continue
-        for (u, v), (ui, vi) in zip(pairs, index):
-            r_uv = DY[vi][yi]
-            reachable = False
-            for (xi, zi) in trig:
-                move = max(DX[ui][xi], alpha * DY[vi][zi])
-                if r_uv <= DY[zi][yi] - c * move:
-                    reachable = True
-                    break
-            if not reachable:
-                continue
-            for eps in eps_list:
-                if not r_uv > eps:
-                    continue
-                checked += 1
-                required = lam(eps)
-                best = -math.inf
-                for (ui2, vi2) in index:
-                    move = max(DX[ui][ui2], alpha * DY[vi][vi2])
-                    best = max(best, r_uv - DY[vi2][yi] - c * move)
-                if not best >= required:
-                    violations += 1
-                    if len(witnesses) < _WITNESS_CAP:
-                        witnesses.append((eps, y, (u, v), best, required))
-    direct = CriterionReport(
-        passed=violations == 0,
-        checked=checked,
-        violation_count=violations,
-        witnesses=tuple(witnesses),
-        vacuous=checked == 0,
-        epsilons=tuple(eps_list),
-    )
+    for t_ys, R, trig, cols in _trigger_tiles(ys, member, geom.DY[pyi], c * gam):
+        with np.errstate(invalid="ignore"):
+            reach = ((R[:, :, None] <= R[:, None, cols] - cmove[:, cols])
+                     & trig[:, None, cols]).any(axis=2)
+            best = np.fmax.reduce((R[:, :, None] - R[:, None, :]) - cmove, axis=2,
+                                  initial=-np.inf)
+        active = reach[:, :, None] & (R[:, :, None] > eps)
+        bad = active & ~(best[:, :, None] >= req)
+        checked += int(active.sum())
+        violations += int(bad.sum())
+        for h in np.flatnonzero(bad)[:_WITNESS_CAP - len(witnesses)]:
+            f, p, e = np.unravel_index(h, bad.shape)
+            witnesses.append((eps_list[e], mapping.codomain.points[t_ys[f]], mapping.pairs[p],
+                              float(best[f, p]), required[e]))
+    direct = CriterionReport(violations == 0, checked, violations, tuple(witnesses),
+                             checked == 0, eps_list)
 
-    # Projected route: single-valued criterion on the graph cloud.
-    projected_map, gamma_table = _graph_map(mapping, alpha, gam)
-    region_pairs = []
-    for yi, fiber_idx in fibers.items():
-        fiber = set(fiber_idx)
-        for gp, (xi, _) in zip(projected_map.domain.points, index):
-            if xi in fiber:
-                region_pairs.append((gp, mapping.codomain.points[yi]))
-    projected_region = PairRegion.from_pairs(region_pairs)
-    projected = check_criterion(projected_map, projected_region, c, gamma_table,
-                                eps_list, lam)
+    # Projected route: the single-valued scan on the graph cloud.
+    projected = _descent_scan(_graph_map(mapping, alpha).geometry, ys, member, c, gam,
+                              eps_list, lam)
     return SetValuedCriterionReport(
         direct=direct,
         projected=projected,

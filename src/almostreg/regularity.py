@@ -1068,14 +1068,13 @@ def verify_product_laws(r1: ModulusReport, r2: ModulusReport,
     raise ValueError(f"kinds {sorted(kinds)} are neither paired nor coincident")
 
 
-def _graph_map(mapping: SampledMap, alpha: float,
-               gam: np.ndarray) -> tuple[SampledMap, dict[Point, float]]:
-    """The map (x, y) -> y over the graph cloud, whose metric is
-    max(d, alpha * rho), with each graph point's gamma taken from its x."""
+def _graph_map(mapping: SampledMap, alpha: float) -> SampledMap:
+    """The map (x, y) -> y over the graph cloud, one graph point per pair in
+    pair order, whose metric is max(d, alpha * rho)."""
     graph_points = tuple(x + y for (x, y) in mapping.pairs)
     if len(set(graph_points)) != len(graph_points):
         raise ValueError("graph points must be distinct after concatenation")
-    projected = SampledMap(
+    return SampledMap(
         domain=PointCloud(graph_points),
         codomain=mapping.codomain,
         pairs=tuple((g, y) for g, (_, y) in zip(graph_points, mapping.pairs)),
@@ -1083,8 +1082,6 @@ def _graph_map(mapping: SampledMap, alpha: float,
                                   mapping.metric_x, mapping.metric_y),
         metric_y=mapping.metric_y,
     )
-    return projected, {g: float(gam[mapping.domain.index_of(x)])
-                       for g, (x, _) in zip(graph_points, mapping.pairs)}
 
 
 @dataclass(frozen=True)

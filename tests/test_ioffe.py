@@ -8,12 +8,17 @@ from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from almostreg import ioffe
 from almostreg.ioffe import (
+    CriterionReport,
     PairRegion,
+    SetValuedCriterionReport,
+    _default_epsilons,
     check_criterion,
     check_semilocal_openness,
     check_unconditional_estimate,
@@ -29,8 +34,15 @@ from almostreg.ioffe import (
     setvalued_criterion,
     shrink_beta,
 )
-from almostreg.regularity import Metric, SampledMap
-from almostreg.spaces import PointCloud
+from almostreg.regularity import (
+    EUCLIDEAN,
+    Metric,
+    SampledMap,
+    _WITNESS_CAP,
+    _gamma_array,
+    _graph_map,
+)
+from almostreg.spaces import DirectionSet, PointCloud, directional_gauge
 
 DOM = PointCloud.from_grid(-1.0, 1.0, 0.05)
 TWO_X = SampledMap.from_function(DOM, lambda p: (2.0 * p[0],))
@@ -414,3 +426,293 @@ def test_descent_ends_on_nan_residual():
     target = descent_solve(g_inf, (0.0,), (math.inf,), 0.5, 0.01,
                            grid_scan_oracle(cloud, g_inf, 0.5, 0.01))
     assert target.status == "oracle-exhausted" and math.isnan(target.residuals[0])
+
+
+# --- loop oracles of the criterion scans ---------------------------------------
+#
+# The two bodies below are the per-fiber loop form of check_criterion and the
+# per-pair loop form of setvalued_criterion's direct route, kept verbatim as
+# oracles of the tiled scans; reports must match them by repr, so the sign of
+# a zero in a witness counts. Region points are read from the pairs directly.
+
+
+def _loop_fibers(geom, region):
+    fibers = {}
+    ys = {y: geom.codomain.index_of(y) for y in dict.fromkeys(y for _, y in region.pairs)}
+    xs = {x: geom.domain.index_of(x) for x in dict.fromkeys(x for x, _ in region.pairs)}
+    for x, y in region.pairs:
+        fibers.setdefault(ys[y], []).append(xs[x])
+    return fibers
+
+
+def _loop_criterion(mapping, region, c, gamma, epsilons=None, lam=default_lambda):
+    g = mapping.geometry
+    gam = _gamma_array(gamma, mapping.domain)
+    fibers = _loop_fibers(g, region)
+
+    if epsilons is None:
+        eps_list = _default_epsilons(g.DYG[:, list(fibers)], c, g.step_x)
+    else:
+        eps_list = tuple(float(e) for e in epsilons)
+
+    checked = violations = 0
+    witnesses = []
+    cdx = c * g.DX
+    for yi, fiber_idx in fibers.items():
+        y = mapping.codomain.points[yi]
+        r = g.DYG[:, yi]
+        trig = [xi for xi in fiber_idx if r[xi] < c * gam[xi]]
+        if not trig:
+            continue
+        # Largest descent bound reachable from any triggered region point.
+        ub = np.max(r[trig] - cdx[:, trig], axis=1)
+        with np.errstate(invalid="ignore"):
+            margin = r[:, None] - r[None, :]
+            margin -= cdx
+        margin[:, ~np.isfinite(r)] = -np.inf
+        best = np.where(np.isfinite(r), np.nanmax(margin, axis=1), -np.inf)
+        for eps in eps_list:
+            required = lam(eps)
+            active = np.isfinite(r) & (r > eps) & (r <= ub)
+            checked += int(active.sum())
+            bad = np.flatnonzero(active & ~(best >= required))
+            violations += len(bad)
+            for ui in bad[:_WITNESS_CAP - len(witnesses)]:
+                witnesses.append((eps, y, mapping.domain.points[int(ui)],
+                                  float(best[ui]), required))
+    return CriterionReport(
+        passed=violations == 0,
+        checked=checked,
+        violation_count=violations,
+        witnesses=tuple(witnesses),
+        vacuous=checked == 0,
+        epsilons=tuple(eps_list),
+    )
+
+
+def _loop_setvalued(mapping, region, c, gamma, alpha, epsilons=None, lam=default_lambda):
+    geom = mapping.geometry
+    gam = _gamma_array(gamma, mapping.domain)
+
+    # Direct route: explicit loops over graph pairs, by index into the tables.
+    pairs = mapping.pairs
+    index = list(zip(geom.pair_xi.tolist(), geom.pair_yi.tolist()))
+    DX, DY = geom.DX.tolist(), geom.DY.tolist()
+    fibers = _loop_fibers(geom, region)
+    if epsilons is None:
+        eps_list = _default_epsilons(geom.DYG[:, list(fibers)], c, geom.step_x)
+    else:
+        eps_list = tuple(float(e) for e in epsilons)
+    checked = violations = 0
+    witnesses = []
+    for yi, fiber_idx in fibers.items():
+        y, fiber = mapping.codomain.points[yi], set(fiber_idx)
+        trig = [(xi, zi) for (xi, zi) in index if xi in fiber and DY[zi][yi] < c * gam[xi]]
+        if not trig:
+            continue
+        for (u, v), (ui, vi) in zip(pairs, index):
+            r_uv = DY[vi][yi]
+            reachable = False
+            for (xi, zi) in trig:
+                move = max(DX[ui][xi], alpha * DY[vi][zi])
+                if r_uv <= DY[zi][yi] - c * move:
+                    reachable = True
+                    break
+            if not reachable:
+                continue
+            for eps in eps_list:
+                if not r_uv > eps:
+                    continue
+                checked += 1
+                required = lam(eps)
+                best = -math.inf
+                for (ui2, vi2) in index:
+                    move = max(DX[ui][ui2], alpha * DY[vi][vi2])
+                    best = max(best, r_uv - DY[vi2][yi] - c * move)
+                if not best >= required:
+                    violations += 1
+                    if len(witnesses) < _WITNESS_CAP:
+                        witnesses.append((eps, y, (u, v), best, required))
+    direct = CriterionReport(
+        passed=violations == 0,
+        checked=checked,
+        violation_count=violations,
+        witnesses=tuple(witnesses),
+        vacuous=checked == 0,
+        epsilons=tuple(eps_list),
+    )
+
+    # Projected route: the single-valued loop on the graph cloud.
+    projected_map = _graph_map(mapping, alpha)
+    region_pairs = []
+    for yi, fiber_idx in fibers.items():
+        fiber = set(fiber_idx)
+        for gp, (xi, _) in zip(projected_map.domain.points, index):
+            if xi in fiber:
+                region_pairs.append((gp, mapping.codomain.points[yi]))
+    gamma_table = {gp: float(gam[xi]) for gp, (xi, _) in zip(projected_map.domain.points, index)}
+    projected = _loop_criterion(projected_map, PairRegion.from_pairs(region_pairs), c,
+                                gamma_table, eps_list, lam)
+    return SetValuedCriterionReport(direct=direct, projected=projected,
+                                    agree=direct.passed == projected.passed, alpha=alpha)
+
+
+def _three_abs(a, b):
+    diff = a[:, None, :] - b[None, :, :]
+    return 3.0 * np.sqrt((diff * diff).sum(axis=-1))
+
+
+def _asymmetric(a, b):
+    # d(a, b) = b - a if b >= a, else 2(a - b), summed over coordinates.
+    diff = b[None, :, :] - a[:, None, :]
+    return np.where(diff >= 0.0, diff, -2.0 * diff).sum(axis=-1)
+
+
+_ORACLE_METRICS = {
+    "euclidean": (EUCLIDEAN, EUCLIDEAN),
+    "3|.|": (Metric("3|.|", _three_abs), EUCLIDEAN),
+    "asymmetric": (Metric("asymmetric", _asymmetric), Metric("asymmetric", _asymmetric)),
+    "gauge": (directional_gauge(DirectionSet(((1.0,),))),) * 2,
+}
+
+
+def _oracle_map(rng, dim, branches, metrics):
+    if dim == 1:
+        dom = PointCloud(tuple((round(float(v), 12),) for v in
+                               np.sort(rng.choice(np.linspace(-1.0, 1.0, 9), 6, replace=False))))
+        slopes = rng.choice([-2.5, -1.0, 0.5, 1.5, 3.0], branches, replace=False)
+        fns = [lambda p, s=s, k=k: (round(s * p[0] + 0.5 * k, 12),)
+               for k, s in enumerate(slopes)]
+    else:
+        dom = PointCloud(tuple((a, b) for a in (-1.0, 0.0, 1.0) for b in (-0.5, 0.5)))
+        fns = [lambda p, k=k: (round(1.5 * p[0] - p[1] + k, 12), round(p[1] - 0.5 * k, 12))
+               for k in range(branches)]
+    metric_x, metric_y = _ORACLE_METRICS[metrics]
+    return SampledMap.from_branches(dom, fns, metric_x=metric_x, metric_y=metric_y)
+
+
+def _oracle_region(rng, mapping):
+    cells = [(x, y) for x in mapping.domain.points for y in mapping.codomain.points]
+    if rng.random() < 0.5:
+        return PairRegion(tuple(cells))
+    keep = rng.random(len(cells)) < 0.4
+    keep[rng.integers(len(cells))] = True
+    return PairRegion(tuple(cell for cell, k in zip(cells, keep) if k))
+
+
+def _oracle_gamma(kind, mapping):
+    if kind == "callable":
+        return lambda p: 0.25 + abs(p[0])
+    if kind == "table":
+        return {p: 0.2 * (i % 4) for i, p in enumerate(mapping.domain.points)}
+    return {"inf": math.inf, "finite": 0.6}[kind]
+
+
+@pytest.mark.parametrize("dim,metrics", [(1, "euclidean"), (1, "3|.|"), (1, "asymmetric"),
+                                         (1, "gauge"), (2, "euclidean"), (2, "3|.|"),
+                                         (2, "asymmetric")])
+def test_criterion_scans_match_their_loop_oracles(dim, metrics):
+    rng = np.random.default_rng(sum(map(ord, metrics)) + dim)
+    for branches, gamma, epsilons in itertools.product(
+            (1, 2), ("inf", "finite", "callable", "table"), (None, (0.05, 0.3))):
+        mapping = _oracle_map(rng, dim, branches, metrics)
+        region = _oracle_region(rng, mapping)
+        c = float(rng.choice([0.5, 1.0, 2.0, 3.0]))
+        gam = _oracle_gamma(gamma, mapping)
+        case = (branches, gamma, epsilons, c)
+        if branches == 1:
+            assert repr(check_criterion(mapping, region, c, gam, epsilons)) == repr(
+                _loop_criterion(mapping, region, c, gam, epsilons)), case
+        got = setvalued_criterion(mapping, region, c, gam, 0.5 / c, epsilons)
+        assert repr(got) == repr(_loop_setvalued(mapping, region, c, gam, 0.5 / c, epsilons)), case
+
+
+@pytest.mark.parametrize("fibers_per_tile", [1, 4])
+def test_scans_split_fibers_into_tiles_and_cap_witnesses_mid_tile(monkeypatch, fibers_per_tile):
+    # 11 fibers over 11 points, and 22 over 22 pairs, split unevenly into
+    # tiles of 4 fibers; the 20th witness falls inside a tile (in the second
+    # fiber of the first tile, and in the second fiber of the second tile,
+    # midway through its violations), so the tile's later hits are counted
+    # but not kept. A tile of 1 fiber gathers only its triggered columns.
+    dom = PointCloud.from_grid(-1.0, 1.0, 0.2)
+    two_x = SampledMap.from_function(dom, lambda p: (2.0 * p[0],))
+    region = PairRegion.product(dom.points, two_x.codomain.points)
+    monkeypatch.setattr(ioffe, "_TILE_ENTRIES", fibers_per_tile * 11 ** 2)
+    crit = check_criterion(two_x, region, 2.5, math.inf)
+    assert repr(crit) == repr(_loop_criterion(two_x, region, 2.5, math.inf))
+    assert crit.violation_count == 110 and len(crit.witnesses) == 20
+    assert crit.witnesses[-1][1] == two_x.codomain.points[1]
+
+    branched = SampledMap.from_branches(dom, [lambda p: (round(2.0 * p[0], 12),),
+                                              lambda p: (round(2.0 * p[0] + 0.5, 12),)])
+    region = PairRegion.product(dom.points, branched.codomain.points)
+    monkeypatch.setattr(ioffe, "_TILE_ENTRIES", fibers_per_tile * 22 ** 2)
+    got = setvalued_criterion(branched, region, 1.0, 0.5, 0.5, (0.05, 0.3))
+    assert repr(got) == repr(_loop_setvalued(branched, region, 1.0, 0.5, 0.5, (0.05, 0.3)))
+    for rep in (got.direct, got.projected):
+        assert rep.violation_count > 20 and len(rep.witnesses) == 20
+        assert rep.witnesses[-1][1] == branched.codomain.points[5]
+
+
+def test_setvalued_argument_guards():
+    dom = PointCloud.from_grid(-1.0, 1.0, 0.5)
+    m = SampledMap.from_function(dom, lambda p: (p[0],))
+    region = PairRegion.product(dom.points, [(0.0,)])
+    # The rate is checked before the alpha guard divides by it.
+    for c in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="rate c must be positive"):
+            setvalued_criterion(m, region, c, math.inf, 0.1)
+    # Probe levels are checked once, before either route runs lam.
+    calls = []
+    with pytest.raises(ValueError, match="probe levels must be positive"):
+        setvalued_criterion(m, region, 1.0, math.inf, 0.5, (0.1, 0.0),
+                            lam=lambda e: calls.append(e) or default_lambda(e))
+    assert calls == []
+    # A region whose domain points carry no pair leaves no graph fiber.
+    pairless = SampledMap(PointCloud(((0.0,), (1.0,), (2.0,))), PointCloud(((0.0,), (1.0,))),
+                          (((0.0,), (0.0,)), ((1.0,), (1.0,))))
+    with pytest.raises(ValueError, match="pair region must be nonempty"):
+        setvalued_criterion(pairless, PairRegion.product([(2.0,)], [(0.0,), (1.0,)]),
+                            1.0, math.inf, 0.5)
+
+
+def _traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_criterion_scans_run_in_bounded_memory():
+    # The descent scan holds one tile of fibers, not a table per fiber:
+    # check_criterion at n=201 peaks under 2 MB (the per-fiber loop read
+    # 1.5 MB, a 2**16 tile budget 4.9 MB), and setvalued_criterion on a
+    # two-branch map of 82 pairs under the 1.38 MB the per-pair loop read.
+    dom = PointCloud.from_grid(-1.0, 1.0, 0.01)
+    two_x = SampledMap.from_function(dom, lambda p: (2.0 * p[0],))
+    region = PairRegion.product(dom.points, two_x.codomain.points)
+    two_x.geometry
+    assert _traced_peak(lambda: check_criterion(two_x, region, 1.0, 0.5)) <= 2_000_000
+    dom = PointCloud.from_grid(-1.0, 1.0, 0.05)
+    branched = SampledMap.from_branches(dom, [lambda p: (round(2.0 * p[0], 12),),
+                                              lambda p: (round(2.0 * p[0] + 0.5, 12),)])
+    region = PairRegion.product(dom.points, branched.codomain.points)
+    branched.geometry
+    assert _traced_peak(lambda: setvalued_criterion(branched, region, 0.3, 0.5, 0.1)) <= 1_380_000
+
+
+def test_scans_merge_the_fibers_of_points_that_resolve_alike():
+    # (0.3,) and the stored 0.30000000000000004 are distinct region points
+    # that resolve to one domain index, as (0.6,) and the stored image do to
+    # one target: their pairs join one fiber, as in the loop oracles.
+    dom = PointCloud.from_grid(-1.0, 1.0, 0.02)
+    m = SampledMap.from_function(dom, lambda p: (2.0 * p[0],))
+    stored_x = dom.points[dom.index_of((0.3,))]
+    stored_y = m.codomain.points[m.codomain.index_of((0.6,))]
+    region = PairRegion.product([(0.3,), stored_x, (0.34,)], [(0.6,), (0.0,), stored_y])
+    for c in (1.0, 3.0):
+        assert repr(check_criterion(m, region, c, 0.5)) == repr(_loop_criterion(m, region, c, 0.5))
+        assert repr(setvalued_criterion(m, region, c, 0.5, 0.1)) == repr(
+            _loop_setvalued(m, region, c, 0.5, 0.1))

@@ -33,11 +33,14 @@ def test_moduli_sweep_reference_tolerates_grid_roundoff(capsys):
 def test_output_hashes_runs_a_workload_and_its_checks():
     # Every output-preservation claim rests on this script: it must run a
     # workload's cases from this checkout, check each, and print one line
-    # per (workload, seed).
+    # per (workload, seed). The moduli checks (routes agree, verdicts) are
+    # the only benchmark checks on the criterion scans.
     done = subprocess.run([sys.executable, str(SCRIPTS / "output_hashes.py"), str(ROOT),
-                           "--workload", "linear", "--seeds", "1"],
+                           "--workload", "linear", "--workload", "moduli", "--seeds", "1"],
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("linear seed=1 sha256="), lines
-    assert lines[0].endswith(" failed_checks=0"), lines
+    assert len(lines) == 2, lines
+    for line, name in zip(lines, ("linear", "moduli")):
+        assert line.startswith(f"{name} seed=1 sha256="), lines
+        assert line.endswith(" failed_checks=0"), lines
