@@ -22,6 +22,7 @@ from .regularity import (
     RegularityInstance,
     SampledMap,
     check_openness,
+    _TILE_ENTRIES,
     _WITNESS_CAP,
     _estimate_violations,
     _gamma_array,
@@ -142,16 +143,14 @@ def _criterion_epsilons(epsilons: Sequence[float] | None, geom: MapGeometry,
     return eps_list
 
 
-# Entries of one tile of fibers: k fibers over n scan points take k * n * n,
-# and a fiber above the budget is a tile of its own.
-_TILE_ENTRIES = 2 ** 14
-
-
 def _trigger_tiles(ys: np.ndarray, member: np.ndarray, residuals: np.ndarray,
                    bound: np.ndarray):
     """The fibers holding a trigger, in order and in tiles: each tile's
     targets, residuals R[f, p] = residuals[p, ys[f]] and triggers
-    member & (R < bound), with the triggered columns of the whole tile."""
+    member & (R < bound), with the triggered columns of the whole tile.
+
+    A tile of k fibers over n scan points takes k * n * n of _TILE_ENTRIES,
+    and a fiber above the budget is a tile of its own."""
     n = len(residuals)
     trig = member & (residuals.T[ys] < bound)
     keep = np.flatnonzero(trig.any(axis=1))
@@ -271,29 +270,37 @@ def conclude_openness(mapping: SampledMap, region: PairRegion, c: float,
 
 def _fiber_conclusion(geom: MapGeometry, region: PairRegion, c: float,
                       gamma: object, tol: float) -> CheckReport:
+    """Each region pair (x, y) with 0 < r = rho(g(x), y) < c * gamma(x) needs
+    a domain point within r / c + tol of x whose image reaches y within tol.
+    The pairs are tested in tiles of about _TILE_ENTRIES domain entries;
+    witnesses (x, y, r, r / c) run in region order."""
     gam = _gamma_array(gamma, geom.domain)
-    checked = violations = 0
-    witnesses: list[tuple] = []
-    for x, y in region.pairs:
-        xi, yi = geom.locate(x, y)
-        x, y = geom.domain.points[xi], geom.codomain.points[yi]
-        r = float(geom.DYG[xi, yi])
-        if not (0.0 < r < c * gam[xi]):
-            continue
-        checked += 1
-        radius = r / c
-        near = (geom.DX[xi] <= radius + tol) & (geom.DYG[:, yi] <= tol)
-        if not near.any():
-            violations += 1
-            if len(witnesses) < _WITNESS_CAP:
-                witnesses.append((x, y, r, radius))
+    xs, ys, xcode, ycode = region._codes
+    try:
+        xi = np.array([geom.domain.index_of(x) for x in xs], dtype=int)[xcode]
+        yi = np.array([geom.codomain.index_of(y) for y in ys], dtype=int)[ycode]
+    except KeyError:
+        for x, y in region.pairs:  # name the first pair that misses, x before y
+            geom.locate(x, y)
+        raise
+    r = geom.DYG[xi, yi]
+    live = np.flatnonzero((0.0 < r) & (r < c * gam[xi]))
+    step = max(1, _TILE_ENTRIES // len(geom.X))
+    missed = [np.empty(0, dtype=int)]
+    for start in range(0, len(live), step):
+        t = live[start:start + step]
+        near = ((geom.DX[xi[t]] <= (r[t] / c + tol)[:, None])
+                & (geom.DYG[:, yi[t]].T <= tol))
+        missed.append(t[~near.any(axis=1)])
+    missed = np.concatenate(missed)
     return CheckReport(
         name="criterion-conclusion",
-        passed=violations == 0,
-        checked=checked,
-        violation_count=violations,
-        witnesses=tuple(witnesses),
-        vacuous=checked == 0,
+        passed=len(missed) == 0,
+        checked=len(live),
+        violation_count=len(missed),
+        witnesses=tuple((geom.domain.points[xi[p]], geom.codomain.points[yi[p]],
+                         float(r[p]), float(r[p] / c)) for p in missed[:_WITNESS_CAP]),
+        vacuous=len(live) == 0,
     )
 
 

@@ -35,6 +35,9 @@ _COINCIDENT_PAIRS = (
 )
 
 _WITNESS_CAP = 20
+# Entries one tile holds: the scan kernels' row tiles, the cold tables'
+# gathered rows and ioffe's fiber tiles.
+_TILE_ENTRIES = 2 ** 14
 
 
 def Metric(name: str, pairwise: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -161,16 +164,17 @@ class MapGeometry:
         self.y_index = y_index = dict(mapping.codomain._positions)
         self.pair_xi = np.array([x_index[x] for x, _ in mapping.pairs], dtype=int)
         self.pair_yi = np.array([y_index[y] for _, y in mapping.pairs], dtype=int)
-        n_x, n_y = len(self.X), len(self.Y)
-        images: list[list[int]] = [[] for _ in range(n_x)]
-        for xi, yi in zip(self.pair_xi, self.pair_yi):
-            images[xi].append(yi)
-        self.images = [np.array(ix, dtype=int) for ix in images]
+        n_x = len(self.X)
+        # Pairs grouped by domain index, each group in pair order.
+        order = np.argsort(self.pair_xi, kind="stable")
+        xs, ys = self.pair_xi[order], self.pair_yi[order]
+        self.images = np.split(ys, np.cumsum(np.bincount(xs, minlength=n_x))[:-1])
         # DYG[u, v] = distance from codomain point v to the image of u.
-        self.DYG = np.full((n_x, n_y), np.inf)
-        for u, ix in enumerate(self.images):
-            if len(ix):
-                self.DYG[u] = self.DY[ix].min(axis=0)
+        if np.array_equal(self.pair_xi, np.arange(n_x)):
+            self.DYG = self.DY[self.pair_yi]
+        else:
+            self.DYG = np.full((n_x, len(self.Y)), np.inf)
+            _min_rows(xs, ys, self.DY, self.DYG)
         self.step_x = _min_positive(self.DX)
         self.step_y = _min_positive(self.DY)
         self.diam_x = _max_finite(self.DX)
@@ -209,10 +213,7 @@ class MapGeometry:
         """
         n_x, n_y = self.DYG.shape
         out = np.full((n_y, n_x), np.inf)
-        for v in range(n_y):
-            mask = self.DYG[:, v] <= tol
-            if mask.any():
-                out[v] = self.DX[mask].min(axis=0)
+        _min_rows(*np.nonzero(self.DYG.T <= tol), self.DX, out)
         return out
 
     def reach(self, tol: float, tgrid: "TGrid", strict: bool = False) -> np.ndarray:
@@ -236,12 +237,8 @@ class MapGeometry:
         Built once per eps and returned read-only.
         """
         if eps not in self._preimage:
-            n_x, n_y = self.DYG.shape
-            out = np.full((n_x, n_y), np.inf)
-            for v in range(n_y):
-                mask = self.DYG[:, v] < eps
-                if mask.any():
-                    out[:, v] = self.DX[:, mask].min(axis=1)
+            out = np.full(self.DYG.shape, np.inf)
+            _min_rows(*np.nonzero(self.DYG.T < eps), self.DX.T, out.T)
             out.flags.writeable = False
             self._preimage[eps] = out
         return self._preimage[eps]
@@ -260,13 +257,35 @@ def _take_rows(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return table[rows]
 
 
+def _min_rows(rows: np.ndarray, picks: np.ndarray, table: np.ndarray,
+              out: np.ndarray) -> None:
+    """out[v] = the min of table[u] over the entries (v, u) of (rows, picks).
+
+    rows must be sorted, as np.nonzero gives them; rows not listed are left
+    as they are. Each row's min reduces its table rows in the order listed,
+    in tiles whose gathered rows hold about _TILE_ENTRIES entries (a row
+    with more picks than that is a tile of its own).
+    """
+    heads = np.flatnonzero(np.diff(rows, prepend=-1))
+    ends = np.append(heads[1:], len(rows))
+    budget = max(1, _TILE_ENTRIES // table.shape[1])
+    lo = 0
+    while lo < len(heads):
+        hi = max(lo + 1, int(np.searchsorted(ends, heads[lo] + budget, side="right")))
+        gathered = table[picks[heads[lo]:ends[hi - 1]]]
+        out[rows[heads[lo:hi]]] = np.minimum.reduceat(gathered, heads[lo:hi] - heads[lo],
+                                                      axis=0)
+        lo = hi
+
+
 def _min_positive(d: np.ndarray) -> float:
-    vals = d[np.isfinite(d) & (d > 0.0)]
-    return float(vals.min()) if vals.size else 1.0
+    # An infinite entry never lowers the min, so inf means no finite positive.
+    low = float(np.min(d, where=d > 0.0, initial=math.inf))
+    return low if low < math.inf else 1.0
 
 def _max_finite(d: np.ndarray) -> float:
-    vals = d[np.isfinite(d)]
-    return float(vals.max()) if vals.size else 1.0
+    high = float(np.max(d, where=np.isfinite(d), initial=-math.inf))
+    return high if high > -math.inf else 1.0
 
 
 @dataclass(frozen=True)
@@ -453,6 +472,8 @@ class _Scan(NamedTuple):
 def _scan(window: np.ndarray, viol: np.ndarray, *values: np.ndarray) -> _Scan:
     per_row = viol.sum(axis=1)
     count = int(per_row.sum())
+    if not count:
+        return _Scan(int(window.sum()), 0, ())
     # Only the rows holding the first _WITNESS_CAP violations are searched.
     last = int(np.searchsorted(np.cumsum(per_row), _WITNESS_CAP))
     hits = tuple((int(r), int(c), *(float(v[r, c]) for v in values))
@@ -460,10 +481,33 @@ def _scan(window: np.ndarray, viol: np.ndarray, *values: np.ndarray) -> _Scan:
     return _Scan(int(window.sum()), count, hits)
 
 
+def _tiled_scan(rows: int, cols: int, tile: Callable[[slice], tuple],
+                first: bool) -> _Scan:
+    """_scan over row tiles of at most _TILE_ENTRIES entries (a row wider than
+    that is a tile of its own); tile(s) gives _scan's arguments for rows s.
+
+    Sums add up and row-major tiles keep the row-major hits, so the result
+    is one _scan's. With first, the walk stops after the first tile holding
+    a violation: window and count then cover the tiles walked, and hits[0]
+    is the whole scan's.
+    """
+    step = max(1, _TILE_ENTRIES // max(cols, 1))
+    window = count = 0
+    hits: list[tuple] = []
+    for r0 in range(0, rows, step):
+        part = _scan(*tile(slice(r0, r0 + step)))
+        window += part.window
+        count += part.count
+        hits += [(r0 + r, *rest) for r, *rest in part.hits[:_WITNESS_CAP - len(hits)]]
+        if first and hits:
+            break
+    return _Scan(window, count, tuple(hits))
+
+
 def _openness_violations(tgrid: TGrid, rho: np.ndarray, constant: float,
                          reach: np.ndarray, cols: np.ndarray, gam: np.ndarray,
-                         closed: bool) -> _Scan:
-    """Ball-inclusion scan; hits carry the radius t.
+                         closed: bool, *, first: bool = False) -> _Scan:
+    """Ball-inclusion scan; hits carry the radius t. first: see _tiled_scan.
 
     Entry (i, v) is reached at the least grid radius t with rho[i, v] <
     constant * t (<= when closed). The inclusion fails when that radius is
@@ -475,15 +519,19 @@ def _openness_violations(tgrid: TGrid, rho: np.ndarray, constant: float,
     t only for the hits.
     """
     top = tgrid.floor_radius(gam, strict=True)[:, None]
-    if closed:
-        # rho = 0 would pass <= against a radius of 0, and an infinite rho
-        # against an infinite radius, where no grid radius reaches or covers.
-        window = cols & (rho <= constant * top) & (top > 0.0) & np.isfinite(rho)
-        viol = window & (rho <= constant * reach) & (reach > 0.0)
-    else:
-        window = cols & (rho < constant * top)
-        viol = window & (rho < constant * reach)
-    scan = _scan(window, viol)
+
+    def tile(s: slice) -> tuple:
+        r, t, fixed = rho[s], top[s], reach[s]
+        if closed:
+            # rho = 0 would pass <= against a radius of 0, and an infinite
+            # rho against an infinite radius, where no grid radius reaches or
+            # covers.
+            window = cols & (r <= constant * t) & (t > 0.0) & np.isfinite(r)
+            return window, window & (r <= constant * fixed) & (fixed > 0.0)
+        window = cols & (r < constant * t)
+        return window, window & (r < constant * fixed)
+
+    scan = _tiled_scan(*rho.shape, tile, first)
     if not scan.hits:
         return scan
     t = tgrid.first_reaching(np.array([rho[hit] for hit in scan.hits]), constant,
@@ -492,15 +540,20 @@ def _openness_violations(tgrid: TGrid, rho: np.ndarray, constant: float,
 
 
 def _estimate_violations(rho: np.ndarray, surrogate: np.ndarray, cols: np.ndarray,
-                         gam: np.ndarray, constant: float, tol: float) -> _Scan:
+                         gam: np.ndarray, constant: float, tol: float, *,
+                         first: bool = False) -> _Scan:
     """Distance-estimate scan surrogate <= constant * rho + tol where
-    constant * rho < gamma; hits carry (surrogate, bound)."""
-    scaled = constant * rho
-    window = cols & (scaled < gam[:, None])
-    bound = scaled + tol
-    with np.errstate(invalid="ignore"):
-        viol = window & ~(surrogate <= bound)
-    return _scan(window, viol, surrogate, bound)
+    constant * rho < gamma; hits carry (surrogate, bound). first: see
+    _tiled_scan."""
+    def tile(s: slice) -> tuple:
+        scaled = constant * rho[s]
+        window = cols & (scaled < gam[s, None])
+        bound = scaled + tol
+        with np.errstate(invalid="ignore"):
+            viol = window & ~(surrogate[s] <= bound)
+        return window, viol, surrogate[s], bound
+
+    return _tiled_scan(*rho.shape, tile, first)
 
 
 def _openness_witness(geom: MapGeometry, xi: int, yi: int, v: int,
@@ -790,6 +843,9 @@ class _ModulusEngine:
             for kind, (scan, source, rows, targets) in _KIND_SCANS.items()}
         self._blocks: dict[tuple[str, str, str, str], _KindBlock] = {}
         self._verdicts: dict[tuple[str, float, float], tuple[bool, tuple | None]] = {}
+        # band(kind, gamma_schedule[i]) at [kind][i], filled on first use.
+        self._kind_bands: dict[str, list[tuple[float, float] | None]] = {
+            kind: [None] * len(self.gamma_schedule) for kind in MODULUS_KINDS}
 
     def block(self, kind: str) -> _KindBlock:
         content = self._content[kind]
@@ -835,9 +891,10 @@ class _ModulusEngine:
         gam = np.where(box.row_in, gamma, 0.0)
         if b.open_scan:
             scan = _openness_violations(self.tgrid, box.rho, constant, box.fixed, box.col_in,
-                                        gam, closed=False)
+                                        gam, closed=False, first=True)
         else:
-            scan = _estimate_violations(box.rho, box.fixed, box.col_in, gam, constant, self.tol)
+            scan = _estimate_violations(box.rho, box.fixed, box.col_in, gam, constant, self.tol,
+                                        first=True)
         if not scan.hits:
             return True, None
         r, c, *values = scan.hits[0]
@@ -904,12 +961,7 @@ class _ModulusEngine:
 
     def sure_verdict(self, kind: str, constant: float, gamma: float) -> bool | None:
         """holds_at's verdict when the constant lies outside the band, else None."""
-        below, above = self.band(kind, gamma)
-        if constant < below:
-            return kind in SUP_KINDS
-        if constant > above:
-            return kind not in SUP_KINDS
-        return None
+        return _band_verdict(kind, constant, self.band(kind, gamma))
 
     def verdict(self, kind: str, constant: float) -> tuple[bool, float | None, bool]:
         """Scan the gamma schedule; trust the first repeated verdict.
@@ -918,8 +970,11 @@ class _ModulusEngine:
         """
         prev: bool | None = None
         prev_gamma = None
-        for g in self.gamma_schedule:
-            ok = self.sure_verdict(kind, constant, g)
+        bands = self._kind_bands[kind]
+        for i, g in enumerate(self.gamma_schedule):
+            if bands[i] is None:
+                bands[i] = self.band(kind, g)
+            ok = _band_verdict(kind, constant, bands[i])
             if ok is None:
                 ok = self.holds_at(kind, constant, g)[0]
             if prev is not None and ok == prev:
@@ -935,6 +990,15 @@ class _ModulusEngine:
             raise RuntimeError(f"{kind} threshold verdict {holds} at constant {constant!r}, "
                                f"gamma {gamma!r} contradicts the scan kernel")
         return (constant, gamma) if ok else (constant, gamma, witness)
+
+
+def _band_verdict(kind: str, constant: float, band: tuple[float, float]) -> bool | None:
+    """The verdict at a constant outside band = (below, above), else None."""
+    if constant < band[0]:
+        return kind in SUP_KINDS
+    if constant > band[1]:
+        return kind not in SUP_KINDS
+    return None
 
 
 def check_modulus_property(mapping: SampledMap, ref: tuple, kind: str, constant: float,

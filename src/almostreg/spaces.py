@@ -339,7 +339,9 @@ def induce_from_partial(zeta: PartialMetric, cloud: PointCloud) -> QuasiPremetri
 
     eta is given in table form: an n x m table calls zeta n * m + n times,
     once per pair and once per row point, and a call, a table entry and
-    zeta(x, u) - zeta(x, x) are the same float.
+    zeta(x, u) - zeta(x, x) are the same float. A table between the cloud's
+    own coordinates, bit for bit, is read from the validated values and
+    calls zeta not at all.
     """
     pts = cloud.points
     coords = np.asarray(pts, dtype=float)
@@ -362,10 +364,15 @@ def induce_from_partial(zeta: PartialMetric, cloud: PointCloud) -> QuasiPremetri
             f"{float(zmat[i, j])} > {float(zmat[i, k] + zmat[k, j] - diag[k])}"
         )
     base = zeta.fn
+    key = coords.tobytes()
+    with np.errstate(invalid="ignore", over="ignore"):  # as in Python floats
+        validated = zmat - diag[:, None]
 
     def table(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        if a.shape == b.shape == coords.shape and a.tobytes() == b.tobytes() == key:
+            return validated.copy()
         own = np.array([base(p, p) for p in map(tuple, a.tolist())], dtype=float)
-        with np.errstate(invalid="ignore", over="ignore"):  # as in Python floats
+        with np.errstate(invalid="ignore", over="ignore"):
             return _scalar_table(base, a, b) - own[:, None]
 
     return QuasiPremetric(

@@ -36,6 +36,7 @@ from almostreg.ioffe import (
 )
 from almostreg.regularity import (
     EUCLIDEAN,
+    CheckReport,
     Metric,
     SampledMap,
     _WITNESS_CAP,
@@ -716,3 +717,69 @@ def test_scans_merge_the_fibers_of_points_that_resolve_alike():
         assert repr(check_criterion(m, region, c, 0.5)) == repr(_loop_criterion(m, region, c, 0.5))
         assert repr(setvalued_criterion(m, region, c, 0.5, 0.1)) == repr(
             _loop_setvalued(m, region, c, 0.5, 0.1))
+
+
+def _loop_fiber_conclusion(geom, region, c, gamma, tol):
+    """The fiber route of conclude_openness, one region pair at a time."""
+    gam = _gamma_array(gamma, geom.domain)
+    checked = violations = 0
+    witnesses = []
+    for x, y in region.pairs:
+        xi, yi = geom.locate(x, y)
+        x, y = geom.domain.points[xi], geom.codomain.points[yi]
+        r = float(geom.DYG[xi, yi])
+        if not (0.0 < r < c * gam[xi]):
+            continue
+        checked += 1
+        radius = r / c
+        near = (geom.DX[xi] <= radius + tol) & (geom.DYG[:, yi] <= tol)
+        if not near.any():
+            violations += 1
+            if len(witnesses) < _WITNESS_CAP:
+                witnesses.append((x, y, r, radius))
+    return CheckReport(name="criterion-conclusion", passed=violations == 0, checked=checked,
+                       violation_count=violations, witnesses=tuple(witnesses),
+                       vacuous=checked == 0)
+
+
+@pytest.mark.parametrize("dim,metrics", [(1, "euclidean"), (1, "asymmetric"), (1, "gauge"),
+                                         (2, "euclidean"), (2, "asymmetric")])
+@pytest.mark.parametrize("tile_rows", [None, 1, 3])
+def test_fiber_conclusion_matches_its_loop_oracle(monkeypatch, dim, metrics, tile_rows):
+    # Seeded maps of one and two branches, product and sparse regions, tol 0
+    # and the default; tiles of 1 and 3 pairs cut the scan mid-region.
+    rng = np.random.default_rng(sum(map(ord, metrics)) + dim)
+    checked = failed = 0
+    for branches, gamma in itertools.product((1, 2), ("inf", "finite", "callable", "table")):
+        mapping = _oracle_map(rng, dim, branches, metrics)
+        geom = mapping.geometry
+        if tile_rows is not None:
+            monkeypatch.setattr(ioffe, "_TILE_ENTRIES", tile_rows * len(geom.X))
+        region = _oracle_region(rng, mapping)
+        c = float(rng.choice([0.5, 1.0, 2.0, 3.0]))
+        gam = _oracle_gamma(gamma, mapping)
+        for tol in (0.0, geom.closure_tolerance(None)):
+            got = ioffe._fiber_conclusion(geom, region, c, gam, tol)
+            assert repr(got) == repr(_loop_fiber_conclusion(geom, region, c, gam, tol)), (
+                branches, gamma, c, tol)
+            checked += got.checked
+            failed += not got.passed
+    assert checked and failed
+
+
+def test_fiber_conclusion_caps_witnesses_and_names_missing_points(monkeypatch):
+    # x -> 2x at rate 2.5 misses 110 region pairs; with tiles of 7 pairs the
+    # 20th witness falls mid-tile. A region pair whose target is off the
+    # codomain raises locate's KeyError even when a later pair's x is off too.
+    geom = TWO_X.geometry
+    monkeypatch.setattr(ioffe, "_TILE_ENTRIES", 7 * len(geom.X))
+    tol = geom.closure_tolerance(None)
+    got = ioffe._fiber_conclusion(geom, FULL_2X, 2.5, 0.5, tol)
+    assert repr(got) == repr(_loop_fiber_conclusion(geom, FULL_2X, 2.5, 0.5, tol))
+    assert got.violation_count > _WITNESS_CAP == len(got.witnesses)
+    region = PairRegion.from_pairs([((0.0,), (0.5,)), ((0.25,), (7.0,)), ((5.0,), (0.5,))])
+    with pytest.raises(KeyError) as want:
+        _loop_fiber_conclusion(geom, region, 1.5, 0.5, tol)
+    with pytest.raises(KeyError) as got_error:
+        ioffe._fiber_conclusion(geom, region, 1.5, 0.5, tol)
+    assert str(got_error.value) == str(want.value) == str(KeyError("point (7.0,) not in cloud"))

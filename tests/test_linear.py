@@ -7,6 +7,7 @@ SVD routine.
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -496,3 +497,22 @@ def test_mesh_walk_equals_whole_mesh_minimum():
                     targets = _sphere_mesh(_dual_space(ny), count)
                     whole = float((targets @ imgs.T).max(axis=1).min())
                     assert _mesh_min_support(m, nx, ny, count) == whole
+
+
+def test_mesh_walk_holds_two_chunks_of_supports():
+    # Under Euclidean norms each chunk of 1024 dual points makes a
+    # 1024 x 2600 support table (21.3 MB) against the whole domain mesh, and
+    # the next chunk's table is made before the last one is dropped: the
+    # walk peaks at two chunks' tables. Chunks of 2048 would peak at
+    # 54.1 MB, as the whole product does.
+    m = DenseMatrix.from_rows([[2.0, 1.0], [0.5, 3.0]])
+    space = euclidean_space(2)
+    count = 2600
+    tracemalloc.start()
+    try:
+        value = _mesh_min_support(m, space, space, count)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.2 * 1024 * count * 8, peak
+    assert value > 0.0

@@ -523,9 +523,9 @@ def test_modulus_search_memoizes_kernel_scans(monkeypatch):
         lookups.append((kind, constant, gamma))
         return holds_at(self, kind, constant, gamma)
 
-    def counted_kernel(tgrid, rho, constant, reach, cols, gam, closed):
+    def counted_kernel(tgrid, rho, constant, reach, cols, gam, closed, *, first=False):
         scans.append((constant, float(gam.max())))
-        return kernel(tgrid, rho, constant, reach, cols, gam, closed)
+        return kernel(tgrid, rho, constant, reach, cols, gam, closed, first=first)
 
     def counted_first_reaching(self, rho, *args, **kwargs):
         sizes.append(np.size(rho))
@@ -931,3 +931,147 @@ def test_locate_rejects_points_off_the_cloud(mapping, data):
     with pytest.raises(KeyError):
         geom.locate(x, (y[0] + offset + 1.0,))
     assert not geom.on_graph(off, y)
+
+
+def _loop_tables(geom, tol, eps):
+    """DYG, cover_radius(tol) and preimage_distance(eps), a row or column at a
+    time, with each image in pair order."""
+    n_x, n_y = len(geom.X), len(geom.Y)
+    images = [[] for _ in range(n_x)]
+    for xi, yi in zip(geom.pair_xi, geom.pair_yi):
+        images[xi].append(yi)
+    dyg = np.full((n_x, n_y), np.inf)
+    for u, ix in enumerate(images):
+        if len(ix):
+            dyg[u] = geom.DY[ix].min(axis=0)
+    cover = np.full((n_y, n_x), np.inf)
+    pre = np.full((n_x, n_y), np.inf)
+    for v in range(n_y):
+        mask = dyg[:, v] <= tol
+        if mask.any():
+            cover[v] = geom.DX[mask].min(axis=0)
+        mask = dyg[:, v] < eps
+        if mask.any():
+            pre[:, v] = geom.DX[:, mask].min(axis=1)
+    return images, dyg, cover, pre
+
+
+def _asymmetric(a, b):
+    # d(a, b) = b - a if b >= a, else 2(a - b), summed over coordinates.
+    diff = b[None, :, :] - a[:, None, :]
+    return np.where(diff >= 0.0, diff, -2.0 * diff).sum(axis=-1)
+
+
+_ASYM = Metric("asymmetric", _asymmetric)
+
+
+def _table_maps():
+    rng = np.random.default_rng(25)
+    line = PointCloud.from_grid(-1.0, 1.0, 0.25)
+    plane = PointCloud(tuple((a, b) for a in (-1.0, 0.0, 1.0) for b in (-0.5, 0.5)))
+    wave = lambda p: (round(float(np.sin(3.0 * p[0])), 12),)
+    yield SampledMap.from_function(line, wave)
+    yield SampledMap.from_function(line, wave, metric_x=_ASYM, metric_y=_ASYM)
+    yield SampledMap.from_branches(line, [wave, lambda p: (round(0.5 * p[0] + 0.25, 12),)])
+    yield SampledMap.from_function(plane, lambda p: (p[0] - p[1], 2.0 * p[1]))
+    yield SampledMap.from_branches(plane, [lambda p: (p[0] - p[1], 2.0 * p[1]),
+                                           lambda p: (p[0], p[1] + 1.0)], metric_x=_ASYM)
+    # (0.0,) is stored twice and its pairs sit on its first index; (2.0,)
+    # has no pair. The pairs are not in domain order.
+    dom = PointCloud(((0.0,), (0.5,), (0.0,), (1.0,), (2.0,)))
+    vals = tuple((round(float(v), 12),) for v in rng.uniform(-1.0, 1.0, 6))
+    pairs = (((1.0,), vals[0]), ((0.0,), vals[1]), ((0.5,), vals[2]), ((0.0,), vals[3]),
+             ((1.0,), vals[4]), ((0.0,), vals[5]))
+    for metric in (EUCLIDEAN, _ASYM):
+        yield SampledMap(dom, PointCloud(vals), pairs, metric, metric)
+
+
+@pytest.mark.parametrize("tile_entries", [None, 1, 40])
+def test_cold_tables_match_their_loop_oracles(monkeypatch, tile_entries):
+    # Tolerances and radii include 0, the defaults and an entry of DYG itself,
+    # where <= and < part ways. A budget of 1 makes every row its own tile; 40
+    # cuts the rows' groups at several places.
+    if tile_entries is not None:
+        monkeypatch.setattr(regularity, "_TILE_ENTRIES", tile_entries)
+    shared = 0
+    for mapping in _table_maps():
+        geom = MapGeometry(mapping)
+        finite = np.unique(geom.DYG[np.isfinite(geom.DYG)])
+        for tol, eps in ((0.0, 1e-9), (geom.closure_tolerance(None),
+                                       regularity._default_eps_schedule(geom)[-1]),
+                         (float(finite[1]), float(finite[2]))):
+            images, dyg, cover, pre = _loop_tables(geom, tol, eps)
+            assert [ix.tolist() for ix in geom.images] == images
+            assert np.array_equal(geom.DYG, dyg)
+            assert np.array_equal(geom.cover_radius(tol), cover)
+            assert np.array_equal(geom.preimage_distance(eps), pre)
+        shared += np.array_equal(geom.pair_xi, np.arange(len(geom.X)))
+    assert shared == 3
+
+
+def _scan_block(seed, rows=12, cols=11):
+    rng = np.random.default_rng(seed)
+    rho = rng.uniform(0.0, 3.0, (rows, cols))
+    rho[rng.random((rows, cols)) < 0.1] = np.inf
+    fixed = rng.uniform(0.0, 2.0, (rows, cols))
+    fixed[rng.random((rows, cols)) < 0.1] = np.inf
+    return rho, fixed, rng.random(cols) < 0.8, rng.uniform(0.5, 3.0, rows)
+
+
+def _estimate_oracle(rho, surrogate, cols, gam, constant, tol):
+    window = cols & (constant * rho < gam[:, None])
+    bound = constant * rho + tol
+    with np.errstate(invalid="ignore"):
+        viol = window & ~(surrogate <= bound)
+    return window, viol, regularity._scan(window, viol, surrogate, bound)
+
+
+@pytest.mark.parametrize("tile_rows", [1, 3])
+def test_kernel_row_tiles_give_the_one_tile_scan(monkeypatch, tile_rows):
+    # Both kernels on blocks of 12 rows x 11 columns with more than 20
+    # violations: tiles of 1 and 3 rows (and a budget below one row) give
+    # the scan of one tile, the 20th witness falling inside a tile.
+    tgrid = TGrid(0.05)
+    mid_tile = 0
+    for seed in range(6):
+        rho, fixed, cols, gam = _scan_block(seed)
+        _, viol, want = _estimate_oracle(rho, fixed, cols, gam, 0.7, 0.1)
+        for closed in (False, True):
+            reach = tgrid.floor_radius(fixed, strict=closed)
+            open_want = _tstar_oracle(tgrid, rho, 1.5, fixed, cols, gam, closed)
+            for budget in (tile_rows * rho.shape[1], 5):
+                monkeypatch.setattr(regularity, "_TILE_ENTRIES", budget)
+                assert regularity._openness_violations(
+                    tgrid, rho, 1.5, reach, cols, gam, closed) == open_want
+                assert _estimate_violations(rho, fixed, cols, gam, 0.7, 0.1) == want
+        assert want.count > regularity._WITNESS_CAP
+        r, c = want.hits[-1][:2]
+        tile = slice(r - r % tile_rows, r - r % tile_rows + tile_rows)
+        mid_tile += int(viol[tile].sum()) > int(viol[tile.start:r].sum() + viol[r, :c + 1].sum())
+    assert mid_tile
+
+
+def test_first_hit_scan_stops_at_the_first_tile_with_a_violation(monkeypatch):
+    # With one-row tiles a first-hit scan reads up to the first violating
+    # row: its first hit is the full scan's, and its window and count are
+    # those of the rows walked. With no violation it is the full scan.
+    tgrid = TGrid(0.05)
+    for seed in range(6):
+        rho, fixed, cols, gam = _scan_block(seed)
+        window, viol, full = _estimate_oracle(rho, fixed, cols, gam, 0.7, 0.1)
+        monkeypatch.setattr(regularity, "_TILE_ENTRIES", rho.shape[1])
+        first = _estimate_violations(rho, fixed, cols, gam, 0.7, 0.1, first=True)
+        r = int(np.flatnonzero(viol.any(axis=1))[0])
+        assert viol[r + 1].any()
+        assert first.hits[0] == full.hits[0]
+        assert (first.window, first.count) == (int(window[:r + 1].sum()), int(viol[r].sum()))
+        assert first.hits == full.hits[:first.count]
+        reach = tgrid.floor_radius(fixed, strict=False)
+        open_full = regularity._openness_violations(tgrid, rho, 1.5, reach, cols, gam, False)
+        open_first = regularity._openness_violations(tgrid, rho, 1.5, reach, cols, gam, False,
+                                                     first=True)
+        assert open_first.hits and open_first.hits[0] == open_full.hits[0]
+        calm = np.zeros_like(fixed)
+        quiet = _estimate_violations(rho, calm, cols, gam, 0.7, 0.1, first=True)
+        assert quiet == _estimate_violations(rho, calm, cols, gam, 0.7, 0.1)
+        assert quiet.count == 0 and quiet.window == int(window.sum()) > 0

@@ -44,3 +44,13 @@ def test_output_hashes_runs_a_workload_and_its_checks():
     for line, name in zip(lines, ("linear", "moduli")):
         assert line.startswith(f"{name} seed=1 sha256="), lines
         assert line.endswith(" failed_checks=0"), lines
+
+
+def test_mutant_texts_occur_once():
+    # scripts/mutants.py applies each entry by exact text; a text that no
+    # longer occurs once would silently test nothing. The mutants themselves
+    # run outside this suite.
+    mutants = _script("mutants")
+    assert mutants.MUTANTS and mutants.check_texts() == []
+    for m in mutants.MUTANTS:
+        assert m.old != m.new and all((ROOT / t).is_file() for t in m.tests), m.name

@@ -640,14 +640,49 @@ def test_induced_table_calls_zeta_once_per_pair(xs):
 
     cloud = PointCloud.from_points(xs)
     eta = induce_from_partial(PartialMetric(zeta, name="shifted max"), cloud)
-    coords = np.asarray(cloud.points)
+    # One point more than the cloud, so the table is computed, not read from
+    # the validated one (test_induced_table_reuses_validated_values).
+    coords = np.vstack([np.asarray(cloud.points), [[7.5]]])
     calls.clear()
     table = eta.pairwise(coords, coords)
-    n = len(xs)
+    n = len(xs) + 1
     assert len(calls) == n * n + n
-    pts = cloud.points
+    pts = [tuple(p) for p in coords.tolist()]
     assert table.tolist() == [[zeta(p, q) - zeta(p, p) for q in pts] for p in pts]
     assert table.tolist() == [[float(eta(p, q)) for q in pts] for p in pts]
+
+
+@settings(max_examples=40)
+@given(st.lists(st.floats(min_value=-5.0, max_value=5.0, allow_nan=False),
+                min_size=1, max_size=8))
+def test_induced_table_reuses_validated_values(xs):
+    # Induce plus check_axioms on the same cloud calls zeta n**2 times (the
+    # validation's), and the report equals the one from eta's defining table.
+    calls = []
+
+    def zeta(x, u):
+        calls.append((x, u))
+        return max(x[0], u[0]) + 0.3 * (x[0] < 0.0)
+
+    def defining(a, b):
+        own = np.array([[zeta(p, p)] for p in map(tuple, a.tolist())])
+        return np.array([[zeta(p, q) for q in map(tuple, b.tolist())]
+                         for p in map(tuple, a.tolist())]).reshape(len(a), len(b)) - own
+
+    cloud = PointCloud.from_points(xs)
+    n = len(cloud)
+    sequences = [list(range(n)), list(range(n))[::-1]]
+    eta = induce_from_partial(PartialMetric(zeta, name="shifted max"), cloud)
+    report = check_axioms(eta, cloud, sequences)
+    assert len(calls) == n * n
+    oracle = QuasiPremetric(table=defining, axioms_claimed=eta.axioms_claimed, name=eta.name)
+    want = check_axioms(oracle, cloud, sequences)
+    assert report.claimed == want.claimed
+    assert report.sequence_results == want.sequence_results
+    assert {a: (c.status, repr(tuple(c.violations))) for a, c in report.checks.items()} == {
+        a: (c.status, repr(tuple(c.violations))) for a, c in want.checks.items()}
+    coords = np.asarray(cloud.points)
+    assert eta.pairwise(coords, coords).tolist() == oracle.pairwise(coords, coords).tolist()
 
 
 def test_axiom_a3_violations_match_generator_oracle():
