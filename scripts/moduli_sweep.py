@@ -40,7 +40,7 @@ def main(argv: list[str] | None = None) -> int:
     domain = PointCloud.from_grid(args.start, args.stop, args.step)
     mapping = SampledMap.from_function(domain, lambda p: (fn(p[0]),))
     ref = ((args.ref_x,), (fn(args.ref_x),))
-    if not mapping.geometry.on_graph(*ref):
+    if not mapping.on_graph(*ref):
         raise SystemExit(f"reference point {ref} is not on the sampled graph")
     cfg = ModulusSearchConfig()
 

@@ -12,9 +12,9 @@ not occur exactly once or the named tests fail on the unmutated copy.
 
 A mutant is killed when pytest fails, runs out of its 1 GiB address space
 or runs past 120 s. The list holds exactness mutants of the kernels and
-tables (a tile size, a stop, a reduction's starts, a boundary comparison)
-and boundary mutants of the perturbation, linear, Ekeland and point-lookup
-layers.
+tables (a tile size, a stop, a reduction's starts, a boundary comparison,
+a band's rounding slack, a memo) and boundary mutants of the perturbation,
+linear, Ekeland, criterion and point-lookup layers.
 """
 from __future__ import annotations
 
@@ -67,8 +67,7 @@ MUTANTS = (
     Mutant("harte rank", "src/almostreg/linear.py",
            "(sigmas > _RANK_TOL)", "(sigmas >= _RANK_TOL)", ("tests/test_linear.py",)),
     Mutant("mesh chunk", "src/almostreg/linear.py",
-           "range(0, len(part), 1024):\n            support = part[lo:lo + 1024]",
-           "range(0, len(part), 2048):\n            support = part[lo:lo + 2048]",
+           "part[lo:lo + 1024] @ imgs.T", "part[lo:lo + 2048] @ imgs.T",
            ("tests/test_linear.py",)),
     Mutant("trace descent", "src/almostreg/ekeland.py",
            "value_arr + eta[:, cur] < vals[cur]", "value_arr + eta[:, cur] <= vals[cur]",
@@ -77,6 +76,33 @@ MUTANTS = (
            "descent_ok = lhs <= rhs", "descent_ok = lhs < rhs", ("tests/test_acceptance.py",)),
     Mutant("index tolerance", "src/almostreg/spaces.py",
            "_INDEX_TOL = 1e-9", "_INDEX_TOL = 1e-8", ("tests/test_regularity.py",)),
+    Mutant("estimate window", "src/almostreg/regularity.py",
+           "(scaled < gam[s, None])", "(scaled <= gam[s, None])", ("tests/test_regularity.py",)),
+    Mutant("rate slack 0", "src/almostreg/regularity.py",
+           "_RATE_SLACK = 2.0 ** -46", "_RATE_SLACK = 0.0", ("tests/test_regularity.py",)),
+    Mutant("rate slack 2^-53", "src/almostreg/regularity.py",
+           "_RATE_SLACK = 2.0 ** -46", "_RATE_SLACK = 2.0 ** -53", ("tests/test_regularity.py",)),
+    Mutant("bound slack 0", "src/almostreg/regularity.py",
+           "_BOUND_SLACK = 2.0 ** -46", "_BOUND_SLACK = 0.0", ("tests/test_regularity.py",)),
+    Mutant("bound slack 2^-53", "src/almostreg/regularity.py",
+           "_BOUND_SLACK = 2.0 ** -46", "_BOUND_SLACK = 2.0 ** -53",
+           ("tests/test_regularity.py",)),
+    Mutant("holds_at memo", "src/almostreg/regularity.py",
+           "if key not in self._verdicts:", "if True:", ("tests/test_regularity.py",)),
+    Mutant("on_graph membership", "src/almostreg/regularity.py",
+           "return (self.domain.points[xi], self.codomain.points[yi]) in self._pair_set",
+           "return True", ("tests/test_regularity.py",)),
+    Mutant("aubin reduction", "src/almostreg/perturb.py",
+           "np.maximum.at(excess,", "np.minimum.at(excess,", ("tests/test_perturb.py",)),
+    Mutant("trace point check", "src/almostreg/ekeland.py",
+           "eta[:, k] > vals[k] - epsilon", "eta[:, k] >= vals[k] - epsilon",
+           ("tests/test_ekeland.py",)),
+    Mutant("triangle screen", "src/almostreg/spaces.py",
+           "np.less_equal(m[i], _slack_bound(low, low_bound)).all()",
+           "(~np.greater(m[i], _slack_bound(low, low_bound))).all()", ("tests/test_spaces.py",)),
+    Mutant("descent distances", "src/almostreg/ioffe.py",
+           "EUCLIDEAN.unchecked_pairwise(np.array(a", "EUCLIDEAN.pairwise(np.array(a",
+           ("tests/test_ioffe.py",)),
 )
 
 

@@ -28,10 +28,6 @@ class ExtReal:
             raise ValueError(f"extended real cannot be negative: {self.raw}")
 
     @property
-    def is_finite(self) -> bool:
-        return math.isfinite(self.raw)
-
-    @property
     def is_infinite(self) -> bool:
         return math.isinf(self.raw)
 

@@ -244,7 +244,7 @@ def conclude_openness(mapping: SampledMap, region: PairRegion, c: float,
     geom = mapping.geometry
     crit = check_criterion(mapping, region, c, gamma, epsilons, lam)
     tol = geom.closure_tolerance(closure_tol)
-    fiber = _fiber_conclusion(geom, region, c, gamma, tol)
+    fiber = _fiber_conclusion(mapping, region, c, gamma, tol)
     openness: CheckReport | None = None
     agree: bool | None = None
     if region.is_product:
@@ -268,12 +268,13 @@ def conclude_openness(mapping: SampledMap, region: PairRegion, c: float,
     )
 
 
-def _fiber_conclusion(geom: MapGeometry, region: PairRegion, c: float,
+def _fiber_conclusion(mapping: SampledMap, region: PairRegion, c: float,
                       gamma: object, tol: float) -> CheckReport:
     """Each region pair (x, y) with 0 < r = rho(g(x), y) < c * gamma(x) needs
     a domain point within r / c + tol of x whose image reaches y within tol.
     The pairs are tested in tiles of about _TILE_ENTRIES domain entries;
     witnesses (x, y, r, r / c) run in region order."""
+    geom = mapping.geometry
     gam = _gamma_array(gamma, geom.domain)
     xs, ys, xcode, ycode = region._codes
     try:
@@ -281,7 +282,7 @@ def _fiber_conclusion(geom: MapGeometry, region: PairRegion, c: float,
         yi = np.array([geom.codomain.index_of(y) for y in ys], dtype=int)[ycode]
     except KeyError:
         for x, y in region.pairs:  # name the first pair that misses, x before y
-            geom.locate(x, y)
+            mapping.locate(x, y)
         raise
     r = geom.DYG[xi, yi]
     live = np.flatnonzero((0.0 < r) & (r < c * gam[xi]))
@@ -494,8 +495,8 @@ def check_unconditional_estimate(mapping: SampledMap, ref: tuple, mu: float,
                                  beta: float, eps_schedule: tuple[float, ...] = (),
                                  closure_tol: float | None = None) -> CheckReport:
     """Distance estimate on beta-balls with no proviso on dist(y, G(x))."""
+    rx, ry = mapping.locate(ref[0], ref[1])
     geom = mapping.geometry
-    rx, ry = geom.locate(ref[0], ref[1])
     tol = geom.closure_tolerance(closure_tol)
     eps = eps_schedule or (2.0 * geom.step_y, geom.step_y, 0.5 * geom.step_y)
     surrogate = geom.preimage_distance(eps[-1])

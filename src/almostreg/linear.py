@@ -288,8 +288,8 @@ def _mesh_min_support(m: DenseMatrix, nx: NormSpec, ny: NormSpec,
     best = math.inf
     for part in _sphere_parts(_dual_space(ny), count):
         for lo in range(0, len(part), 1024):
-            support = part[lo:lo + 1024] @ imgs.T  # (chunk, n_src)
-            best = min(best, float(support.max(axis=1).min()))
+            # One chunk's (chunk, n_src) supports, freed before the next is made.
+            best = min(best, float((part[lo:lo + 1024] @ imgs.T).max(axis=1).min()))
     return best
 
 

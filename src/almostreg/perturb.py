@@ -18,12 +18,12 @@ import numpy as np
 
 from .regularity import (
     CheckReport,
-    MapGeometry,
     ModulusReport,
     ModulusSearchConfig,
     RegularityInstance,
     SampledMap,
     TGrid,
+    _TILE_ENTRIES,
     _WITNESS_CAP,
     _estimate_violations,
     _image_cloud,
@@ -92,15 +92,15 @@ def _reference(F: SampledMap, H: SampledMap | None,
     (PointCloud.index_of), so that grid round-off in a user's coordinates
     moves no window; w_bar is None without H. ValueError unless (x_bar,
     z_bar) is a pair of F and, given H, (x_bar, w_bar) a pair of H."""
-    if not F.geometry.on_graph(ref[0], ref[1]):
+    if not F.on_graph(ref[0], ref[1]):
         raise ValueError("reference value z_bar must belong to F(x_bar)")
-    xi, zi = F.geometry.locate(ref[0], ref[1])
+    xi, zi = F.locate(ref[0], ref[1])
     x_bar, z_bar = F.domain.points[xi], F.codomain.points[zi]
     if H is None:
         return x_bar, z_bar, None
     if len(ref) < 3 or ref[2] is None:
         raise ValueError("set-valued perturbation needs a reference value w_bar")
-    if not H.geometry.on_graph(ref[0], ref[2]):
+    if not H.on_graph(ref[0], ref[2]):
         raise ValueError("w_bar must belong to H(x_bar)")
     return x_bar, z_bar, H.codomain.points[H.codomain.index_of(ref[2])]
 
@@ -150,14 +150,19 @@ def _aubin_estimate(H: SampledMap, center: Point, anchor: Point,
         anchor_idx = H.codomain.index_of(anchor)
     except KeyError as exc:
         raise KeyError(f"anchor value: {exc.args[0]}") from None
-    near_anchor = geom.DY[anchor_idx] <= radius
     # excess[i, j]: the largest distance from a value of H(ball[i]) near the
     # anchor to H(ball[j]); -inf when H(ball[i]) has no value near the anchor.
+    # Each kept pair raises the row of its point (row[u] = -1 off the ball),
+    # in tiles of about _TILE_ENTRIES gathered entries; a max reads its pairs
+    # in any order.
+    row = np.full(len(geom.X), -1)
+    row[ball] = np.arange(len(ball))
+    keep = (row[geom.pair_xi] >= 0) & (geom.DY[anchor_idx, geom.pair_yi] <= radius)
+    rows, vals = row[geom.pair_xi[keep]], geom.pair_yi[keep]
     excess = np.full((len(ball), len(ball)), -np.inf)
-    for i, ui in enumerate(ball):
-        vals = geom.images[ui][near_anchor[geom.images[ui]]]
-        if len(vals):
-            excess[i] = geom.DYG[np.ix_(ball, vals)].max(axis=1)
+    step = max(1, _TILE_ENTRIES // len(ball))
+    for lo in range(0, len(rows), step):
+        np.maximum.at(excess, rows[lo:lo + step], geom.DYG[np.ix_(ball, vals[lo:lo + step])].T)
     d = geom.DX[np.ix_(ball, ball)]
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = excess / d
@@ -370,10 +375,9 @@ def lg_setvalued_check(inst: PerturbationInstance,
 
     F, H = inst.F, inst.H
     x_bar, z_bar, w_bar = inst.x_bar, inst.z_bar, inst.w_bar
-    geom_f = F.geometry
-    tol = geom_f.closure_tolerance(closure_tol)
+    tol = F.geometry.closure_tolerance(closure_tol)
 
-    premise_a, sensitive = _premise_a(geom_f, x_bar, z_bar, c, c_prime,
+    premise_a, sensitive = _premise_a(F, x_bar, z_bar, c, c_prime,
                                       a, b, r, delta, tol)
     premise_b = _premise_b(H, x_bar, w_bar, ell, a, r, delta, tol)
     sum_map, splits = _sum_map(F, H)
@@ -412,10 +416,11 @@ def _distances(metric: QuasiPremetric, center: Point, cloud: PointCloud) -> np.n
                            np.asarray(cloud.points, dtype=float))[0]
 
 
-def _premise_a(geom: MapGeometry, x_bar: Point, z_bar: Point, c: float,
+def _premise_a(F: SampledMap, x_bar: Point, z_bar: Point, c: float,
                c_prime: float, a: float, b: float, r: float, delta: float,
                tol: float) -> tuple[CheckReport, bool]:
-    rx, rz = geom.locate(x_bar, z_bar)
+    geom = F.geometry
+    rx, rz = F.locate(x_bar, z_bar)
     z_window = c * (a + r) + b + delta
     v_window = c * (a + 2.0 * r) + b + delta
     rows = np.flatnonzero((geom.DX[rx, geom.pair_xi] < a + r)
@@ -445,7 +450,7 @@ def _premise_a(geom: MapGeometry, x_bar: Point, z_bar: Point, c: float,
 def _premise_b(H: SampledMap, x_bar: Point, w_bar: Point, ell: float,
                a: float, r: float, delta: float, tol: float) -> CheckReport:
     geom = H.geometry
-    rx, rw = geom.locate(x_bar, w_bar)
+    rx, rw = H.locate(x_bar, w_bar)
     near = geom.DX[rx] < a + 2.0 * r
     ball = np.flatnonzero(near)
     # Rows: the pairs (u, w) of H with u in the ball and w near w_bar;

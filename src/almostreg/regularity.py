@@ -66,13 +66,6 @@ def _image_cloud(pairs: Sequence[tuple[Point, Point]],
     return PointCloud(tuple(dict.fromkeys([y for _, y in pairs] + list(extra))))
 
 
-def _stored(cloud: PointCloud, point: float | Sequence[float]) -> Point | None:
-    """The cloud point that point resolves to through PointCloud.index_of;
-    None when no point matches, index_of's KeyError when several do."""
-    i = cloud._find(point)
-    return None if i is None else cloud.points[i]
-
-
 @dataclass(frozen=True)
 class SampledMap:
     """A finite set-valued map: pairs (x, y) over explicit clouds."""
@@ -89,6 +82,7 @@ class SampledMap:
         seen = set(self.pairs)
         if len(seen) != len(self.pairs):
             raise ValueError("duplicate graph pairs")
+        object.__setattr__(self, "_pair_set", seen)
         dom = set(self.domain.points)
         cod = set(self.codomain.points)
         for x, y in self.pairs:
@@ -122,14 +116,26 @@ class SampledMap:
         return MapGeometry(self)
 
     def image_of(self, x: float | Sequence[float]) -> tuple[Point, ...]:
-        """Values over the stored point that x resolves to (see _stored)."""
-        p = _stored(self.domain, x)
+        """Values over the stored point that x resolves to through
+        PointCloud.index_of; () when no point matches, index_of's KeyError
+        when several do."""
+        i = self.domain._find(x)
+        p = None if i is None else self.domain.points[i]
         return tuple(y for (u, y) in self.pairs if u == p)
 
-    def preimage_of(self, y: float | Sequence[float]) -> tuple[Point, ...]:
-        """Points under the stored point that y resolves to (see _stored)."""
-        q = _stored(self.codomain, y)
-        return tuple(x for (x, v) in self.pairs if v == q)
+    def locate(self, x: float | Sequence[float],
+               y: float | Sequence[float]) -> tuple[int, int]:
+        """Indices of a user's domain point x and codomain point y, each
+        resolved through PointCloud.index_of (KeyError on a miss)."""
+        return self.domain.index_of(x), self.codomain.index_of(y)
+
+    def on_graph(self, x: float | Sequence[float], y: float | Sequence[float]) -> bool:
+        """Whether (x, y), resolved through locate, is a pair of the map."""
+        try:
+            xi, yi = self.locate(x, y)
+        except KeyError:
+            return False
+        return (self.domain.points[xi], self.codomain.points[yi]) in self._pair_set
 
     def is_single_valued(self) -> bool:
         return len({x for x, _ in self.pairs}) == len(self.pairs)
@@ -145,7 +151,10 @@ class SampledMap:
 
 
 class MapGeometry:
-    """Distance tables shared by every check on one sampled map.
+    """Distance tables of one sampled map, and the reach, preimage and band
+    memos built from them, shared by every check on the map. Point and pair
+    lookups are the map's (SampledMap.locate and on_graph), so they build no
+    table.
 
     It keeps the map's two clouds rather than the map, so the copy memoized
     on SampledMap.geometry forms no reference cycle and is freed with it.
@@ -165,16 +174,14 @@ class MapGeometry:
         self.pair_xi = np.array([x_index[x] for x, _ in mapping.pairs], dtype=int)
         self.pair_yi = np.array([y_index[y] for _, y in mapping.pairs], dtype=int)
         n_x = len(self.X)
-        # Pairs grouped by domain index, each group in pair order.
-        order = np.argsort(self.pair_xi, kind="stable")
-        xs, ys = self.pair_xi[order], self.pair_yi[order]
-        self.images = np.split(ys, np.cumsum(np.bincount(xs, minlength=n_x))[:-1])
         # DYG[u, v] = distance from codomain point v to the image of u.
         if np.array_equal(self.pair_xi, np.arange(n_x)):
             self.DYG = self.DY[self.pair_yi]
         else:
+            # Pairs grouped by domain index, each group in pair order.
+            order = np.argsort(self.pair_xi, kind="stable")
             self.DYG = np.full((n_x, len(self.Y)), np.inf)
-            _min_rows(xs, ys, self.DY, self.DYG)
+            _min_rows(self.pair_xi[order], self.pair_yi[order], self.DY, self.DYG)
         self.step_x = _min_positive(self.DX)
         self.step_y = _min_positive(self.DY)
         self.diam_x = _max_finite(self.DX)
@@ -183,20 +190,6 @@ class MapGeometry:
         self._preimage: dict[float, np.ndarray] = {}
         # _ModulusEngine's threshold bands, keyed by everything a band reads.
         self._bands: dict[tuple, tuple[float, float]] = {}
-
-    def locate(self, x: float | Sequence[float],
-               y: float | Sequence[float]) -> tuple[int, int]:
-        """Indices of a user's domain point x and codomain point y, each
-        resolved through PointCloud.index_of (KeyError on a miss)."""
-        return self.domain.index_of(x), self.codomain.index_of(y)
-
-    def on_graph(self, x: float | Sequence[float], y: float | Sequence[float]) -> bool:
-        """Whether (x, y), resolved through locate, is a pair of the map."""
-        try:
-            xi, yi = self.locate(x, y)
-        except KeyError:
-            return False
-        return bool(((self.pair_xi == xi) & (self.pair_yi == yi)).any())
 
     def closure_tolerance(self, closure_tol: float | None) -> float:
         """closure_tol when given, else twice the domain step: the tolerance
@@ -820,11 +813,11 @@ class _ModulusEngine:
     """
 
     def __init__(self, mapping: SampledMap, ref: tuple, cfg: ModulusSearchConfig):
-        self.geom = geom = mapping.geometry
-        if not geom.on_graph(ref[0], ref[1]):
+        if not mapping.on_graph(ref[0], ref[1]):
             raise ValueError(f"reference pair ({as_point(ref[0])}, {as_point(ref[1])}) "
                              "must lie on the graph")
-        self.rx, self.ry = geom.locate(ref[0], ref[1])
+        self.geom = geom = mapping.geometry
+        self.rx, self.ry = mapping.locate(ref[0], ref[1])
         self.tol = geom.closure_tolerance(cfg.closure_tol)
         self.tgrid = TGrid(self.geom.step_x, cfg.t_per_decade)
         self.eps = cfg.eps_schedule or _default_eps_schedule(self.geom)
@@ -958,10 +951,6 @@ class _ModulusEngine:
             num /= b.rho
         return (float(np.max(below, where=live, initial=-math.inf)),
                 float(np.max(num, where=live, initial=-math.inf)))
-
-    def sure_verdict(self, kind: str, constant: float, gamma: float) -> bool | None:
-        """holds_at's verdict when the constant lies outside the band, else None."""
-        return _band_verdict(kind, constant, self.band(kind, gamma))
 
     def verdict(self, kind: str, constant: float) -> tuple[bool, float | None, bool]:
         """Scan the gamma schedule; trust the first repeated verdict.
@@ -1170,8 +1159,8 @@ def sequence_characterization(mapping: SampledMap, x: float | Sequence[float],
     """
     if kappa <= 0.0 or eps <= 0.0:
         raise ValueError("kappa and eps must be positive")
+    xi, yi = mapping.locate(x, y)
     geom = mapping.geometry
-    xi, yi = geom.locate(x, y)
     tol = geom.closure_tolerance(closure_tol)
     d0 = float(geom.DYG[xi, yi])
     bound = kappa * (d0 + eps)

@@ -424,7 +424,7 @@ def _ref(payload: dict, maps: Mapping[str, SampledMap]) -> tuple[Point, ...]:
     """payload.ref: a point x, then one value at x of each map, on its graph."""
     ref = _points(payload, "ref", "payload", count=len(maps) + 1)
     for value, (name, mapping) in zip(ref[1:], maps.items()):
-        if not mapping.geometry.on_graph(ref[0], value):
+        if not mapping.on_graph(ref[0], value):
             raise _fail("payload.ref", f"must be a graph pair of {name}")
     return ref
 

@@ -46,7 +46,6 @@ class PointCloud:
     """A finite list of points sharing one coordinate dimension."""
 
     points: tuple[Point, ...]
-    labels: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
         if not self.points:
@@ -55,12 +54,6 @@ class PointCloud:
         for p in self.points:
             if len(p) != dim:
                 raise ValueError(f"mixed point dimensions: {dim} vs {len(p)}")
-        if self.labels is not None and len(self.labels) != len(self.points):
-            raise ValueError("labels must align with points")
-
-    @classmethod
-    def from_points(cls, values: Iterable[float | Sequence[float]]) -> "PointCloud":
-        return cls(tuple(as_point(v) for v in values))
 
     @classmethod
     def from_grid(cls, start: float, stop: float, step: float) -> "PointCloud":

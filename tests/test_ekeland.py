@@ -237,7 +237,7 @@ instance = st.builds(
 @given(instance)
 def test_trace_matches_oracle_and_chain_law(data):
     xs, vals, start_idx = data
-    cloud = PointCloud.from_points(xs)
+    cloud = PointCloud(tuple((float(x),) for x in xs))
     obj = Objective.from_table(cloud, vals)
     start = cloud.points[start_idx]
     trace = generate_trace(cloud, EUCLID, obj, start)
@@ -254,7 +254,7 @@ def test_trace_matches_oracle_and_chain_law(data):
 @given(instance)
 def test_weak_point_is_exactly_stationary(data):
     xs, vals, start_idx = data
-    cloud = PointCloud.from_points(xs)
+    cloud = PointCloud(tuple((float(x),) for x in xs))
     obj = Objective.from_table(cloud, vals)
     u, cert = weak_point(cloud, EUCLID, obj, cloud.points[start_idx])
     assert cert.stationarity_ok

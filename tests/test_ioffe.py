@@ -719,13 +719,14 @@ def test_scans_merge_the_fibers_of_points_that_resolve_alike():
             _loop_setvalued(m, region, c, 0.5, 0.1))
 
 
-def _loop_fiber_conclusion(geom, region, c, gamma, tol):
+def _loop_fiber_conclusion(mapping, region, c, gamma, tol):
     """The fiber route of conclude_openness, one region pair at a time."""
+    geom = mapping.geometry
     gam = _gamma_array(gamma, geom.domain)
     checked = violations = 0
     witnesses = []
     for x, y in region.pairs:
-        xi, yi = geom.locate(x, y)
+        xi, yi = mapping.locate(x, y)
         x, y = geom.domain.points[xi], geom.codomain.points[yi]
         r = float(geom.DYG[xi, yi])
         if not (0.0 < r < c * gam[xi]):
@@ -759,8 +760,8 @@ def test_fiber_conclusion_matches_its_loop_oracle(monkeypatch, dim, metrics, til
         c = float(rng.choice([0.5, 1.0, 2.0, 3.0]))
         gam = _oracle_gamma(gamma, mapping)
         for tol in (0.0, geom.closure_tolerance(None)):
-            got = ioffe._fiber_conclusion(geom, region, c, gam, tol)
-            assert repr(got) == repr(_loop_fiber_conclusion(geom, region, c, gam, tol)), (
+            got = ioffe._fiber_conclusion(mapping, region, c, gam, tol)
+            assert repr(got) == repr(_loop_fiber_conclusion(mapping, region, c, gam, tol)), (
                 branches, gamma, c, tol)
             checked += got.checked
             failed += not got.passed
@@ -774,12 +775,12 @@ def test_fiber_conclusion_caps_witnesses_and_names_missing_points(monkeypatch):
     geom = TWO_X.geometry
     monkeypatch.setattr(ioffe, "_TILE_ENTRIES", 7 * len(geom.X))
     tol = geom.closure_tolerance(None)
-    got = ioffe._fiber_conclusion(geom, FULL_2X, 2.5, 0.5, tol)
-    assert repr(got) == repr(_loop_fiber_conclusion(geom, FULL_2X, 2.5, 0.5, tol))
+    got = ioffe._fiber_conclusion(TWO_X, FULL_2X, 2.5, 0.5, tol)
+    assert repr(got) == repr(_loop_fiber_conclusion(TWO_X, FULL_2X, 2.5, 0.5, tol))
     assert got.violation_count > _WITNESS_CAP == len(got.witnesses)
     region = PairRegion.from_pairs([((0.0,), (0.5,)), ((0.25,), (7.0,)), ((5.0,), (0.5,))])
     with pytest.raises(KeyError) as want:
-        _loop_fiber_conclusion(geom, region, 1.5, 0.5, tol)
+        _loop_fiber_conclusion(TWO_X, region, 1.5, 0.5, tol)
     with pytest.raises(KeyError) as got_error:
-        ioffe._fiber_conclusion(geom, region, 1.5, 0.5, tol)
+        ioffe._fiber_conclusion(TWO_X, region, 1.5, 0.5, tol)
     assert str(got_error.value) == str(want.value) == str(KeyError("point (7.0,) not in cloud"))

@@ -499,12 +499,12 @@ def test_mesh_walk_equals_whole_mesh_minimum():
                     assert _mesh_min_support(m, nx, ny, count) == whole
 
 
-def test_mesh_walk_holds_two_chunks_of_supports():
+def test_mesh_walk_holds_one_chunk_of_supports():
     # Under Euclidean norms each chunk of 1024 dual points makes a
     # 1024 x 2600 support table (21.3 MB) against the whole domain mesh, and
-    # the next chunk's table is made before the last one is dropped: the
-    # walk peaks at two chunks' tables. Chunks of 2048 would peak at
-    # 54.1 MB, as the whole product does.
+    # each table is reduced and dropped before the next one is made: the walk
+    # peaks at one chunk's table. Holding two at once would peak at 42.7 MB,
+    # and chunks of 2048 at 54.1 MB, as the whole product does.
     m = DenseMatrix.from_rows([[2.0, 1.0], [0.5, 3.0]])
     space = euclidean_space(2)
     count = 2600
@@ -514,5 +514,5 @@ def test_mesh_walk_holds_two_chunks_of_supports():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.2 * 1024 * count * 8, peak
+    assert peak <= 1.2 * 1024 * count * 8, peak
     assert value > 0.0

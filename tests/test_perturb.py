@@ -1,14 +1,17 @@
 """Rate stability under single-valued and set-valued perturbations."""
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from almostreg import perturb
 from almostreg.perturb import (
     BetaInterval,
+    LipschitzEstimate,
     PerturbationInstance,
     admissible_beta_interval,
     estimate_lip,
@@ -22,7 +25,7 @@ from almostreg.perturb import (
     sum_stability_check,
 )
 from almostreg.regularity import Metric, SampledMap
-from almostreg.spaces import PointCloud
+from almostreg.spaces import EUCLIDEAN, PointCloud
 
 DOM = PointCloud.from_grid(-1.0, 1.0, 0.02)
 F_2X = SampledMap.from_function(DOM, lambda p: (2.0 * p[0],))
@@ -608,3 +611,94 @@ def test_sum_checks_build_no_geometry_of_their_own(monkeypatch):
     assert built == []
     lg_sumstable_check(F, H, REF3)
     assert len(built) == 1 and built[0] not in (F, H)
+
+
+def test_lookups_build_no_tables(monkeypatch):
+    # A reference pair is checked against the map's pairs, not its distance
+    # tables: loading the bundled scenarios builds no MapGeometry, and
+    # sum_stability_check on fresh maps builds only F's (for its grid step),
+    # none for H and none for the sum map.
+    from pathlib import Path
+
+    from almostreg import regularity
+    from almostreg.scenarios import load_scenario
+
+    built = []
+    init = regularity.MapGeometry.__init__
+
+    def counting(self, mapping):
+        built.append(mapping)
+        init(self, mapping)
+
+    monkeypatch.setattr(regularity.MapGeometry, "__init__", counting)
+    paths = sorted((Path(__file__).resolve().parents[1] / "scenarios").glob("*.json"))
+    assert len(paths) == 15
+    for path in paths:
+        load_scenario(path)
+    assert built == []
+    dom = PointCloud.from_grid(-1.0, 1.0, 0.05)
+    F = SampledMap.from_branches(dom, [lambda p: (2.0 * p[0],), lambda p: (2.0 * p[0] + 5.0,)])
+    H = SampledMap.from_branches(dom, [lambda p, k=k: (0.01 * k + 0.1 * math.sin(p[0]),)
+                                       for k in range(5)])
+    sum_stability_check(F, H, REF3)
+    assert built and all(m is F for m in built)
+
+
+def _asymmetric(a, b):
+    # d(a, b) = b - a if b >= a, else 2(a - b), summed over coordinates.
+    diff = b[None, :, :] - a[:, None, :]
+    return np.where(diff >= 0.0, diff, -2.0 * diff).sum(axis=-1)
+
+
+def _aubin_oracle(H, center, radius, anchor):
+    """The Aubin form of estimate_lip, one pair of H at a time: the largest
+    ratio over ball points u != x of max over w in H(u) within radius of the
+    anchor of dist(w, H(x)), to d(u, x); None when the ball holds < 2 points."""
+    pts = H.domain.points
+    ball = [i for i, p in enumerate(pts) if float(H.metric_x(center, p)) <= radius]
+    if len(ball) < 2:
+        return None
+    a = H.codomain.points[H.codomain.index_of(anchor)]
+    # A pair sits on the first copy of its domain point.
+    images = {i: [y for x, y in H.pairs if pts.index(x) == i] for i in ball}
+    best, witness = 0.0, None
+    for i in ball:
+        near = [w for w in images[i] if float(H.metric_y(a, w)) <= radius]
+        for j in ball:
+            d = float(H.metric_x(pts[i], pts[j]))
+            if i == j or d == 0.0 or not near:
+                continue
+            excess = max(min((float(H.metric_y(y, w)) for y in images[j]), default=math.inf)
+                         for w in near)
+            if excess / d > best:
+                best, witness = excess / d, (pts[i], pts[j])
+    return LipschitzEstimate(value=best, radius=radius, witness_pair=witness)
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "asymmetric"])
+@pytest.mark.parametrize("tile_entries", [None, 1, 7])
+def test_aubin_estimate_matches_its_loop_oracle(monkeypatch, metric, tile_entries):
+    # (0.0,) is stored twice and its pairs sit on its first index; (2.0,) has
+    # no pair, so a ball holding it gives an infinite excess. The pairs are
+    # not in domain order, and some points have several values. A budget of
+    # 1 entry makes each pair its own tile; 7 cuts the pairs at several places.
+    if tile_entries is not None:
+        monkeypatch.setattr(perturb, "_TILE_ENTRIES", tile_entries)
+    metric = EUCLIDEAN if metric == "euclidean" else Metric("asymmetric", _asymmetric)
+    rng = np.random.default_rng(26)
+    dom = PointCloud(((0.0,), (0.5,), (0.0,), (1.0,), (2.0,), (1.5,)))
+    vals = tuple((round(float(v), 12),) for v in rng.uniform(-1.0, 1.0, 8))
+    xs = ((1.0,), (0.0,), (0.5,), (0.0,), (1.5,), (1.0,), (0.0,), (0.5,))
+    H = SampledMap(dom, PointCloud(vals), tuple(zip(xs, vals)), metric, metric)
+    rates = []
+    for center, radius, anchor in itertools.product(dom.points, (0.0, 0.3, 0.6, 1.2, 3.0),
+                                                    vals):
+        want = _aubin_oracle(H, center, radius, anchor)
+        if want is None:
+            with pytest.raises(ValueError, match="degenerate"):
+                estimate_lip(H, center, radius, anchor=anchor)
+            continue
+        got = estimate_lip(H, center, radius, anchor=anchor)
+        assert repr(got) == repr(want), (center, radius, anchor)
+        rates.append(got.value)
+    assert 0.0 in rates and math.inf in rates and any(0.0 < r < math.inf for r in rates)

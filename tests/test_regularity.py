@@ -27,6 +27,7 @@ from almostreg.regularity import (
     SampledMap,
     TGrid,
     _ModulusEngine,
+    _band_verdict,
     _estimate_violations,
     check_inverse_lipschitz,
     check_modulus_property,
@@ -171,7 +172,6 @@ def test_sampled_map_validation_and_inverse():
     m = SampledMap(dom, cod, (((0.0,), (0.0,)), ((1.0,), (2.0,))))
     assert m.is_single_valued()
     assert m.image_of(1.0) == ((2.0,),)
-    assert m.preimage_of(2.0) == ((1.0,),)
     inv = m.inverse()
     assert inv.pairs == (((0.0,), (0.0,)), ((2.0,), (1.0,)))
     with pytest.raises(ValueError, match="duplicate"):
@@ -360,10 +360,10 @@ def test_user_point_lookups_tolerate_grid_roundoff():
     # user's points through PointCloud.index_of, so (0.3,) and (0.6,) give the
     # report of the stored 0.30000000000000004 and 0.6000000000000001.
     x_stored, y_stored = (0.30000000000000004,), (0.6000000000000001,)
-    assert TWO_X.geometry.locate((0.3,), (0.6,)) == TWO_X.geometry.locate(x_stored, y_stored)
-    assert TWO_X.geometry.on_graph((0.3,), (0.6,))
-    assert not TWO_X.geometry.on_graph((0.3,), (0.64,))
-    assert not TWO_X.geometry.on_graph((0.3,), (5.0,))
+    assert TWO_X.locate((0.3,), (0.6,)) == TWO_X.locate(x_stored, y_stored)
+    assert TWO_X.on_graph((0.3,), (0.6,))
+    assert not TWO_X.on_graph((0.3,), (0.64,))
+    assert not TWO_X.on_graph((0.3,), (5.0,))
     for mu, beta in ((1.0, 0.2), (0.25, 0.3)):
         assert (check_unconditional_estimate(TWO_X, ((0.3,), (0.6,)), mu, beta)
                 == check_unconditional_estimate(TWO_X, (x_stored, y_stored), mu, beta))
@@ -374,25 +374,22 @@ def test_user_point_lookups_tolerate_grid_roundoff():
         regularity.sequence_characterization(TWO_X, (0.31,), (0.6,), 1.0, 0.1)
 
 
-def test_image_and_preimage_resolve_grid_roundoff():
-    # image_of and preimage_of resolve the user's point through
-    # PointCloud.index_of and read the pairs of the stored point.
+def test_image_of_resolves_grid_roundoff():
+    # image_of resolves the user's point through PointCloud.index_of and
+    # reads the pairs of the stored point.
     x_stored, y_stored = (0.30000000000000004,), (0.6000000000000001,)
     assert DOM.index_of(0.3) == DOM.points.index(x_stored) == 65
     assert TWO_X.image_of(0.3) == TWO_X.image_of(x_stored) == (y_stored,)
-    assert TWO_X.preimage_of(0.6) == TWO_X.preimage_of(y_stored) == (x_stored,)
     assert FAR.image_of((0.3,)) == FAR.image_of(x_stored)
     assert len(FAR.image_of((0.3,))) == 2
     # A point matching no stored point has no values; one matching two is
     # ambiguous, as in index_of.
-    assert TWO_X.image_of(0.31) == () and TWO_X.preimage_of(0.61) == ()
+    assert TWO_X.image_of(0.31) == ()
     near = SampledMap.from_function(PointCloud(((0.0,), (4e-10,), (1.0,))),
                                     lambda p: (2.0 * p[0],))
     assert near.image_of(4e-10) == ((8e-10,),)
     with pytest.raises(KeyError, match="matches 2 cloud points"):
         near.image_of(2e-10)
-    with pytest.raises(KeyError, match="matches 2 cloud points"):
-        near.preimage_of(4e-10)
 
 
 def test_check_modulus_property_bisection_consistency():
@@ -477,7 +474,7 @@ def test_threshold_verdicts_agree_with_kernel():
                                                         np.nextafter(e, math.inf))]
                 constants += (10.0 ** rng.uniform(-2.0, 2.5, 4)).tolist()
                 for c in constants:
-                    sure = engine.sure_verdict(kind, c, gamma)
+                    sure = _band_verdict(kind, c, engine.band(kind, gamma))
                     probed += 1
                     if sure is not None:
                         decided += 1
@@ -622,6 +619,9 @@ def _band_engine(step, slope, family, metric, tol_steps, on_grid):
 
 @settings(max_examples=40)
 @given(_BAND_CASES)
+# A bound slack of 2**-53 disagrees here one ulp below the subreg and calm
+# bands of the schedule's third gamma.
+@example((0.04, 0.6729638193406405, "sine", "3|.|", 1.0, (2, 27)))
 def test_band_edges_agree_with_kernel_just_outside(case):
     # A constant 1 to 8 ulps outside a band edge is decided by the threshold,
     # and the kernel must give the same verdict: the band's slack covers
@@ -635,7 +635,7 @@ def test_band_edges_agree_with_kernel_just_outside(case):
                 continue
             for ulps in range(1, 9):
                 c = _ulps_from(edge, toward, ulps)
-                sure = engine.sure_verdict(kind, c, gamma)
+                sure = _band_verdict(kind, c, engine.band(kind, gamma))
                 assert sure is not None and c > 0.0, (kind, c, gamma)
                 assert sure == engine._scan_kind(kind, c, gamma)[0], (kind, c, gamma, edge)
 
@@ -910,27 +910,26 @@ def test_locate_resolves_roundoff_to_stored_index(mapping, data):
     x, y = mapping.pairs[i]
     moved_x = (x[0] + data.draw(_ROUNDOFF),)
     moved_y = (y[0] + data.draw(_ROUNDOFF),)
-    assert geom.locate(moved_x, moved_y) == (geom.x_index[x], geom.y_index[y])
-    assert geom.locate(moved_x, moved_y) == (mapping.domain.index_of(moved_x),
-                                             mapping.codomain.index_of(moved_y))
-    assert geom.on_graph(moved_x, moved_y)
+    assert mapping.locate(moved_x, moved_y) == (geom.x_index[x], geom.y_index[y])
+    assert mapping.locate(moved_x, moved_y) == (mapping.domain.index_of(moved_x),
+                                                mapping.codomain.index_of(moved_y))
+    assert mapping.on_graph(moved_x, moved_y)
 
 
 @settings(max_examples=60)
 @given(_grid_maps(), st.data())
 def test_locate_rejects_points_off_the_cloud(mapping, data):
-    geom = mapping.geometry
     x, y = mapping.pairs[data.draw(st.integers(0, len(mapping.pairs) - 1))]
     offset = data.draw(st.floats(1e-9, 0.2, exclude_min=True))
     off = (x[0] + data.draw(st.sampled_from([-offset, offset])),)
     assume(all(abs(off[0] - p[0]) > 1e-9 for p in mapping.domain.points))
     with pytest.raises(KeyError):
-        geom.locate(off, y)
+        mapping.locate(off, y)
     with pytest.raises(KeyError):
         mapping.domain.index_of(off)
     with pytest.raises(KeyError):
-        geom.locate(x, (y[0] + offset + 1.0,))
-    assert not geom.on_graph(off, y)
+        mapping.locate(x, (y[0] + offset + 1.0,))
+    assert not mapping.on_graph(off, y)
 
 
 def _loop_tables(geom, tol, eps):
@@ -953,7 +952,7 @@ def _loop_tables(geom, tol, eps):
         mask = dyg[:, v] < eps
         if mask.any():
             pre[:, v] = geom.DX[:, mask].min(axis=1)
-    return images, dyg, cover, pre
+    return dyg, cover, pre
 
 
 def _asymmetric(a, b):
@@ -1000,8 +999,7 @@ def test_cold_tables_match_their_loop_oracles(monkeypatch, tile_entries):
         for tol, eps in ((0.0, 1e-9), (geom.closure_tolerance(None),
                                        regularity._default_eps_schedule(geom)[-1]),
                          (float(finite[1]), float(finite[2]))):
-            images, dyg, cover, pre = _loop_tables(geom, tol, eps)
-            assert [ix.tolist() for ix in geom.images] == images
+            dyg, cover, pre = _loop_tables(geom, tol, eps)
             assert np.array_equal(geom.DYG, dyg)
             assert np.array_equal(geom.cover_radius(tol), cover)
             assert np.array_equal(geom.preimage_distance(eps), pre)

@@ -71,7 +71,7 @@ def test_point_cloud_index_of_tolerates_grid_roundoff():
     assert [cloud.index_of(round(-1.0 + 0.02 * k, 10)) for k in range(101)] == list(range(101))
     with pytest.raises(KeyError, match="not in cloud"):
         cloud.index_of(0.31)
-    close = PointCloud.from_points([0.0, 1e-12])
+    close = PointCloud(((0.0,), (1e-12,)))
     assert close.index_of(1e-12) == 1  # an exact hit wins
     with pytest.raises(KeyError, match="matches 2"):
         close.index_of(5e-13)
@@ -351,7 +351,7 @@ def test_ball_respects_asymmetry():
                           allow_nan=False), min_size=2, max_size=6,
                 unique=True))
 def test_euclidean_triangle_oracle_agreement(xs):
-    cloud = PointCloud.from_points(xs)
+    cloud = PointCloud(tuple((float(x),) for x in xs))
     report = check_axioms(euclidean_premetric(), cloud)
     assert report.checks["A2"].status == "pass"
     assert brute_triangle_violations(euclidean_premetric(), cloud) == []
@@ -361,7 +361,7 @@ def test_euclidean_triangle_oracle_agreement(xs):
 @given(st.lists(st.floats(min_value=0.1, max_value=5.0, allow_nan=False),
                 min_size=2, max_size=5, unique=True))
 def test_induced_partial_always_sound_for_max(xs):
-    cloud = PointCloud.from_points(xs)
+    cloud = PointCloud(tuple((float(x),) for x in xs))
     eta = induce_from_partial(PartialMetric(lambda x, u: max(x[0], u[0])), cloud)
     report = check_axioms(eta, cloud)
     assert report.claimed_ok
@@ -638,7 +638,7 @@ def test_induced_table_calls_zeta_once_per_pair(xs):
         calls.append((x, u))
         return max(x[0], u[0]) + 0.3
 
-    cloud = PointCloud.from_points(xs)
+    cloud = PointCloud(tuple((float(x),) for x in xs))
     eta = induce_from_partial(PartialMetric(zeta, name="shifted max"), cloud)
     # One point more than the cloud, so the table is computed, not read from
     # the validated one (test_induced_table_reuses_validated_values).
@@ -669,7 +669,7 @@ def test_induced_table_reuses_validated_values(xs):
         return np.array([[zeta(p, q) for q in map(tuple, b.tolist())]
                          for p in map(tuple, a.tolist())]).reshape(len(a), len(b)) - own
 
-    cloud = PointCloud.from_points(xs)
+    cloud = PointCloud(tuple((float(x),) for x in xs))
     n = len(cloud)
     sequences = [list(range(n)), list(range(n))[::-1]]
     eta = induce_from_partial(PartialMetric(zeta, name="shifted max"), cloud)
