@@ -151,10 +151,11 @@ class SampledMap:
 
 
 class MapGeometry:
-    """Distance tables of one sampled map, and the reach, preimage and band
-    memos built from them, shared by every check on the map. Point and pair
-    lookups are the map's (SampledMap.locate and on_graph), so they build no
-    table.
+    """Distance tables of one sampled map, and the reach, preimage, band and
+    kernel-verdict memos built from them, shared by every check on the map,
+    so each distinct modulus endpoint is scanned once per map. Point and
+    pair lookups are the map's (SampledMap.locate and on_graph), so they
+    build no table.
 
     It keeps the map's two clouds rather than the map, so the copy memoized
     on SampledMap.geometry forms no reference cycle and is freed with it.
@@ -188,8 +189,10 @@ class MapGeometry:
         self.diam_y = _max_finite(self.DY)
         self._reach: dict[tuple[float, TGrid, bool], np.ndarray] = {}
         self._preimage: dict[float, np.ndarray] = {}
-        # _ModulusEngine's threshold bands, keyed by everything a band reads.
+        # _ModulusEngine's threshold bands, keyed by everything a band reads,
+        # and its kernel verdicts, keyed by the band key and the constant.
         self._bands: dict[tuple, tuple[float, float]] = {}
+        self._verdicts: dict[tuple, tuple[bool, tuple | None]] = {}
 
     def closure_tolerance(self, closure_tol: float | None) -> float:
         """closure_tol when given, else twice the domain step: the tolerance
@@ -798,18 +801,17 @@ class _ModulusEngine:
     a few ulps; verdict() answers a probe outside the band by comparing the
     constant with it. The scan kernel (holds_at) runs in endpoint(), which
     re-evaluates a bracket endpoint and yields its witness, and otherwise
-    only for the rare probe that lands inside a band. Each kernel verdict is
-    kept, so an endpoint such a probe already scanned is not scanned again.
+    only for the rare probe that lands inside a band.
 
     Blocks and bands are keyed by content, not by kind. When the map's pairs
     list each domain point once, in domain order, the pair rows of an
     estimate scan are the domain rows (DY[pair_yi] equals DYG row for row),
     and an estimate witness never reads a row's codomain point; so lip_inv,
-    calm and incalm share the blocks and bands of reg, subreg and semireg.
-    Blocks and kernel verdicts are kept per engine, so each call scans its
-    own endpoints. Bands are kept on the MapGeometry, beside the reach and
-    preimage tables, under everything a band reads, so each distinct band
-    is computed once per map, reference and configuration.
+    calm and incalm share the blocks, bands and scans of reg, subreg and
+    semireg. Blocks are kept per engine. Bands and kernel verdicts are kept
+    on the MapGeometry, beside the reach and preimage tables, under
+    everything they read, so each distinct band is computed, and each
+    distinct endpoint scanned, once per map, reference and configuration.
     """
 
     def __init__(self, mapping: SampledMap, ref: tuple, cfg: ModulusSearchConfig):
@@ -830,18 +832,20 @@ class _ModulusEngine:
             g *= 0.5
         self.gamma_schedule = tuple(schedule) or (self.gamma0,)
         one_per_point = np.array_equal(geom.pair_xi, np.arange(len(geom.X)))
-        self._content = {
-            kind: (scan, "domain" if scan == "estimate" and one_per_point else source,
-                   rows, targets)
+        # Per kind, its content (what its block reads) and then the rest of
+        # what a band or a kernel verdict reads but gamma and the constant:
+        # the geometry's memo keys start with it.
+        self._keys = {
+            kind: ((scan, "domain" if scan == "estimate" and one_per_point else source,
+                    rows, targets), self.rx, self.ry, self.tol, self.tgrid, self.eps[-1])
             for kind, (scan, source, rows, targets) in _KIND_SCANS.items()}
         self._blocks: dict[tuple[str, str, str, str], _KindBlock] = {}
-        self._verdicts: dict[tuple[str, float, float], tuple[bool, tuple | None]] = {}
         # band(kind, gamma_schedule[i]) at [kind][i], filled on first use.
         self._kind_bands: dict[str, list[tuple[float, float] | None]] = {
             kind: [None] * len(self.gamma_schedule) for kind in MODULUS_KINDS}
 
     def block(self, kind: str) -> _KindBlock:
-        content = self._content[kind]
+        content = self._keys[kind][0]
         if content not in self._blocks:
             scan, source, rows, targets = content
             geom = self.geom
@@ -870,12 +874,15 @@ class _ModulusEngine:
         return self._blocks[content]
 
     def holds_at(self, kind: str, constant: float, gamma: float) -> tuple[bool, tuple | None]:
-        """The kernel's verdict and first violation, kept per (kind,
-        constant, gamma) so a bracket endpoint reads the bisection's scan."""
-        key = (kind, constant, gamma)
-        if key not in self._verdicts:
-            self._verdicts[key] = self._scan_kind(kind, constant, gamma)
-        return self._verdicts[key]
+        """The kernel's verdict and first violation, kept on the geometry
+        beside the bands, under the band key and the constant. So a bracket
+        endpoint reads the bisection's scan, and each distinct endpoint is
+        scanned once per map, reference and configuration."""
+        key = (*self._keys[kind], gamma, constant)
+        verdicts = self.geom._verdicts
+        if key not in verdicts:
+            verdicts[key] = self._scan_kind(kind, constant, gamma)
+        return verdicts[key]
 
     def _scan_kind(self, kind: str, constant: float, gamma: float
                    ) -> tuple[bool, tuple | None]:
@@ -903,8 +910,7 @@ class _ModulusEngine:
         A rate kind holds below `below` and fails above `above`; a bound kind
         fails below `below` and holds above `above`.
         """
-        key = (self._content[kind], self.rx, self.ry, self.tol, self.tgrid, self.eps[-1],
-               gamma)
+        key = (*self._keys[kind], gamma)
         bands = self.geom._bands
         if key not in bands:
             b = self.block(kind)
@@ -1019,11 +1025,13 @@ def estimate_modulus(mapping: SampledMap, ref: tuple, kind: str,
     the map's geometry, so a later call with the same reference and
     configuration reads them, and on a map with one pair per domain point
     lip_inv, calm and incalm read those of reg, subreg and semireg (see
-    _ModulusEngine). The scan kernel evaluates the sample, in each call, at
-    the two reported bracket endpoints, and otherwise only in the rare probe
-    that lies within a few ulps of a threshold. So the endpoints always
-    carry verdicts actually evaluated on the sample, and witness_fail is the
-    kernel's first violation.
+    _ModulusEngine). The scan kernel evaluates the sample at the two
+    reported bracket endpoints, and otherwise only in the rare probe that
+    lies within a few ulps of a threshold. Its verdicts are kept on the
+    geometry too, so each distinct endpoint is scanned once per map,
+    reference and configuration, and a repeated call runs no scan. So the
+    endpoints always carry verdicts actually evaluated on the sample, and
+    witness_fail is the kernel's first violation.
     """
     if kind not in MODULUS_KINDS:
         raise ValueError(f"unknown modulus kind {kind!r}")

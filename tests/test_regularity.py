@@ -9,6 +9,7 @@ from __future__ import annotations
 import itertools
 import math
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -556,23 +557,81 @@ ENDPOINT_MAPS = [
 
 def test_modulus_search_scans_only_the_reported_endpoints(monkeypatch):
     # The bands are a few ulps wide, so the bisection's probes are decided
-    # by the threshold and the kernel runs once per reported endpoint.
-    scans: list[tuple[str, float, float]] = []
+    # by the threshold and the kernel runs only at reported endpoints. Its
+    # verdicts are kept on the geometry, so on each map (a fresh copy, which
+    # holds no earlier test's memo) no memo key is scanned twice, the memo
+    # keeps at most the two endpoints of each distinct content, and a
+    # second sweep scans nothing and reports the same.
+    scans: list[tuple] = []
     scan_kind = _ModulusEngine._scan_kind
 
     def counted(self, kind, constant, gamma):
-        scans.append((kind, constant, gamma))
+        scans.append((kind, constant, gamma, (*self._keys[kind], gamma, constant)))
         return scan_kind(self, kind, constant, gamma)
 
     monkeypatch.setattr(_ModulusEngine, "_scan_kind", counted)
-    for mapping in ENDPOINT_MAPS:
+    for mapping in map(replace, ENDPOINT_MAPS):
+        memo = mapping.geometry._verdicts
+        keys: list[tuple] = []
+        first = []
         for kind in MODULUS_KINDS:
             scans.clear()
             report = estimate_modulus(mapping, REF0, kind)
-            ends = [(kind, *end[:2]) for end in (report.witness_ok, report.witness_fail)
-                    if end is not None]
-            assert len(scans) <= 2, (kind, scans)
-            assert sorted(scans) == sorted(ends), (kind, scans, ends)
+            ends = {(kind, *end[:2]) for end in (report.witness_ok, report.witness_fail)
+                    if end is not None}
+            assert {scan[:3] for scan in scans} <= ends, (kind, scans, ends)
+            keys += [scan[3] for scan in scans]
+            first.append(repr(report))
+        assert len(keys) == len(set(keys)) and set(keys) == set(memo), keys
+        per_content = Counter(key[0] for key in memo)
+        assert max(per_content.values()) <= 2, per_content
+        scans.clear()
+        again = [repr(estimate_modulus(mapping, REF0, kind)) for kind in MODULUS_KINDS]
+        assert scans == [] and again == first
+
+
+_KEY_MAP = SampledMap.from_function(PointCloud.from_grid(-1.0, 1.0, 0.05),
+                                    lambda p: (p[0] ** 3 + 0.5 * p[0],))
+_KEY_REFS = (REF0, ((0.5,), _KEY_MAP.image_of((0.5,))[0]))
+
+# One kind, then calls that each pick a reference, closure_tol, t_per_decade,
+# eps_schedule and gamma0, and run estimate_modulus (None) or
+# check_modulus_property at a (constant, gamma).
+_KEY_CALLS = st.tuples(
+    st.sampled_from(MODULUS_KINDS),
+    st.lists(st.tuples(st.integers(0, 1), st.sampled_from([None, 0.0, 0.15]),
+                       st.sampled_from([20, 7]), st.sampled_from([(), (0.4, 0.2)]),
+                       st.sampled_from([None, 0.7]),
+                       st.none() | st.tuples(st.sampled_from([0.1, 0.6, 1.2, 20.0]),
+                                             st.sampled_from([0.35, 0.7]))),
+             min_size=2, max_size=4))
+
+
+def _key_call(mapping, ref, tol, per_decade, eps, gamma0, probe, kind):
+    cfg = ModulusSearchConfig(gamma0=gamma0, closure_tol=tol, t_per_decade=per_decade,
+                              eps_schedule=eps)
+    if probe is None:
+        return repr(estimate_modulus(mapping, _KEY_REFS[ref], kind, cfg))
+    return repr(check_modulus_property(mapping, _KEY_REFS[ref], kind, *probe, cfg))
+
+
+@settings(max_examples=30)
+@given(_KEY_CALLS)
+# Calls that differ in one memo key component alone.
+@example(("sur", [(0, None, 20, (), None, None), (0, 0.15, 20, (), None, None)]))
+@example(("reg", [(0, None, 20, (), None, None), (0, None, 20, (0.4, 0.2), None, None)]))
+@example(("sur", [(0, None, 20, (), None, None), (0, None, 7, (), None, None)]))
+@example(("lopen", [(0, None, 20, (), None, None), (1, None, 20, (), None, None)]))
+@example(("reg", [(0, None, 20, (), None, (0.6, 0.35)), (0, None, 20, (), None, (0.6, 0.7))]))
+@example(("sur", [(0, None, 20, (), None, (0.1, 0.7)), (0, None, 20, (), None, (20.0, 0.7))]))
+def test_memo_keys_hold_everything_a_scan_reads(calls):
+    # Calls on one shared map read the geometry's bands and kernel verdicts
+    # of the calls before them; each must report what it reports on a
+    # fresh copy of the map, which holds no memo.
+    kind, specs = calls
+    shared = replace(_KEY_MAP)
+    for spec in specs:
+        assert _key_call(shared, *spec, kind) == _key_call(replace(_KEY_MAP), *spec, kind), spec
 
 
 def _ulps_from(edge: float, toward: float, ulps: int) -> float:
