@@ -13,9 +13,9 @@ not occur exactly once or the named tests fail on the unmutated copy.
 A mutant is killed when pytest fails, runs out of its 1 GiB address space
 or runs past 120 s. The list holds exactness mutants of the kernels and
 tables (a tile size, a stop, a reduction's starts, a boundary comparison,
-a band's rounding slack, the kernel-verdict memo and each component of its
-key) and boundary mutants of the perturbation, linear, Ekeland, criterion
-and point-lookup layers.
+a band's rounding slack, the kernel-verdict memo and each component of the
+search and verdict keys) and boundary mutants of the perturbation, linear,
+Ekeland, criterion and point-lookup layers.
 """
 from __future__ import annotations
 
@@ -39,8 +39,9 @@ class Mutant(NamedTuple):
     tests: tuple[str, ...]
 
 
-# The key prefix that the geometry's band and kernel-verdict memos share.
-_MEMO_PREFIX = "self.rx, self.ry, self.tol, self.tgrid, self.eps[-1])"
+# The search key under which the geometry keeps a modulus search's bands
+# and kernel verdicts.
+_SEARCH_KEY = "(self.content, self.rx, self.ry, self.tol, self.tgrid, self.eps[-1])"
 
 MUTANTS = (
     Mutant("scan tile step", "src/almostreg/regularity.py",
@@ -92,21 +93,21 @@ MUTANTS = (
            "_BOUND_SLACK = 2.0 ** -46", "_BOUND_SLACK = 2.0 ** -53",
            ("tests/test_regularity.py",)),
     Mutant("holds_at memo", "src/almostreg/regularity.py",
-           "if key not in verdicts:", "if True:", ("tests/test_regularity.py",)),
-    Mutant("memo key tol", "src/almostreg/regularity.py", _MEMO_PREFIX,
-           _MEMO_PREFIX.replace(" self.tol,", ""), ("tests/test_regularity.py",)),
-    Mutant("memo key eps", "src/almostreg/regularity.py", _MEMO_PREFIX,
-           _MEMO_PREFIX.replace(", self.eps[-1]", ""), ("tests/test_regularity.py",)),
-    Mutant("memo key tgrid", "src/almostreg/regularity.py", _MEMO_PREFIX,
-           _MEMO_PREFIX.replace(" self.tgrid,", ""), ("tests/test_regularity.py",)),
-    Mutant("memo key reference", "src/almostreg/regularity.py", _MEMO_PREFIX,
-           _MEMO_PREFIX.replace("self.rx, self.ry, ", ""), ("tests/test_regularity.py",)),
-    Mutant("memo key constant", "src/almostreg/regularity.py",
-           "key = (*self._keys[kind], gamma, constant)", "key = (*self._keys[kind], gamma)",
-           ("tests/test_regularity.py",)),
-    Mutant("memo key gamma", "src/almostreg/regularity.py",
-           "key = (*self._keys[kind], gamma, constant)", "key = (*self._keys[kind], constant)",
-           ("tests/test_regularity.py",)),
+           "if key not in self._verdict_memo:", "if True:", ("tests/test_regularity.py",)),
+    Mutant("search key content", "src/almostreg/regularity.py", _SEARCH_KEY,
+           _SEARCH_KEY.replace("self.content, ", ""), ("tests/test_regularity.py",)),
+    Mutant("search key reference", "src/almostreg/regularity.py", _SEARCH_KEY,
+           _SEARCH_KEY.replace("self.rx, self.ry, ", ""), ("tests/test_regularity.py",)),
+    Mutant("search key tol", "src/almostreg/regularity.py", _SEARCH_KEY,
+           _SEARCH_KEY.replace(" self.tol,", ""), ("tests/test_regularity.py",)),
+    Mutant("search key tgrid", "src/almostreg/regularity.py", _SEARCH_KEY,
+           _SEARCH_KEY.replace(" self.tgrid,", ""), ("tests/test_regularity.py",)),
+    Mutant("search key eps", "src/almostreg/regularity.py", _SEARCH_KEY,
+           _SEARCH_KEY.replace(", self.eps[-1]", ""), ("tests/test_regularity.py",)),
+    Mutant("verdict key gamma", "src/almostreg/regularity.py",
+           "key = (gamma, constant)", "key = constant", ("tests/test_regularity.py",)),
+    Mutant("verdict key constant", "src/almostreg/regularity.py",
+           "key = (gamma, constant)", "key = gamma", ("tests/test_regularity.py",)),
     Mutant("on_graph membership", "src/almostreg/regularity.py",
            "return (self.domain.points[xi], self.codomain.points[yi]) in self._pair_set",
            "return True", ("tests/test_regularity.py",)),

@@ -151,11 +151,12 @@ class SampledMap:
 
 
 class MapGeometry:
-    """Distance tables of one sampled map, and the reach, preimage, band and
-    kernel-verdict memos built from them, shared by every check on the map,
-    so each distinct modulus endpoint is scanned once per map. Point and
-    pair lookups are the map's (SampledMap.locate and on_graph), so they
-    build no table.
+    """Distance tables of one sampled map, and the memos built from them,
+    shared by every check on the map: reach and preimage tables, and one
+    entry per modulus search key (see _ModulusEngine) holding its bands and
+    kernel verdicts, so each distinct modulus endpoint is scanned once per
+    map. Point and pair lookups are the map's (SampledMap.locate and
+    on_graph), so they build no table.
 
     It keeps the map's two clouds rather than the map, so the copy memoized
     on SampledMap.geometry forms no reference cycle and is freed with it.
@@ -170,8 +171,7 @@ class MapGeometry:
         self.DY = mapping.metric_y.pairwise(self.Y, self.Y)
         # First occurrences, as PointCloud.index_of resolves, so the pairs of
         # a repeated cloud point sit on the row that point lookups read.
-        self.x_index = x_index = dict(mapping.domain._positions)
-        self.y_index = y_index = dict(mapping.codomain._positions)
+        x_index, y_index = mapping.domain._positions, mapping.codomain._positions
         self.pair_xi = np.array([x_index[x] for x, _ in mapping.pairs], dtype=int)
         self.pair_yi = np.array([y_index[y] for _, y in mapping.pairs], dtype=int)
         n_x = len(self.X)
@@ -189,10 +189,9 @@ class MapGeometry:
         self.diam_y = _max_finite(self.DY)
         self._reach: dict[tuple[float, TGrid, bool], np.ndarray] = {}
         self._preimage: dict[float, np.ndarray] = {}
-        # _ModulusEngine's threshold bands, keyed by everything a band reads,
-        # and its kernel verdicts, keyed by the band key and the constant.
-        self._bands: dict[tuple, tuple[float, float]] = {}
-        self._verdicts: dict[tuple, tuple[bool, tuple | None]] = {}
+        # Per _ModulusEngine search key, its threshold bands by gamma and its
+        # kernel verdicts by (gamma, constant).
+        self._searches: dict[tuple, tuple[dict, dict]] = {}
 
     def closure_tolerance(self, closure_tol: float | None) -> float:
         """closure_tol when given, else twice the domain step: the tolerance
@@ -692,6 +691,12 @@ class ModulusSearchConfig:
     t_per_decade: int = 20
     eps_schedule: tuple[float, ...] = ()
 
+    def __post_init__(self) -> None:
+        if self.closure_tol is not None and self.closure_tol < 0.0:
+            raise ValueError("closure_tol must be nonnegative")
+        if self.bisect_iters < 0:
+            raise ValueError("bisect_iters must be nonnegative")
+
 
 @dataclass(frozen=True)
 class ModulusReport:
@@ -792,9 +797,9 @@ _BOUND_SLACK = 2.0 ** -46
 
 
 class _ModulusEngine:
-    """Property evaluation for the nine moduli at a fixed reference pair.
+    """Property evaluation for one modulus kind at a fixed reference pair.
 
-    At a fixed gamma each property is monotone in the constant: a rate kind
+    At a fixed gamma the property is monotone in the constant: a rate kind
     holds exactly for constants up to a threshold, a bound kind exactly from
     one on. band() computes that threshold in one vectorized pass over the
     kind's block and widens it by the rounding slack of its float operations,
@@ -803,90 +808,87 @@ class _ModulusEngine:
     re-evaluates a bracket endpoint and yields its witness, and otherwise
     only for the rare probe that lands inside a band.
 
-    Blocks and bands are keyed by content, not by kind. When the map's pairs
-    list each domain point once, in domain order, the pair rows of an
-    estimate scan are the domain rows (DY[pair_yi] equals DYG row for row),
-    and an estimate witness never reads a row's codomain point; so lip_inv,
-    calm and incalm share the blocks, bands and scans of reg, subreg and
-    semireg. Blocks are kept per engine. Bands and kernel verdicts are kept
-    on the MapGeometry, beside the reach and preimage tables, under
-    everything they read, so each distinct band is computed, and each
-    distinct endpoint scanned, once per map, reference and configuration.
+    The search key, built once here, is the block's content followed by
+    everything else a band or a kernel verdict reads but gamma and the
+    constant: the reference pair, closure tolerance, radius grid and last
+    eps. Under it the geometry keeps one pair of memos, bands by gamma and
+    kernel verdicts by (gamma, constant), so each distinct band is computed,
+    and each distinct endpoint scanned, once per map, reference and
+    configuration. The key starts with the content, not the kind. When the
+    map's pairs list each domain point once, in domain order, the pair rows
+    of an estimate scan are the domain rows (DY[pair_yi] equals DYG row for
+    row), and an estimate witness never reads a row's codomain point; so
+    lip_inv, calm and incalm share the bands and scans of reg, subreg and
+    semireg. The engine itself is not stored on the geometry, which would
+    make a reference cycle.
     """
 
-    def __init__(self, mapping: SampledMap, ref: tuple, cfg: ModulusSearchConfig):
+    def __init__(self, mapping: SampledMap, ref: tuple, kind: str, cfg: ModulusSearchConfig):
+        if kind not in MODULUS_KINDS:
+            raise ValueError(f"unknown modulus kind {kind!r}")
         if not mapping.on_graph(ref[0], ref[1]):
             raise ValueError(f"reference pair ({as_point(ref[0])}, {as_point(ref[1])}) "
                              "must lie on the graph")
+        self.kind = kind
         self.geom = geom = mapping.geometry
         self.rx, self.ry = mapping.locate(ref[0], ref[1])
         self.tol = geom.closure_tolerance(cfg.closure_tol)
-        self.tgrid = TGrid(self.geom.step_x, cfg.t_per_decade)
-        self.eps = cfg.eps_schedule or _default_eps_schedule(self.geom)
-        self.gamma0 = cfg.gamma0 if cfg.gamma0 is not None else self.geom.diam_x
-        self.gamma_floor = cfg.gamma_floor_steps * self.geom.step_x
+        self.tgrid = TGrid(geom.step_x, cfg.t_per_decade)
+        self.eps = cfg.eps_schedule or _default_eps_schedule(geom)
+        self.gamma0 = cfg.gamma0 if cfg.gamma0 is not None else geom.diam_x
+        gamma_floor = cfg.gamma_floor_steps * geom.step_x
         schedule = []
         g = self.gamma0
-        while g >= self.gamma_floor and len(schedule) < 60:
+        while g >= gamma_floor and len(schedule) < 60:
             schedule.append(g)
             g *= 0.5
         self.gamma_schedule = tuple(schedule) or (self.gamma0,)
-        one_per_point = np.array_equal(geom.pair_xi, np.arange(len(geom.X)))
-        # Per kind, its content (what its block reads) and then the rest of
-        # what a band or a kernel verdict reads but gamma and the constant:
-        # the geometry's memo keys start with it.
-        self._keys = {
-            kind: ((scan, "domain" if scan == "estimate" and one_per_point else source,
-                    rows, targets), self.rx, self.ry, self.tol, self.tgrid, self.eps[-1])
-            for kind, (scan, source, rows, targets) in _KIND_SCANS.items()}
-        self._blocks: dict[tuple[str, str, str, str], _KindBlock] = {}
-        # band(kind, gamma_schedule[i]) at [kind][i], filled on first use.
-        self._kind_bands: dict[str, list[tuple[float, float] | None]] = {
-            kind: [None] * len(self.gamma_schedule) for kind in MODULUS_KINDS}
+        scan, source, rows, targets = _KIND_SCANS[kind]
+        if scan == "estimate" and np.array_equal(geom.pair_xi, np.arange(len(geom.X))):
+            source = "domain"
+        self.content = (scan, source, rows, targets)
+        self._band_memo, self._verdict_memo = geom._searches.setdefault(
+            (self.content, self.rx, self.ry, self.tol, self.tgrid, self.eps[-1]), ({}, {}))
 
-    def block(self, kind: str) -> _KindBlock:
-        content = self._keys[kind][0]
-        if content not in self._blocks:
-            scan, source, rows, targets = content
-            geom = self.geom
-            if source == "pairs":
-                x, y = geom.pair_xi, geom.pair_yi
-            else:
-                x = np.arange(len(geom.X))
-                y = np.full(len(x), self.ry)
-            if rows == "at":
-                at = x == self.rx
-                x, y = x[at], y[at]
-            # Rows that list every table row, and a slice for the whole
-            # codomain, read the geometry's tables without copying them.
-            cols = slice(None) if targets == "ball" else [self.ry]
-            rho = _take_rows(geom.DY, y) if source == "pairs" else _take_rows(geom.DYG, x)
-            if scan == "open":
-                fixed = geom.reach(self.tol, self.tgrid)
-            else:
-                fixed = geom.preimage_distance(self.eps[-1])
-            self._blocks[content] = _KindBlock(
-                open_scan=scan == "open", x=x, y=y,
-                cols=np.arange(len(geom.Y))[cols], rho=rho[:, cols],
-                fixed=_take_rows(fixed, x)[:, cols],
-                row_dist=geom.DX[self.rx, x] if rows == "near" else np.zeros(len(x)),
-                col_dist=geom.DY[self.ry, cols] if targets == "ball" else np.zeros(1))
-        return self._blocks[content]
+    @cached_property
+    def block(self) -> _KindBlock:
+        scan, source, rows, targets = self.content
+        geom = self.geom
+        if source == "pairs":
+            x, y = geom.pair_xi, geom.pair_yi
+        else:
+            x = np.arange(len(geom.X))
+            y = np.full(len(x), self.ry)
+        if rows == "at":
+            at = x == self.rx
+            x, y = x[at], y[at]
+        # Rows that list every table row, and a slice for the whole
+        # codomain, read the geometry's tables without copying them.
+        cols = slice(None) if targets == "ball" else [self.ry]
+        rho = _take_rows(geom.DY, y) if source == "pairs" else _take_rows(geom.DYG, x)
+        if scan == "open":
+            fixed = geom.reach(self.tol, self.tgrid)
+        else:
+            fixed = geom.preimage_distance(self.eps[-1])
+        return _KindBlock(
+            open_scan=scan == "open", x=x, y=y,
+            cols=np.arange(len(geom.Y))[cols], rho=rho[:, cols],
+            fixed=_take_rows(fixed, x)[:, cols],
+            row_dist=geom.DX[self.rx, x] if rows == "near" else np.zeros(len(x)),
+            col_dist=geom.DY[self.ry, cols] if targets == "ball" else np.zeros(1))
 
-    def holds_at(self, kind: str, constant: float, gamma: float) -> tuple[bool, tuple | None]:
-        """The kernel's verdict and first violation, kept on the geometry
-        beside the bands, under the band key and the constant. So a bracket
-        endpoint reads the bisection's scan, and each distinct endpoint is
-        scanned once per map, reference and configuration."""
-        key = (*self._keys[kind], gamma, constant)
-        verdicts = self.geom._verdicts
-        if key not in verdicts:
-            verdicts[key] = self._scan_kind(kind, constant, gamma)
-        return verdicts[key]
+    def holds_at(self, constant: float, gamma: float) -> tuple[bool, tuple | None]:
+        """The kernel's verdict and first violation, kept in the search's
+        verdict memo. So a bracket endpoint reads the bisection's scan, and
+        each distinct endpoint is scanned once per map, reference and
+        configuration."""
+        key = (gamma, constant)
+        if key not in self._verdict_memo:
+            self._verdict_memo[key] = self._scan_kind(constant, gamma)
+        return self._verdict_memo[key]
 
-    def _scan_kind(self, kind: str, constant: float, gamma: float
-                   ) -> tuple[bool, tuple | None]:
-        b = self.block(kind)
+    def _scan_kind(self, constant: float, gamma: float) -> tuple[bool, tuple | None]:
+        b = self.block
         box = b.box(gamma)
         gam = np.where(box.row_in, gamma, 0.0)
         if b.open_scan:
@@ -904,23 +906,18 @@ class _ModulusEngine:
             return False, _openness_witness(self.geom, xi, int(b.y[r]), v, values[0], False)
         return False, (self.geom.domain.points[xi], self.geom.codomain.points[v], *values)
 
-    def band(self, kind: str, gamma: float) -> tuple[float, float]:
+    def band(self, gamma: float) -> tuple[float, float]:
         """(below, above) around the threshold constant at gamma.
 
         A rate kind holds below `below` and fails above `above`; a bound kind
         fails below `below` and holds above `above`.
         """
-        key = (*self._keys[kind], gamma)
-        bands = self.geom._bands
-        if key not in bands:
-            b = self.block(kind)
-            box = b.box(gamma)
+        if gamma not in self._band_memo:
+            box = self.block.box(gamma)
             window = box.row_in[:, None] & box.col_in
-            if b.open_scan:
-                bands[key] = self._rate_band(box, window, gamma)
-            else:
-                bands[key] = self._bound_band(box, window, gamma)
-        return bands[key]
+            build = self._rate_band if self.block.open_scan else self._bound_band
+            self._band_memo[gamma] = build(box, window, gamma)
+        return self._band_memo[gamma]
 
     def _rate_band(self, b: _Box, window: np.ndarray,
                    gamma: float) -> tuple[float, float]:
@@ -958,32 +955,29 @@ class _ModulusEngine:
         return (float(np.max(below, where=live, initial=-math.inf)),
                 float(np.max(num, where=live, initial=-math.inf)))
 
-    def verdict(self, kind: str, constant: float) -> tuple[bool, float | None, bool]:
+    def verdict(self, constant: float) -> tuple[bool, float | None, bool]:
         """Scan the gamma schedule; trust the first repeated verdict.
 
         Returns (holds, stabilized_gamma, resolution_limited).
         """
         prev: bool | None = None
         prev_gamma = None
-        bands = self._kind_bands[kind]
-        for i, g in enumerate(self.gamma_schedule):
-            if bands[i] is None:
-                bands[i] = self.band(kind, g)
-            ok = _band_verdict(kind, constant, bands[i])
+        for g in self.gamma_schedule:
+            ok = _band_verdict(self.kind, constant, self.band(g))
             if ok is None:
-                ok = self.holds_at(kind, constant, g)[0]
+                ok = self.holds_at(constant, g)[0]
             if prev is not None and ok == prev:
                 return ok, g, False
             prev, prev_gamma = ok, g
         return bool(prev), prev_gamma, True
 
-    def endpoint(self, kind: str, constant: float, gamma: float, holds: bool) -> tuple:
+    def endpoint(self, constant: float, gamma: float, holds: bool) -> tuple:
         """Re-evaluate a verdict with the kernel: (constant, gamma) when it
         holds, (constant, gamma, first violation) when it fails."""
-        ok, witness = self.holds_at(kind, constant, gamma)
+        ok, witness = self.holds_at(constant, gamma)
         if ok != holds:
-            raise RuntimeError(f"{kind} threshold verdict {holds} at constant {constant!r}, "
-                               f"gamma {gamma!r} contradicts the scan kernel")
+            raise RuntimeError(f"{self.kind} threshold verdict {holds} at constant "
+                               f"{constant!r}, gamma {gamma!r} contradicts the scan kernel")
         return (constant, gamma) if ok else (constant, gamma, witness)
 
 
@@ -1000,10 +994,8 @@ def check_modulus_property(mapping: SampledMap, ref: tuple, kind: str, constant:
                            gamma: float, cfg: ModulusSearchConfig | None = None
                            ) -> CheckReport:
     """Re-checkable single-gamma evaluation of a modulus-defining property."""
-    if kind not in MODULUS_KINDS:
-        raise ValueError(f"unknown modulus kind {kind!r}")
-    engine = _ModulusEngine(mapping, ref, cfg or ModulusSearchConfig())
-    ok, witness = engine.holds_at(kind, constant, gamma)
+    engine = _ModulusEngine(mapping, ref, kind, cfg or ModulusSearchConfig())
+    ok, witness = engine.holds_at(constant, gamma)
     return CheckReport(
         name=f"modulus-property({kind})",
         passed=ok,
@@ -1021,32 +1013,30 @@ def estimate_modulus(mapping: SampledMap, ref: tuple, kind: str,
     For rate-type kinds (sur, popen, lopen) the modulus is the supremum of
     passing constants; for bound-type kinds it is the infimum. Each probe
     walks the gamma schedule until a verdict repeats. At each gamma the
-    verdict comes from the kind's threshold constant. Thresholds are kept on
-    the map's geometry, so a later call with the same reference and
-    configuration reads them, and on a map with one pair per domain point
-    lip_inv, calm and incalm read those of reg, subreg and semireg (see
-    _ModulusEngine). The scan kernel evaluates the sample at the two
-    reported bracket endpoints, and otherwise only in the rare probe that
-    lies within a few ulps of a threshold. Its verdicts are kept on the
-    geometry too, so each distinct endpoint is scanned once per map,
-    reference and configuration, and a repeated call runs no scan. So the
-    endpoints always carry verdicts actually evaluated on the sample, and
-    witness_fail is the kernel's first violation.
+    verdict comes from the kind's threshold constant. The scan kernel
+    evaluates the sample at the two reported bracket endpoints, and
+    otherwise only in the rare probe that lies within a few ulps of a
+    threshold. Thresholds and kernel verdicts are kept on the map's
+    geometry in one memo entry per search key: content, reference and
+    configuration (see _ModulusEngine). So a later call with the same
+    reference and configuration reads them and runs no scan, and on a map
+    with one pair per domain point lip_inv, calm and incalm read those of
+    reg, subreg and semireg. The endpoints always carry verdicts actually
+    evaluated on the sample, and witness_fail is the kernel's first
+    violation.
     """
-    if kind not in MODULUS_KINDS:
-        raise ValueError(f"unknown modulus kind {kind!r}")
     cfg = cfg or ModulusSearchConfig()
-    engine = _ModulusEngine(mapping, ref, cfg)
+    engine = _ModulusEngine(mapping, ref, kind, cfg)
+    geom = engine.geom
     lo, hi = cfg.bracket if cfg.bracket is not None else (
-        min(engine.geom.step_x, engine.geom.step_y),
-        (engine.geom.diam_x + engine.geom.diam_y) / min(engine.geom.step_x,
-                                                        engine.geom.step_y),
+        min(geom.step_x, geom.step_y),
+        (geom.diam_x + geom.diam_y) / min(geom.step_x, geom.step_y),
     )
     if not 0.0 < lo < hi:
         raise ValueError("bracket must satisfy 0 < lo < hi")
     sup_kind = kind in SUP_KINDS
-    ok_lo, g_lo, rl_lo = engine.verdict(kind, lo)
-    ok_hi, g_hi, rl_hi = engine.verdict(kind, hi)
+    ok_lo, g_lo, rl_lo = engine.verdict(lo)
+    ok_hi, g_hi, rl_hi = engine.verdict(hi)
     resolution_limited = rl_lo or rl_hi
 
     # The search ends at lo when a rate kind fails there or a bound kind
@@ -1055,8 +1045,8 @@ def estimate_modulus(mapping: SampledMap, ref: tuple, kind: str,
             (lo, ok_lo, g_lo, 0.0, as_ext(lo), ok_lo != sup_kind),
             (hi, ok_hi, g_hi, hi, INF, ok_hi == sup_kind)):
         if ends_here:
-            end = engine.endpoint(kind, c, g, ok)
-            return _report(kind, lower, upper, engine, g, resolution_limited,
+            end = engine.endpoint(c, g, ok)
+            return _report(engine, lower, upper, g, resolution_limited,
                            *((end, None) if ok else (None, end)))
 
     passing, failing = ((lo, g_lo), (hi, g_hi)) if sup_kind else ((hi, g_hi), (lo, g_lo))
@@ -1065,7 +1055,7 @@ def estimate_modulus(mapping: SampledMap, ref: tuple, kind: str,
         mid = 0.5 * (passing[0] + failing[0])
         if mid == passing[0] or mid == failing[0]:
             break
-        ok, g_mid, rl_mid = engine.verdict(kind, mid)
+        ok, g_mid, rl_mid = engine.verdict(mid)
         resolution_limited = resolution_limited or rl_mid
         if ok:
             passing = (mid, g_mid)
@@ -1075,18 +1065,17 @@ def estimate_modulus(mapping: SampledMap, ref: tuple, kind: str,
 
     c_pass, c_fail = passing[0], failing[0]
     lower, upper = (c_pass, c_fail) if sup_kind else (c_fail, c_pass)
-    return _report(kind, lower, as_ext(upper), engine, stabilized_gamma, resolution_limited,
-                   engine.endpoint(kind, *passing, True), engine.endpoint(kind, *failing, False),
-                   c_pass)
+    return _report(engine, lower, as_ext(upper), stabilized_gamma, resolution_limited,
+                   engine.endpoint(*passing, True), engine.endpoint(*failing, False), c_pass)
 
 
-def _report(kind: str, lower: float, upper: ExtReal, engine: _ModulusEngine,
+def _report(engine: _ModulusEngine, lower: float, upper: ExtReal,
             stabilized_gamma: float | None, resolution_limited: bool,
             witness_ok, witness_fail, estimate: float | None = None) -> ModulusReport:
     if estimate is None:
-        estimate = lower if kind in SUP_KINDS else float(upper)
+        estimate = lower if engine.kind in SUP_KINDS else float(upper)
     return ModulusReport(
-        kind=kind,
+        kind=engine.kind,
         lower=lower,
         upper=upper,
         estimate=estimate,

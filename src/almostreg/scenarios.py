@@ -166,7 +166,7 @@ def load_scenario(path: str | Path) -> Scenario:
 
 
 def _number(data, key, path: str, default=_MISSING, *, positive: bool = False,
-            integer: bool = False, infinite: bool = False):
+            nonnegative: bool = False, integer: bool = False, infinite: bool = False):
     """A finite JSON number as a float, or as an int when integer; with
     infinite, also an infinite one, and the string "inf" reads as +inf."""
     value = _require(data, key, path, default)
@@ -188,6 +188,8 @@ def _number(data, key, path: str, default=_MISSING, *, positive: bool = False,
         raise _fail(where, f"must be finite, not {number!r}")
     if positive and not number > 0:
         raise _fail(where, "must be positive")
+    if nonnegative and not number >= 0:
+        raise _fail(where, "must be nonnegative")
     if integer:
         if not number.is_integer():
             raise _fail(where, "must be an integer")
@@ -288,7 +290,8 @@ def _search(payload: dict) -> ModulusSearchConfig:
     _known(spec, path, [f.name for f in fields(ModulusSearchConfig)])
     kwargs = {}
     for key, options in (("gamma0", {"positive": True}), ("gamma_floor_steps", {}),
-                         ("bisect_iters", {"integer": True}), ("closure_tol", {}),
+                         ("bisect_iters", {"integer": True, "nonnegative": True}),
+                         ("closure_tol", {"nonnegative": True}),
                          ("t_per_decade", {"integer": True, "positive": True})):
         if key in spec:
             kwargs[key] = _number(spec, key, path, **options)

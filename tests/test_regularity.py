@@ -57,9 +57,10 @@ def oracle_openness(mapping, gamma, constant, tol=None):
     geom = MapGeometry(mapping)
     tol = 2.0 * geom.step_x if tol is None else tol
     grid = TGrid(geom.step_x)
+    x_index, y_index = mapping.domain._positions, mapping.codomain._positions
     for x, y in mapping.pairs:
-        xi = geom.x_index[x]
-        yi = geom.y_index[y]
+        xi = x_index[x]
+        yi = y_index[y]
         k = 0
         while True:
             t = grid.t_min * grid.ratio ** k
@@ -68,10 +69,10 @@ def oracle_openness(mapping, gamma, constant, tol=None):
             ball = [u for u in mapping.domain.points
                     if math.dist(u, x) < t]
             for v in mapping.codomain.points:
-                vi = geom.y_index[v]
+                vi = y_index[v]
                 if not geom.DY[yi, vi] < constant * t:
                     continue
-                covered = any(geom.DYG[geom.x_index[u], vi] <= tol for u in ball)
+                covered = any(geom.DYG[x_index[u], vi] <= tol for u in ball)
                 if not covered:
                     return False
             k += 1
@@ -334,6 +335,19 @@ def test_modulus_engine_guards():
         estimate_modulus(TWO_X, REF0, "midreg", ModulusSearchConfig())
     with pytest.raises(ValueError, match="must lie on the graph"):
         estimate_modulus(TWO_X, ((0.5,), (0.5,)), "sur", ModulusSearchConfig())
+    with pytest.raises(ValueError, match="unknown modulus kind"):
+        check_modulus_property(TWO_X, REF0, "midreg", 1.0, 0.5)
+
+
+def test_search_config_rejects_negative_settings():
+    # A negative closure tolerance once bracketed the sur modulus of 2x as
+    # [0, 0.02], and negative bisection iterations as [0.02, 300].
+    with pytest.raises(ValueError, match="closure_tol must be nonnegative"):
+        ModulusSearchConfig(closure_tol=-0.5)
+    with pytest.raises(ValueError, match="bisect_iters must be nonnegative"):
+        ModulusSearchConfig(bisect_iters=-3)
+    edge = ModulusSearchConfig(closure_tol=0.0, bisect_iters=0)
+    assert (edge.closure_tol, edge.bisect_iters) == (0.0, 0)
 
 
 def test_region_and_reference_lookups_tolerate_grid_roundoff():
@@ -468,18 +482,19 @@ def test_threshold_verdicts_agree_with_kernel():
         on_grid = 16 * float(TGrid(mapping.geometry.step_x).radius(20))
         for cfg in (ModulusSearchConfig(), ModulusSearchConfig(closure_tol=0.0),
                     ModulusSearchConfig(gamma0=on_grid)):
-            engine = _ModulusEngine(mapping, REF0, cfg)
-            for kind, gamma in itertools.product(MODULUS_KINDS, engine.gamma_schedule):
-                edges = [e for e in engine.band(kind, gamma) if 0.0 < e < math.inf]
-                constants = [c for e in edges for c in (np.nextafter(e, 0.0), e,
-                                                        np.nextafter(e, math.inf))]
-                constants += (10.0 ** rng.uniform(-2.0, 2.5, 4)).tolist()
-                for c in constants:
-                    sure = _band_verdict(kind, c, engine.band(kind, gamma))
-                    probed += 1
-                    if sure is not None:
-                        decided += 1
-                        assert sure == engine.holds_at(kind, c, gamma)[0], (kind, c, gamma)
+            for kind in MODULUS_KINDS:
+                engine = _ModulusEngine(mapping, REF0, kind, cfg)
+                for gamma in engine.gamma_schedule:
+                    edges = [e for e in engine.band(gamma) if 0.0 < e < math.inf]
+                    constants = [c for e in edges for c in (np.nextafter(e, 0.0), e,
+                                                            np.nextafter(e, math.inf))]
+                    constants += (10.0 ** rng.uniform(-2.0, 2.5, 4)).tolist()
+                    for c in constants:
+                        sure = _band_verdict(kind, c, engine.band(gamma))
+                        probed += 1
+                        if sure is not None:
+                            decided += 1
+                            assert sure == engine.holds_at(c, gamma)[0], (kind, c, gamma)
     assert decided > probed // 2
 
 
@@ -517,9 +532,9 @@ def test_modulus_search_memoizes_kernel_scans(monkeypatch):
     holds_at = _ModulusEngine.holds_at
     kernel, first_reaching = regularity._openness_violations, TGrid.first_reaching
 
-    def counted_holds_at(self, kind, constant, gamma):
-        lookups.append((kind, constant, gamma))
-        return holds_at(self, kind, constant, gamma)
+    def counted_holds_at(self, constant, gamma):
+        lookups.append((self.kind, constant, gamma))
+        return holds_at(self, constant, gamma)
 
     def counted_kernel(tgrid, rho, constant, reach, cols, gam, closed, *, first=False):
         scans.append((constant, float(gam.max())))
@@ -561,17 +576,18 @@ def test_modulus_search_scans_only_the_reported_endpoints(monkeypatch):
     # verdicts are kept on the geometry, so on each map (a fresh copy, which
     # holds no earlier test's memo) no memo key is scanned twice, the memo
     # keeps at most the two endpoints of each distinct content, and a
-    # second sweep scans nothing and reports the same.
+    # second sweep scans nothing and reports the same. One reference and
+    # configuration per map, so a content names its search key.
     scans: list[tuple] = []
     scan_kind = _ModulusEngine._scan_kind
 
-    def counted(self, kind, constant, gamma):
-        scans.append((kind, constant, gamma, (*self._keys[kind], gamma, constant)))
-        return scan_kind(self, kind, constant, gamma)
+    def counted(self, constant, gamma):
+        scans.append((self.kind, constant, gamma, (self.content, gamma, constant)))
+        return scan_kind(self, constant, gamma)
 
     monkeypatch.setattr(_ModulusEngine, "_scan_kind", counted)
     for mapping in map(replace, ENDPOINT_MAPS):
-        memo = mapping.geometry._verdicts
+        searches = mapping.geometry._searches
         keys: list[tuple] = []
         first = []
         for kind in MODULUS_KINDS:
@@ -582,6 +598,7 @@ def test_modulus_search_scans_only_the_reported_endpoints(monkeypatch):
             assert {scan[:3] for scan in scans} <= ends, (kind, scans, ends)
             keys += [scan[3] for scan in scans]
             first.append(repr(report))
+        memo = [(key[0], *probe) for key, (_, verdicts) in searches.items() for probe in verdicts]
         assert len(keys) == len(set(keys)) and set(keys) == set(memo), keys
         per_content = Counter(key[0] for key in memo)
         assert max(per_content.values()) <= 2, per_content
@@ -657,7 +674,8 @@ _BAND_CASES = st.tuples(
     st.none() | st.tuples(st.integers(0, 3), st.integers(20, 40)))
 
 
-def _band_engine(step, slope, family, metric, tol_steps, on_grid):
+def _band_engines(step, slope, family, metric, tol_steps, on_grid):
+    """One engine per kind, all on one map and configuration."""
     domain = PointCloud.from_grid(-1.0, 1.0, step)
     metric_x = EUCLIDEAN if metric == "euclidean" else _THREE_ABS
     if family == "branches":
@@ -673,7 +691,8 @@ def _band_engine(step, slope, family, metric, tol_steps, on_grid):
     tol = None if tol_steps is None else tol_steps * step_x
     gamma0 = None if on_grid is None else 2.0 ** on_grid[0] * float(
         TGrid(step_x).radius(on_grid[1]))
-    return _ModulusEngine(mapping, REF0, ModulusSearchConfig(gamma0=gamma0, closure_tol=tol))
+    cfg = ModulusSearchConfig(gamma0=gamma0, closure_tol=tol)
+    return [_ModulusEngine(mapping, REF0, kind, cfg) for kind in MODULUS_KINDS]
 
 
 @settings(max_examples=40)
@@ -686,22 +705,23 @@ def test_band_edges_agree_with_kernel_just_outside(case):
     # and the kernel must give the same verdict: the band's slack covers
     # every rounding by which the threshold and the kernel's float tests
     # differ. With no slack, probes like these disagree.
-    engine = _band_engine(*case)
-    for kind, gamma in itertools.product(MODULUS_KINDS, engine.gamma_schedule):
-        below, above = engine.band(kind, gamma)
-        for edge, toward in ((below, 0.0), (above, math.inf)):
-            if not 0.0 < edge < math.inf:
-                continue
-            for ulps in range(1, 9):
-                c = _ulps_from(edge, toward, ulps)
-                sure = _band_verdict(kind, c, engine.band(kind, gamma))
-                assert sure is not None and c > 0.0, (kind, c, gamma)
-                assert sure == engine._scan_kind(kind, c, gamma)[0], (kind, c, gamma, edge)
+    for engine in _band_engines(*case):
+        kind = engine.kind
+        for gamma in engine.gamma_schedule:
+            below, above = engine.band(gamma)
+            for edge, toward in ((below, 0.0), (above, math.inf)):
+                if not 0.0 < edge < math.inf:
+                    continue
+                for ulps in range(1, 9):
+                    c = _ulps_from(edge, toward, ulps)
+                    sure = _band_verdict(kind, c, engine.band(gamma))
+                    assert sure is not None and c > 0.0, (kind, c, gamma)
+                    assert sure == engine._scan_kind(c, gamma)[0], (kind, c, gamma, edge)
 
 
-def _unsliced_holds(engine, kind, constant, gamma):
+def _unsliced_holds(engine, constant, gamma):
     """The kernel on the kind's whole block, with the gamma window as masks."""
-    b = engine.block(kind)
+    b = engine.block
     gam = np.where(b.row_dist < gamma, gamma, 0.0)
     cols = b.col_dist < gamma
     if b.open_scan:
@@ -741,27 +761,30 @@ def test_gamma_window_box_matches_unsliced_kernel():
     verdicts, holes = set(), 0
     for mapping in WINDOW_MAPS:
         ref = ((0.0,) * mapping.domain.dimension, (0.0,) * mapping.codomain.dimension)
-        engine = _ModulusEngine(mapping, ref, ModulusSearchConfig())
-        gammas = engine.gamma_schedule + (2.0 * engine.gamma0, 0.0)
-        for kind, gamma in itertools.product(MODULUS_KINDS, gammas):
-            box = engine.block(kind).box(gamma)
+        engines = [_ModulusEngine(mapping, ref, kind, ModulusSearchConfig())
+                   for kind in MODULUS_KINDS]
+        top = 2.0 * engines[0].gamma0
+        gammas = engines[0].gamma_schedule + (top, 0.0)
+        for engine, gamma in itertools.product(engines, gammas):
+            kind = engine.kind
+            box = engine.block.box(gamma)
             if gamma == 0.0:
                 assert box.rho.size == 0
             holes += not (box.row_in.all() and box.col_in.all())
-            edges = [e for e in engine.band(kind, gamma) if 0.0 < e < math.inf]
+            edges = [e for e in engine.band(gamma) if 0.0 < e < math.inf]
             constants = [c for e in edges for c in (np.nextafter(e, 0.0), e,
                                                     np.nextafter(e, math.inf))]
             constants += (10.0 ** rng.uniform(-2.0, 2.5, 3)).tolist()
             for c in constants:
-                got = engine.holds_at(kind, c, gamma)
-                assert got == _unsliced_holds(engine, kind, c, gamma), (kind, c, gamma)
+                got = engine.holds_at(c, gamma)
+                assert got == _unsliced_holds(engine, c, gamma), (kind, c, gamma)
                 verdicts.add(got[0])
-        top = 2.0 * engine.gamma0
-        for kind in MODULUS_KINDS:
-            c = engine.band(kind, top)[0]
+        for engine in engines:
+            kind = engine.kind
+            c = engine.band(top)[0]
             if 0.0 < c < math.inf:
                 report = check_modulus_property(mapping, ref, kind, 2.0 * c, top)
-                ok, witness = _unsliced_holds(engine, kind, 2.0 * c, top)
+                ok, witness = _unsliced_holds(engine, 2.0 * c, top)
                 assert (report.passed, report.witnesses) == (ok, () if ok else (witness,))
     assert verdicts == {True, False}
     assert holes > 0
@@ -836,19 +859,23 @@ def test_sweep_builds_each_band_once(monkeypatch):
     # x -> -2.3x has one pair per domain point, in domain order, so the
     # estimate kinds read domain rows whatever their source: a nine-kind
     # sweep builds bands of six contents, each (content, gamma) once, and a
-    # second sweep reads them all from the geometry.
+    # second sweep reads them all from the geometry. The sweep leaves one
+    # search key per content, each holding at most its two endpoint scans.
     builds = _count_band_builds(monkeypatch)
     mapping = SampledMap.from_function(PointCloud.from_grid(-1.0, 1.0, 0.005),
                                        lambda p: (-2.3 * p[0],))
-    bands = mapping.geometry._bands
+    searches = mapping.geometry._searches
     for sweep in (1, 2):
         for kind in MODULUS_KINDS:
             estimate_modulus(mapping, REF0, kind)
+        bands = [(key, gamma) for key, (memo, _) in searches.items() for gamma in memo]
         assert builds and len(builds) == len(bands), (sweep, builds)
-    contents = {key[0] for key in bands}
+    contents = {key[0] for key, _ in bands}
     assert len(contents) == 6, contents
     assert {source for scan, source, *_ in contents if scan == "estimate"} == {"domain"}
-    assert sorted(builds) == sorted(key[-1] for key in bands)
+    assert sorted(builds) == sorted(gamma for _, gamma in bands)
+    assert len(searches) == 6, list(searches)
+    assert all(len(verdicts) <= 2 for _, verdicts in searches.values()), searches
 
 
 def test_reg_and_lip_inv_share_bands_only_with_one_pair_per_point(monkeypatch):
@@ -964,12 +991,12 @@ _ROUNDOFF = st.floats(-1e-10, 1e-10)
 @settings(max_examples=60)
 @given(_grid_maps(), st.data())
 def test_locate_resolves_roundoff_to_stored_index(mapping, data):
-    geom = mapping.geometry
     i = data.draw(st.integers(0, len(mapping.pairs) - 1))
     x, y = mapping.pairs[i]
     moved_x = (x[0] + data.draw(_ROUNDOFF),)
     moved_y = (y[0] + data.draw(_ROUNDOFF),)
-    assert mapping.locate(moved_x, moved_y) == (geom.x_index[x], geom.y_index[y])
+    assert mapping.locate(moved_x, moved_y) == (mapping.domain._positions[x],
+                                                mapping.codomain._positions[y])
     assert mapping.locate(moved_x, moved_y) == (mapping.domain.index_of(moved_x),
                                                 mapping.codomain.index_of(moved_y))
     assert mapping.on_graph(moved_x, moved_y)

@@ -149,6 +149,8 @@ LOAD_ERRORS = [
     ("ioffe_descent_newton", {"oracle": "grid", "g_expr": "1 / x",
                               "cloud": {"grid": {"start": -1.0, "stop": 1.0, "step": 0.5}}},
      "payload.g_expr"),
+    ("regularity_modulus_sur", {"search": {"closure_tol": -0.5}}, "payload.search.closure_tol"),
+    ("regularity_modulus_sur", {"search": {"bisect_iters": -3}}, "payload.search.bisect_iters"),
 ]
 
 
