@@ -13,9 +13,10 @@ not occur exactly once or the named tests fail on the unmutated copy.
 A mutant is killed when pytest fails, runs out of its 1 GiB address space
 or runs past 120 s. The list holds exactness mutants of the kernels and
 tables (a tile size, a stop, a reduction's starts, a boundary comparison,
-a band's rounding slack, the kernel-verdict memo and each component of the
-search and verdict keys) and boundary mutants of the perturbation, linear,
-Ekeland, criterion and point-lookup layers.
+the radius grid's search sides and margin, a band's rounding slack, the
+kernel-verdict memo and each component of the search and verdict keys) and
+boundary mutants of the perturbation, linear, Ekeland, criterion and
+point-lookup layers.
 """
 from __future__ import annotations
 
@@ -104,6 +105,14 @@ MUTANTS = (
            _SEARCH_KEY.replace(" self.tgrid,", ""), ("tests/test_regularity.py",)),
     Mutant("search key eps", "src/almostreg/regularity.py", _SEARCH_KEY,
            _SEARCH_KEY.replace(", self.eps[-1]", ""), ("tests/test_regularity.py",)),
+    Mutant("first_reaching open side", "src/almostreg/regularity.py",
+           'side="left" if closed else "right"', 'side="left" if closed else "left"',
+           ("tests/test_regularity.py",)),
+    Mutant("first_reaching closed side", "src/almostreg/regularity.py",
+           'side="left" if closed else "right"', 'side="right" if closed else "right"',
+           ("tests/test_regularity.py",)),
+    Mutant("grid radii margin", "src/almostreg/regularity.py",
+           "math.ceil(steps) + 2", "math.ceil(steps) + 1", ("tests/test_regularity.py",)),
     Mutant("verdict key gamma", "src/almostreg/regularity.py",
            "key = (gamma, constant)", "key = constant", ("tests/test_regularity.py",)),
     Mutant("verdict key constant", "src/almostreg/regularity.py",

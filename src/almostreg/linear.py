@@ -293,13 +293,12 @@ def _mesh_min_support(m: DenseMatrix, nx: NormSpec, ny: NormSpec,
     return best
 
 
-def _refine_until_stable(m: DenseMatrix, nx: NormSpec, ny: NormSpec,
-                         evaluate) -> tuple[float, float, int]:
-    """Run the mesh evaluation on doubling meshes, from 360 points up to the
+def _refine_until_stable(evaluate) -> tuple[float, float, int]:
+    """Run evaluate(count) on doubling mesh counts, from 360 points up to the
     cap of 360 * 2**7 = 46,080, until three values agree."""
     values: list[float] = []
     for count in (360 * 2 ** k for k in range(8)):
-        values.append(evaluate(m, nx, ny, count))
+        values.append(evaluate(count))
         if len(values) >= 3 and max(values[-3:]) - min(values[-3:]) <= _MESH_STABLE_TOL:
             break
     spread = (max(values[-3:]) - min(values[-3:])) if len(values) >= 3 else math.inf
@@ -317,11 +316,8 @@ def opnorm(m: DenseMatrix, nx: NormSpec | None = None,
     vertices = _ball_vertices(nx)
     if vertices is not None:
         return float(ny.norms(vertices @ m.as_array().T).max())
-
-    def evaluate(mm: DenseMatrix, nnx: NormSpec, nny: NormSpec, count: int) -> float:
-        return float(nny.norms(_sphere_mesh(nnx, count) @ mm.as_array().T).max())
-
-    value, _, _ = _refine_until_stable(m, nx, ny, evaluate)
+    value, _, _ = _refine_until_stable(
+        lambda count: float(ny.norms(_sphere_mesh(nx, count) @ m.as_array().T).max()))
     return value
 
 
@@ -359,7 +355,8 @@ def sur_modulus(m: DenseMatrix, nx: NormSpec | None = None,
         step = 2.0 * math.pi / mesh_count
         err = 2.0 * step * opnorm(m)
     else:
-        value, spread, count = _refine_until_stable(m, nx, ny, _mesh_min_support)
+        value, spread, count = _refine_until_stable(
+            lambda count: _mesh_min_support(m, nx, ny, count))
         value = max(value, 0.0)
         step = 2.0 * math.pi / count
         err = max(spread, _MESH_STABLE_TOL) + 2.0 * step * opnorm(m)
@@ -388,11 +385,8 @@ def injectivity_bound(m: DenseMatrix, nx: NormSpec | None = None,
         sigmas = np.linalg.svd(m.as_array(), compute_uv=False)
         value = float(sigmas[-1]) if m.rows >= m.cols else 0.0
         return 0.0 if value <= _RANK_TOL * max(1.0, float(sigmas[0])) else value
-
-    def evaluate(mm: DenseMatrix, nnx: NormSpec, nny: NormSpec, count: int) -> float:
-        return float(nny.norms(_sphere_mesh(nnx, count) @ mm.as_array().T).min())
-
-    value, _, _ = _refine_until_stable(m, nx, ny, evaluate)
+    value, _, _ = _refine_until_stable(
+        lambda count: float(ny.norms(_sphere_mesh(nx, count) @ m.as_array().T).min()))
     return max(value, 0.0)
 
 

@@ -50,9 +50,9 @@ class PerturbationInstance:
     `h` is a single-valued perturbation (callable on points); `H` a sampled
     set-valued one. `ref` is (x_bar, z_bar, w_bar); w_bar may be None when H
     is absent. Constants may include c, c_prime, ell, a, b, r, delta: each of
-    c, c_prime, a, b, r and delta must be positive (a, b and r may be +inf),
-    and 0 <= ell < c < c_prime. They are kept as a read-only copy, so the
-    checks made here hold for the instance's whole life.
+    c, c_prime, a, b, r and delta must be positive, only a, b and r may be
+    +inf, and 0 <= ell < c < c_prime. They are kept as a read-only copy, so
+    the checks made here hold for the instance's whole life.
     """
 
     F: SampledMap
@@ -69,6 +69,9 @@ class PerturbationInstance:
         for k in ("c", "c_prime", "a", "b", "r", "delta"):
             if k in consts and not consts[k] > 0.0:
                 raise ValueError(f"constant {k} must be positive, not {consts[k]!r}")
+        for k in ("c", "c_prime", "ell", "delta"):
+            if k in consts and math.isinf(consts[k]):
+                raise ValueError(f"constant {k} must be finite, not {consts[k]!r}")
         c, c_prime, ell = (consts.get(k) for k in ("c", "c_prime", "ell"))
         if None not in (c, c_prime, ell) and not 0.0 <= ell < c < c_prime:
             raise ValueError("constants must satisfy 0 <= ell < c < c_prime")

@@ -298,16 +298,20 @@ class TGrid:
         """Grid radii t_k; every grid radius in the package comes from here."""
         return self.t_min * np.power(self.ratio, np.asarray(k, dtype=float))
 
+    def _radii(self, top: float) -> np.ndarray:
+        """Grid radii t_0, t_1, ... up to two steps past top; a top below
+        t_min reads as t_min."""
+        steps = math.log(max(top, self.t_min) / self.t_min) / math.log(self.ratio)
+        return self.radius(np.arange(math.ceil(steps) + 2))
+
     def floor_radius(self, bound: np.ndarray, strict: bool = False) -> np.ndarray:
         """Largest grid radius <= bound (< when strict), per entry.
 
         0 when even t_0 misses the bound, inf for an infinite bound. The
-        radii come from radius(), so they are the ones first_reaching returns.
+        radii come from _radii, as first_reaching's do.
         """
         bound = np.asarray(bound, dtype=float)
-        top = np.max(bound, where=np.isfinite(bound), initial=self.t_min)
-        radii = self.radius(np.arange(math.ceil(math.log(top / self.t_min)
-                                                / math.log(self.ratio)) + 2))
+        radii = self._radii(np.max(bound, where=np.isfinite(bound), initial=self.t_min))
         k = np.searchsorted(radii, bound, side="left" if strict else "right")
         out = np.asarray(np.concatenate(([0.0], radii))[k])
         out[np.isinf(bound)] = np.inf
@@ -317,39 +321,18 @@ class TGrid:
                        closed: bool = False) -> np.ndarray:
         """Smallest grid t with rho < constant * t (<= when closed), per entry.
 
-        The initial guess comes from logarithms; correction passes re-test the
-        exact float predicate so the returned radius is the true minimizer.
+        inf for a non-finite rho; a negative rho reads as 0. constant * t
+        never decreases along the grid, so one sorted search over it finds
+        the least radius that passes the float predicate itself.
         """
         rho = np.asarray(rho, dtype=float)
         out = np.full(rho.shape, np.inf)
         finite = np.isfinite(rho)
-        if not finite.any():
-            return out
-        rf = np.maximum(rho[finite], 0.0)
-        with np.errstate(divide="ignore"):
-            guess = (np.log(np.maximum(rf / (constant * self.t_min), 1e-300))
-                     / math.log(self.ratio))
-        k = np.maximum(np.floor(guess).astype(np.int64), 0)
-
-        def hit(tt: np.ndarray) -> np.ndarray:
-            lhs = constant * tt
-            return rf <= lhs if closed else rf < lhs
-
-        t = self.radius(k)
-        for _ in range(6):
-            bad = ~hit(t)
-            if not bad.any():
-                break
-            k = k + bad.astype(np.int64)
-            t = self.radius(k)
-        for _ in range(6):
-            prev = self.radius(np.maximum(k - 1, 0))
-            down = (k > 0) & hit(prev)
-            if not down.any():
-                break
-            k = k - down.astype(np.int64)
-            t = self.radius(k)
-        out[finite] = t
+        if finite.any():
+            rf = np.maximum(rho[finite], 0.0)
+            radii = self._radii(float(rf.max()) / constant)
+            out[finite] = radii[np.searchsorted(constant * radii, rf,
+                                                side="left" if closed else "right")]
         return out
 
 
@@ -380,12 +363,13 @@ class RegularityInstance:
     def __post_init__(self) -> None:
         if not self.constant > 0.0:
             raise ValueError("constant must be positive")
-        if self.eps_schedule:
-            for a, b in zip(self.eps_schedule, self.eps_schedule[1:]):
-                if not (a > b > 0.0):
-                    raise ValueError("eps_schedule must be strictly decreasing and positive")
+        eps = self.eps_schedule
+        if not (all(e > 0.0 for e in eps) and all(a > b for a, b in zip(eps, eps[1:]))):
+            raise ValueError("eps_schedule must be strictly decreasing and positive")
         if self.closure_tol is not None and self.closure_tol < 0.0:
             raise ValueError("closure_tol must be nonnegative")
+        if not self.t_per_decade >= 1:
+            raise ValueError("t_per_decade must be at least 1")
 
 
 def _gamma_array(gamma: object, domain: PointCloud) -> np.ndarray:
@@ -696,6 +680,12 @@ class ModulusSearchConfig:
             raise ValueError("closure_tol must be nonnegative")
         if self.bisect_iters < 0:
             raise ValueError("bisect_iters must be nonnegative")
+        if self.gamma0 is not None and not self.gamma0 > 0.0:
+            raise ValueError("gamma0 must be positive")
+        if not self.t_per_decade >= 1:
+            raise ValueError("t_per_decade must be at least 1")
+        if not all(e > 0.0 for e in self.eps_schedule):
+            raise ValueError("eps_schedule must be positive")
 
 
 @dataclass(frozen=True)

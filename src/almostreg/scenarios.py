@@ -535,8 +535,8 @@ def _prep_regularity(payload: dict):
             region_y=_region(payload, "region_y", "payload", mapping.codomain),
             gamma=_gamma(payload, "gamma", "payload", mapping),
             constant=_number(payload, "constant", "payload", positive=True),
-            eps_schedule=_numbers(payload, "eps_schedule", "payload", ()),
-            closure_tol=_number(payload, "closure_tol", "payload", None),
+            eps_schedule=_numbers(payload, "eps_schedule", "payload", (), positive=True),
+            closure_tol=_number(payload, "closure_tol", "payload", None, nonnegative=True),
         )
         try:
             inst = RegularityInstance(**instance)

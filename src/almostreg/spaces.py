@@ -261,9 +261,9 @@ def directional_time(directions: DirectionSet, x: float | Sequence[float],
 
 def _cone_table(directions: DirectionSet, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Cone time from each row of a to each row of b, elementwise: the
-    displacement b_j - a_i, its length (squares summed coordinate by
-    coordinate, as in _euclidean_table), the unit vector, and a hit when the
-    unit vector lies within _COLLINEARITY_TOL of some direction."""
+    displacement b_j - a_i, its length from _euclidean_table, the unit
+    vector, and a hit when the unit vector lies within _COLLINEARITY_TOL of
+    some direction."""
     if a.shape[1] != directions.dimension:
         raise ValueError(f"dimension mismatch: points have dimension {a.shape[1]}, "
                          f"directions {directions.dimension}")
@@ -272,10 +272,7 @@ def _cone_table(directions: DirectionSet, a: np.ndarray, b: np.ndarray) -> np.nd
     # to 0 below); huge coordinates overflow to inf.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         delta = [b[None, :, k] - a[:, None, k] for k in range(a.shape[1])]
-        total = np.zeros((len(a), len(b)))
-        for c in delta:
-            total += c * c
-        norm = np.sqrt(total)
+        norm = _euclidean_table(a, b)
         hit = np.zeros(norm.shape, dtype=bool)
         unit = [c / norm for c in delta]
         for d in directions.directions:

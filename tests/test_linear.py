@@ -112,11 +112,11 @@ def test_mesh_refinement_reports_last_evaluated_count():
     # count returned must be the last mesh evaluated, 360 * 2**7.
     counts = []
 
-    def never_settles(m, nx, ny, count):
+    def never_settles(count):
         counts.append(count)
         return float(len(counts))
 
-    value, spread, count = _refine_until_stable(DIAG31, SUP2, SUP2, never_settles)
+    value, spread, count = _refine_until_stable(never_settles)
     assert counts == [360 * 2 ** k for k in range(8)]
     assert count == 46080 == counts[-1]
     assert value == 8.0 and spread == 2.0
@@ -127,11 +127,11 @@ def test_mesh_refinement_stops_at_a_spread_equal_to_the_tolerance():
     # as settled: the refinement stops at the third mesh, 360 * 2**2.
     values = iter([0.0, 1e-6, 0.0, 5.0, 5.0, 5.0, 5.0, 5.0])
 
-    def settles_at_the_tolerance(m, nx, ny, count):
+    def settles_at_the_tolerance(count):
         return next(values)
 
     assert linear._MESH_STABLE_TOL == 1e-6
-    assert _refine_until_stable(DIAG31, SUP2, SUP2, settles_at_the_tolerance) == (
+    assert _refine_until_stable(settles_at_the_tolerance) == (
         0.0, 1e-6, 1440)
 
 

@@ -225,6 +225,17 @@ def test_instance_rejects_setvalued_constants_out_of_range(changes):
         PerturbationInstance(F=F_2X, ref=REF3, H=H_SIN, constants={**consts, **changes})
 
 
+@pytest.mark.parametrize("name", ["c", "c_prime", "ell", "delta"])
+def test_instance_rejects_infinite_setvalued_constants(name):
+    # Only a, b and r may be +inf. c_prime = inf once built an instance whose
+    # set-valued check raised "internal constant lambda left (0, 1)".
+    consts = dict(c=1.2, c_prime=1.5, ell=0.4, a=math.inf, b=math.inf, r=math.inf,
+                  delta=0.05)
+    PerturbationInstance(F=F_2X, ref=REF3, H=H_SIN, constants=consts)
+    with pytest.raises(ValueError, match=f"constant {name} must be finite"):
+        PerturbationInstance(F=F_2X, ref=REF3, H=H_SIN, constants={**consts, name: math.inf})
+
+
 def test_lg_single_frozen():
     inst = PerturbationInstance(F=F_2X, ref=((0.0,), (0.0,)), h=h_sin)
     rep = lg_single_check(inst)

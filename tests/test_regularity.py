@@ -156,6 +156,18 @@ def test_instance_validation():
         RegularityInstance(mapping=TWO_X, region_x=DOM.points,
                            region_y=TWO_X.codomain.points, gamma=1.0,
                            constant=1.0, eps_schedule=(0.1, 0.2))
+    # A lone eps of 0 once built an instance whose regularity estimate failed
+    # at every point, since no preimage lies within distance < 0.
+    with pytest.raises(ValueError, match="eps_schedule"):
+        RegularityInstance(mapping=TWO_X, region_x=DOM.points,
+                           region_y=TWO_X.codomain.points, gamma=1.0,
+                           constant=1.0, eps_schedule=(0.0,))
+    # t_per_decade = 0 once built, and check_openness then raised a bare
+    # ZeroDivisionError from TGrid.ratio.
+    with pytest.raises(ValueError, match="t_per_decade must be at least 1"):
+        RegularityInstance(mapping=TWO_X, region_x=DOM.points,
+                           region_y=TWO_X.codomain.points, gamma=1.0,
+                           constant=1.0, t_per_decade=0)
     inst = RegularityInstance(mapping=TWO_X, region_x=((7.0,),),
                               region_y=TWO_X.codomain.points, gamma=1.0,
                               constant=1.0)
@@ -216,6 +228,45 @@ def test_tgrid_first_reaching_exact_boundaries():
     assert closed == pytest.approx(0.1)
     assert strict == pytest.approx(0.1 * grid.ratio)
     assert math.isinf(grid.first_reaching(np.array([math.inf]), 1.0)[0])
+
+
+def _least_reaching(grid, rho, constant, closed):
+    """The least radius(j) with rho < constant * radius(j) (<= when closed),
+    found by a loop; inf for a non-finite rho, and a negative rho reads as 0."""
+    if not math.isfinite(rho):
+        return math.inf
+    rho, j = max(rho, 0.0), 0
+    while not (rho <= constant * grid.radius(j) if closed else rho < constant * grid.radius(j)):
+        j += 1
+    return float(grid.radius(j))
+
+
+@st.composite
+def _reaching_cases(draw):
+    grid = TGrid(10.0 ** draw(st.floats(-3.0, 1.0)), draw(st.sampled_from([1, 2, 3, 20, 40])))
+    constant = 10.0 ** draw(st.floats(-3.0, 3.0))
+
+    def value():
+        # A special value, a float, or constant times a grid radius, possibly
+        # one ulp off.
+        kind = draw(st.integers(0, 2))
+        if kind == 0:
+            return draw(st.sampled_from([0.0, -0.0, -2.5, math.inf, -math.inf, math.nan]))
+        if kind == 1:
+            return draw(st.floats(-10.0, 1e6))
+        v = constant * float(grid.radius(draw(st.integers(0, 60))))
+        return float(np.nextafter(v, draw(st.sampled_from([0.0, v, math.inf]))))
+
+    rho = np.array([value() for _ in range(draw(st.integers(1, 8)))])
+    return grid, rho, constant, draw(st.booleans())
+
+
+@settings(max_examples=200)
+@given(_reaching_cases())
+def test_first_reaching_matches_loop_oracle(case):
+    grid, rho, constant, closed = case
+    assert grid.first_reaching(rho, constant, closed=closed).tolist() == [
+        _least_reaching(grid, float(r), constant, closed) for r in rho]
 
 
 def test_graph_max_metric():
@@ -348,6 +399,20 @@ def test_search_config_rejects_negative_settings():
         ModulusSearchConfig(bisect_iters=-3)
     edge = ModulusSearchConfig(closure_tol=0.0, bisect_iters=0)
     assert (edge.closure_tol, edge.bisect_iters) == (0.0, 0)
+    # gamma0 = -1 once bracketed the sur modulus of 2x as [120, inf] with
+    # stabilized gamma -1, and t_per_decade = 0 raised a bare
+    # ZeroDivisionError from TGrid.ratio.
+    for gamma0 in (-1.0, 0.0, math.nan):
+        with pytest.raises(ValueError, match="gamma0 must be positive"):
+            ModulusSearchConfig(gamma0=gamma0)
+    with pytest.raises(ValueError, match="t_per_decade must be at least 1"):
+        ModulusSearchConfig(t_per_decade=0)
+    # eps_schedule = (0,) once bracketed the reg modulus of 2x as [120, inf],
+    # where the true value is about 0.4545.
+    with pytest.raises(ValueError, match="eps_schedule must be positive"):
+        ModulusSearchConfig(eps_schedule=(0.1, 0.0))
+    edge = ModulusSearchConfig(gamma0=1e-9, t_per_decade=1, eps_schedule=(1e-9,))
+    assert (edge.gamma0, edge.t_per_decade, edge.eps_schedule) == (1e-9, 1, (1e-9,))
 
 
 def test_region_and_reference_lookups_tolerate_grid_roundoff():

@@ -172,6 +172,19 @@ def test_payload_error_surfaces_at_load_with_field_path(tmp_path, stem, changes,
     assert str(exc.value).startswith(f"{field_path}: ")
 
 
+@pytest.mark.parametrize("changes, field_path", [
+    ({"closure_tol": -0.5}, "payload.closure_tol"),
+    ({"eps_schedule": [0.4, -0.2]}, "payload.eps_schedule[1]"),
+], ids=["closure_tol", "eps_schedule"])
+def test_property_payload_error_names_the_field(tmp_path, changes, field_path):
+    # Both once failed at the payload as a whole: "payload: closure_tol must
+    # be nonnegative" and "payload: eps_schedule must be strictly decreasing
+    # and positive".
+    with pytest.raises(ScenarioError) as exc:
+        load_scenario(corrupted(tmp_path, "regularity_openness_pass", changes))
+    assert str(exc.value).startswith(f"{field_path}: must be ")
+
+
 def test_payload_error_texts_kept(tmp_path):
     for stem, changes, text in (
             ("regularity_openness_pass", {"gamma": _DELETE},
